@@ -208,18 +208,6 @@ class Chart:
         return self.cdga.excluded
 
 
-def _strict_transform(generators, ring, xi: Polynomial) -> Ideal:
-    total = Ideal(ring, tuple(generators))
-    if total.is_zero():
-        return total
-    out = saturate(total, xi)
-    if out.is_unit():
-        # The removed locus meets this chart only along the exceptional
-        # divisor, so nothing is removed here.
-        return Ideal.zero(ring)
-    return out
-
-
 def blowup_charts(
     x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
 ) -> tuple[Chart, ...]:
@@ -304,7 +292,8 @@ def blowup_charts(
                     Generator2(g.name, tuple(a - b for a, b in zip(g.weight, w_center)), divided)
                 )
 
-        excluded = _strict_transform((transplant(p) for p in x.excluded.generators), ring, xi)
+        # strict transform of the removed locus
+        excluded = saturate(Ideal(ring, tuple(transplant(p) for p in x.excluded.generators)), xi)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
         images_all = {
             v: images[v] if v in images else Polynomial.variable(ring, v) for v in x.var_names
@@ -332,35 +321,26 @@ def kirwan_charts(
 ) -> tuple[Chart, ...]:
     """Blow-up charts with the unstable locus removed.
 
-    Each chart's excluded ideal cuts out the union of the strict transform
-    of the saturation locus and whatever the parent had already removed,
-    so the two pieces are combined by ideal intersection.  A zero
-    saturation ideal means no point is semistable: the chart survives in
-    the output but is flagged fully unstable.
+    Each chart removes the strict transform of the saturation locus as
+    well as whatever the parent had already removed; the union of the two
+    is cut out by the intersection of their ideals.  A zero saturation
+    ideal means no point is semistable: the chart survives in the output,
+    with every point removed, and is flagged fully unstable.
     """
     charts = []
     for chart in blowup_charts(x, subtorus, parent_id):
         ring = chart.cdga.var_names
-        if saturation.is_zero():
-            excluded = Ideal.unit(ring)
-            unstable = True
-        else:
-            images = chart.substitution()
-            pulled = [p.substitute(images, ring) for p in saturation.generators]
-            xi = Polynomial.variable(ring, chart.exceptional.name)
-            unstable_part = _strict_transform(pulled, ring, xi)
-            # blowup_charts already strict-transformed the parent exclusions;
-            # a zero on either side means that side removes nothing
-            carried = chart.cdga.excluded
-            if unstable_part.is_zero():
-                excluded = carried
-            elif carried.is_zero():
-                excluded = unstable_part
-            else:
-                excluded = intersect(unstable_part, carried)
-            unstable = False
+        images = chart.substitution()
+        pulled = Ideal(ring, tuple(p.substitute(images, ring) for p in saturation.generators))
+        unstable = saturate(pulled, Polynomial.variable(ring, chart.exceptional.name))
+        # blowup_charts already strict-transformed the parent exclusions
+        excluded = intersect(unstable, chart.cdga.excluded)
         charts.append(
-            replace(chart, cdga=replace(chart.cdga, excluded=excluded), fully_unstable=unstable)
+            replace(
+                chart,
+                cdga=replace(chart.cdga, excluded=excluded),
+                fully_unstable=excluded.is_zero(),
+            )
         )
     return tuple(charts)
 

@@ -11,6 +11,11 @@ differential vanishes.
 
 Subtori of the acting torus are given by integer basis vectors; a weight
 is fixed when it pairs to zero with every basis vector.
+
+The points a presentation has removed are V(``excluded``), the zeros of
+its excluded ideal.  The default is the unit ideal, which removes
+nothing; the zero ideal removes every point.  A union of removed loci is
+the intersection of their ideals.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class GradedCdga:
 
     def __post_init__(self):
         if self.excluded is None:
-            object.__setattr__(self, "excluded", Ideal.zero(self.var_names))
+            object.__setattr__(self, "excluded", Ideal.unit(self.var_names))
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -284,7 +289,9 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
 
     Moving ring variables are set to zero in every surviving differential,
     moving generators are dropped, and terms of degree-2 differentials
-    through moving degree-1 generators are deleted.
+    through moving degree-1 generators are deleted.  The excluded ideal is
+    cut the same way, so the removed points are those of the fixed locus
+    that the parent removed.
     """
     require_valid(x)
     if subtorus.ambient_rank != x.torus_rank:
@@ -315,7 +322,7 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
             if target in kept1 and not cut(coeff).is_zero()
         )
         gens2.append(Generator2(g.name, g.weight, diff))
-    excluded = Ideal(ring, tuple(g for g in (cut(p) for p in x.excluded.generators) if not g.is_zero()))
+    excluded = Ideal(ring, tuple(cut(p) for p in x.excluded.generators))
     return GradedCdga(x.torus_rank, variables, gens1, tuple(gens2), excluded)
 
 

@@ -25,7 +25,6 @@ from .errors import (
     NotDivisible,
     NotInIdeal,
     ParseError,
-    RankUndetermined,
     SchemaError,
     StrictDecreaseViolation,
     TooManyVariables,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .poly import order_from_name
 from .reduce import ReduceConfig, stabilizer_reduce
-from .scene import Scene, parse_scene_text
+from .scene import read_scene
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
 
 DOMAIN_ERRORS = (
@@ -53,7 +52,6 @@ INTERNAL_ERRORS = (
     NotDivisible,
     NotInIdeal,
     DepthExceeded,
-    RankUndetermined,
     StrictDecreaseViolation,
     AssertionError,
 )
@@ -70,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
     common.add_argument("--degree-cap", type=int, dest="degree_cap", help="invariant-monomial search bound")
     common.add_argument("--depth-fuse", type=int, dest="depth_fuse", help="maximum blow-up recursion depth")
-    common.add_argument("--seed", type=int, help="seed for the generic-rank probes")
+    common.add_argument("--seed", type=int, help="ignored; generic ranks are exact (kept for older scripts)")
 
     parser = argparse.ArgumentParser(prog="stabred", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,12 +82,6 @@ def _styled(text: str, good: bool) -> str:
         return text
     code = "32" if good else "31"
     return f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _read_scene(path: str) -> tuple[Scene, str]:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    return parse_scene_text(raw.decode("utf-8"), path), rpt.input_digest(raw)
 
 
 def _parse_subtorus(text: str, rank: int) -> SubtorusBasis:
@@ -125,9 +117,9 @@ def _emit(args, command: str, digest: str, data: dict, lines: list[str]) -> None
 def _chart_lines(charts, order) -> list[str]:
     lines = []
     for c in charts:
-        gens = classical_truncation(c.cdga).canonical_generators(order)
+        gens = classical_truncation(c.cdga).groebner(order)
         shown = ", ".join(g.to_string(order) for g in gens) or "0"
-        removed = ", ".join(g.to_string(order) for g in c.cdga.excluded.canonical_generators(order))
+        removed = ", ".join(rpt.excluded_document(c.cdga.excluded, order))
         flag = "  [fully unstable]" if c.fully_unstable else ""
         lines.append(f"{c.name}: center {c.center_var}, truncation ({shown})" + (
             f", excluded ({removed})" if removed else "") + flag)
@@ -147,7 +139,7 @@ def _select_charts(charts, wanted: str | None):
 def run_command(args) -> int:
     if args.command == "validate":
         try:
-            scene, digest = _read_scene(args.scene)
+            scene, raw = read_scene(args.scene)
         except InvalidPresentation as err:
             data = rpt.validation_document(err.report)
             print(_styled("invalid", False))
@@ -158,15 +150,15 @@ def run_command(args) -> int:
                     handle.write(rpt.canonical_json(rpt.document("validate", "", data)))
             return 1
         data = rpt.validation_document(validate_presentation(scene.cdga))
-        _emit(args, "validate", digest, data, [_styled("ok", True)])
+        _emit(args, "validate", rpt.input_digest(raw), data, [_styled("ok", True)])
         return 0
 
-    scene, digest = _read_scene(args.scene)
+    scene, raw = read_scene(args.scene)
+    digest = rpt.input_digest(raw)
     x = scene.cdga
     order = order_from_name(args.order or scene.options.order)
     degree_cap = args.degree_cap if args.degree_cap is not None else scene.options.degree_cap
     depth_fuse = args.depth_fuse if args.depth_fuse is not None else scene.options.depth_fuse
-    seed = args.seed if args.seed is not None else scene.options.seed
 
     if args.command == "pi0":
         data = rpt.pi0_document(x, order)
@@ -212,11 +204,11 @@ def run_command(args) -> int:
         sat = saturation_ideal(x, h, degree_cap)
         charts = _select_charts(kirwan_charts(x, h, sat), args.chart)
         data = rpt.charts_document(charts, order)
-        data["saturation"] = [g.to_string(order) for g in sat.canonical_generators(order)]
+        data["saturation"] = [g.to_string(order) for g in sat.groebner(order)]
         _emit(args, "kirwan", digest, data, _chart_lines(charts, order))
         return 0
 
-    config = ReduceConfig(order=order, max_depth=depth_fuse, degree_cap=degree_cap, seed=seed)
+    config = ReduceConfig(max_depth=depth_fuse, degree_cap=degree_cap)
     tree = stabilizer_reduce(x, config)
 
     if args.command == "reduce":

@@ -84,9 +84,5 @@ class DepthExceeded(StabredError):
     """The reduction recursion fuse tripped before reaching finite stabilizers."""
 
 
-class RankUndetermined(StabredError):
-    """Three random evaluations of a coefficient matrix disagreed on its rank."""
-
-
 class StrictDecreaseViolation(StabredError):
     """A blow-up chart failed to lower the maximal stabilizer dimension."""

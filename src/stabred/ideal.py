@@ -8,8 +8,6 @@ elimination order; everything reduces to Buchberger bases at desk scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotDivisible
 from .groebner import buchberger, normal_form
 from .poly import ElimOrder, GREVLEX, Polynomial
@@ -62,14 +60,9 @@ class Ideal:
         return not self.generators
 
     def is_unit(self, order=GREVLEX) -> bool:
-        if not self.generators:
-            return False
-        basis = self.groebner(order)
-        return len(basis) == 1 and basis[0].is_constant()
-
-    def canonical_generators(self, order=GREVLEX) -> tuple[Polynomial, ...]:
-        """The reduced monic basis, the canonical generating set."""
-        return self.groebner(order)
+        if _has_constant(self):
+            return True
+        return bool(self.generators) and self.groebner(order)[0].is_constant()
 
     def __eq__(self, other):
         """Same ring and same generator list; use ideal_equal for the
@@ -85,8 +78,10 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def ideal_membership(f: Polynomial, ideal: Ideal, order=GREVLEX) -> bool:
-    return ideal.contains(f, order)
+def _has_constant(ideal: Ideal) -> bool:
+    """A nonzero constant among the generators: the unit ideal, seen
+    without computing a basis."""
+    return any(g.is_constant() for g in ideal.generators)
 
 
 def ideal_equal(a: Ideal, b: Ideal, order=GREVLEX) -> bool:
@@ -124,14 +119,17 @@ def eliminate(ideal: Ideal, names) -> Ideal:
 
 
 def saturate(ideal: Ideal, f: Polynomial, order=GREVLEX) -> Ideal:
-    """The saturation (I : f^inf), computed with an inverted auxiliary variable."""
+    """The saturation (I : f^inf), computed with an inverted auxiliary variable.
+
+    (0 : f^inf) = 0 and (1 : f^inf) = 1 return the ideal itself, as does a
+    constant f."""
     if f.variables != ideal.variables:
         raise ValueError("saturating polynomial lives in a different ring")
     if f.is_zero():
         # every element is annihilated by some power of zero
         return Ideal.unit(ideal.variables)
-    if f.is_constant():
-        return Ideal(ideal.variables, ideal.generators)
+    if f.is_constant() or ideal.is_zero() or _has_constant(ideal):
+        return ideal
     aux = fresh_name("_s", ideal.variables)
     extended = ideal.variables + (aux,)
     gens = [g.extend(extended) for g in ideal.generators]
@@ -143,11 +141,15 @@ def saturate(ideal: Ideal, f: Polynomial, order=GREVLEX) -> Ideal:
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Ideal intersection via the one-parameter interpolation trick."""
+    """Ideal intersection via the one-parameter interpolation trick.
+
+    I ∩ (1) = I and I ∩ 0 = 0 return one of the two ideals."""
     if a.variables != b.variables:
         raise ValueError("ideals live in different rings")
-    if a.is_zero() or b.is_zero():
-        return Ideal.zero(a.variables)
+    if a.is_zero() or _has_constant(b):
+        return a
+    if b.is_zero() or _has_constant(a):
+        return b
     aux = fresh_name("_t", a.variables)
     extended = a.variables + (aux,)
     t = Polynomial.variable(extended, aux)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def rational_rank(rows) -> int:
@@ -29,10 +28,6 @@ def rational_rank(rows) -> int:
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
-
-
-def matrix_rank_fraction(rows) -> int:
-    return rational_rank(rows)
 
 
 def integer_kernel(rows, width: int) -> tuple[tuple[int, ...], ...]:
@@ -119,12 +114,3 @@ def hermite_rows(vectors) -> tuple[tuple[int, ...], ...]:
             if q:
                 out[k] = [a - q * b for a, b in zip(out[k], out[i])]
     return tuple(tuple(r) for r in out)
-
-
-def primitive(vector) -> tuple[int, ...]:
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(int(x)))
-    if g in (0, 1):
-        return tuple(int(x) for x in vector)
-    return tuple(int(x) // g for x in vector)

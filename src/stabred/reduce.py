@@ -10,15 +10,14 @@ obstruction-theory reports.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blowup import Chart, dagger_check, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import DepthExceeded, RankUndetermined, StrictDecreaseViolation
-from .intlinalg import rational_rank
-from .poly import GREVLEX, MonomialOrder
+from .errors import DepthExceeded, NotDivisible, StrictDecreaseViolation
+from .groebner import divide
+from .poly import Polynomial
+from .scene import SceneOptions
 from .torus import (
     VARIABLE_CAP,
     StabilizerReport,
@@ -30,16 +29,9 @@ from .torus import (
 
 @dataclass(frozen=True)
 class ReduceConfig:
-    order: MonomialOrder = GREVLEX
-    max_depth: int = 8
+    max_depth: int = SceneOptions.depth_fuse
     var_cap: int = VARIABLE_CAP
-    degree_cap: int = 12
-    seed: int = 0
-
-
-def quasi_smooth_check(x: GradedCdga) -> bool:
-    """A presentation without degree-2 generators is quasi-smooth."""
-    return not x.gens2
+    degree_cap: int = SceneOptions.degree_cap
 
 
 @dataclass(frozen=True)
@@ -52,50 +44,45 @@ class ObstructionReport:
     fully_unstable: bool
 
 
-def _sample_point(x: GradedCdga, rng: random.Random) -> dict[str, Fraction]:
-    """Random integer point with nonzero coordinates, outside the removed locus."""
-    pool = [i for i in range(-9, 10) if i]
-    for _ in range(20):
-        point = {name: Fraction(rng.choice(pool)) for name in x.var_names}
-        if x.excluded.is_zero():
-            return point
-        if any(g.evaluate(point) != 0 for g in x.excluded.generators):
-            return point
-    raise RankUndetermined("could not sample a point outside the removed locus")
+def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
+    (quotient,), remainder = divide(f, [g])
+    if not remainder.is_zero():
+        raise NotDivisible(f"{g.to_string()} does not divide {f.to_string()}")
+    return quotient
 
 
-def _delta2_generic_rank(x: GradedCdga, rng: random.Random) -> int:
-    """Rank of the degree-2 coefficient matrix at a generic point.
+def _delta2_generic_rank(x: GradedCdga) -> int:
+    """Rank of the degree-2 coefficient matrix over the function field.
 
-    Three independent evaluations; a value seen twice wins.  Exact
-    per-trial arithmetic means disagreement can only come from unlucky
-    special points, so it is reported rather than resolved by fiat.
+    Fraction-free (Bareiss) elimination on the polynomial entries: after
+    each pivot every remaining entry is a minor of the matrix, so the
+    division by the previous pivot is exact and no entry ever leaves the
+    polynomial ring.
     """
-    if not x.gens2:
-        return 0
-    rows = [
-        [g.coefficient(w.name) for w in x.gens1]
+    zero = Polynomial.zero(x.var_names)
+    matrix = [
+        [g.coefficient(w.name) or zero for w in x.gens1]
         for g in x.gens2
     ]
-    trials = []
-    for _ in range(3):
-        point = _sample_point(x, rng)
-        matrix = [
-            [c.evaluate(point) if c is not None else Fraction(0) for c in row]
-            for row in rows
-        ]
-        trials.append(rational_rank(matrix))
-    for value in trials:
-        if trials.count(value) >= 2:
-            return value
-    raise RankUndetermined(
-        f"three generic evaluations gave three different ranks {tuple(trials)}"
-    )
+    previous = Polynomial.constant(x.var_names, 1)
+    rank = 0
+    for col in range(len(x.gens1)):
+        pivot = next((r for r in range(rank, len(matrix)) if not matrix[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        head = matrix[rank]
+        for row in matrix[rank + 1 :]:
+            for c in range(col + 1, len(head)):
+                row[c] = _exact_quotient(head[col] * row[c] - row[col] * head[c], previous)
+            row[col] = zero
+        previous = head[col]
+        rank += 1
+    return rank
 
 
 def obstruction_report(
     x: GradedCdga,
-    rng: random.Random | None = None,
     *,
     dm: bool = True,
     fully_unstable: bool | None = None,
@@ -108,20 +95,17 @@ def obstruction_report(
     when the degree-2 data vanishes on fixed loci and some semistable
     point exists, so they are omitted otherwise.
     """
-    if rng is None:
-        rng = random.Random(0)
     if fully_unstable is None:
-        fully_unstable = x.excluded.is_unit()
+        fully_unstable = x.excluded.is_zero()
     dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
     ranks = tangent_complex_ranks(x)
     e_ranks = None
     if dagger and not fully_unstable:
-        generic = _delta2_generic_rank(x, rng)
-        e_ranks = (ranks.ring_rank - x.torus_rank, ranks.gens1_rank - generic)
+        e_ranks = (ranks.ring_rank - x.torus_rank, ranks.gens1_rank - _delta2_generic_rank(x))
     return ObstructionReport(
         vdim=ranks.vdim,
         e_ranks=e_ranks,
-        quasi_smooth=quasi_smooth_check(x),
+        quasi_smooth=not x.gens2,
         dagger=dagger,
         dm=dm,
         fully_unstable=fully_unstable,
@@ -152,8 +136,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, config: ReduceConfig) -> Re
         )
     report = stabilizer_stratification(x, config.var_cap)
     if report.max_dim == 0:
-        rng = random.Random(f"{config.seed}:{node_id}")
-        leaf = obstruction_report(x, rng, dm=True)
+        leaf = obstruction_report(x, dm=True)
         return ReductionNode(node_id, x, report, (), leaf)
 
     parent_dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))

@@ -12,6 +12,7 @@ import json
 
 from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
+from .ideal import Ideal
 from .poly import GREVLEX, MonomialOrder
 from .reduce import ObstructionReport, ReductionNode
 from .torus import StabilizerReport
@@ -36,6 +37,17 @@ def document(command: str, digest: str, data: dict) -> dict:
     }
 
 
+def excluded_document(excluded: Ideal, order: MonomialOrder = GREVLEX) -> list[str]:
+    """The removed locus V(excluded) as the list its documents have always
+    shown: [] when nothing is removed (the unit ideal), ["1"] when every
+    point is (the zero ideal), and the reduced basis otherwise."""
+    if excluded.is_zero():
+        return ["1"]
+    if excluded.is_unit(order):
+        return []
+    return [g.to_string(order) for g in excluded.groebner(order)]
+
+
 def cdga_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:
     return {
         "torus_rank": x.torus_rank,
@@ -52,7 +64,7 @@ def cdga_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:
             }
             for g in x.gens2
         ],
-        "excluded": [g.to_string(order) for g in x.excluded.canonical_generators(order)],
+        "excluded": excluded_document(x.excluded, order),
     }
 
 
@@ -66,7 +78,7 @@ def validation_document(report: ValidationReport) -> dict:
 
 
 def pi0_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:
-    gens = classical_truncation(x).canonical_generators(order)
+    gens = classical_truncation(x).groebner(order)
     return {"generators": [g.to_string(order) for g in gens]}
 
 
@@ -158,9 +170,9 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
             "id": node.id,
             "ring": [{"name": v.name, "weight": list(v.weight)} for v in node.cdga.ring_vars],
             "truncation": [
-                g.to_string(order) for g in classical_truncation(node.cdga).canonical_generators(order)
+                g.to_string(order) for g in classical_truncation(node.cdga).groebner(order)
             ],
-            "excluded": [g.to_string(order) for g in node.cdga.excluded.canonical_generators(order)],
+            "excluded": excluded_document(node.cdga.excluded, order),
             "stabilizer": stabilizer_document(node.stabilizer),
             "children": [
                 {"node": child.id, "chart": chart_document(chart, order)}

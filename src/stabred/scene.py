@@ -9,14 +9,12 @@ than ignored so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
 from .parsing import parse_polynomial
 from .poly import GREVLEX, MonomialOrder, order_from_name
-
-OPTION_DEFAULTS = {"order": "grevlex", "degree_cap": 12, "depth_fuse": 8, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -24,7 +22,6 @@ class SceneOptions:
     order: str = "grevlex"
     degree_cap: int = 12
     depth_fuse: int = 8
-    seed: int = 0
 
     def monomial_order(self) -> MonomialOrder:
         return order_from_name(self.order)
@@ -138,19 +135,21 @@ def parse_scene(data) -> Scene:
             )
         )
 
-    options = OPTION_DEFAULTS.copy()
-    if "options" in top:
-        given = _expect_object(top["options"], "options")
-        _expect_fields(given, "options", (), tuple(OPTION_DEFAULTS))
-        options.update(given)
-    if options["order"] not in ("lex", "grevlex"):
+    given = _expect_object(top.get("options", {}), "options")
+    known = tuple(f.name for f in fields(SceneOptions))
+    # "seed" once seeded random rank probes; older scene files keep it, so
+    # it is still accepted and checked, then dropped.
+    _expect_fields(given, "options", (), known + ("seed",))
+    options = SceneOptions(**{key: given[key] for key in known if key in given})
+    if options.order not in ("lex", "grevlex"):
         raise SchemaError("options.order must be 'lex' or 'grevlex'")
-    for key in ("degree_cap", "depth_fuse", "seed"):
-        options[key] = _expect_int(options[key], f"options.{key}")
+    _expect_int(options.degree_cap, "options.degree_cap")
+    _expect_int(options.depth_fuse, "options.depth_fuse")
+    _expect_int(given.get("seed", 0), "options.seed")
 
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
     require_valid(cdga)
-    return Scene(cdga, SceneOptions(**options))
+    return Scene(cdga, options)
 
 
 def parse_scene_text(text: str, source: str = "scene") -> Scene:
@@ -161,23 +160,24 @@ def parse_scene_text(text: str, source: str = "scene") -> Scene:
     return parse_scene(data)
 
 
-def load_scene_file(path: str) -> Scene:
-    """Read, decode and validate a scene file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_scene_text(text, path)
+def read_scene(path: str) -> tuple[Scene, bytes]:
+    """Read, decode and validate a scene file; the raw bytes come back too,
+    for the input digest of the documents."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    return parse_scene_text(raw.decode("utf-8"), path), raw
 
 
 def load_scene(path: str) -> GradedCdga:
     """The presentation a scene file declares, validated."""
-    return load_scene_file(path).cdga
+    return read_scene(path)[0].cdga
 
 
 def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> dict:
     """Scene data for a presentation; inverse of parse_scene up to option
-    defaults.  Only fresh presentations serialize: a nonzero excluded ideal
-    has no scene field and must travel through report documents instead."""
-    if not cdga.excluded.is_zero():
+    defaults.  Only fresh presentations serialize: removed points have no
+    scene field and must travel through report documents instead."""
+    if not cdga.excluded.is_unit():
         raise ValueError("a presentation with removed points cannot be written as a scene")
     mono = order_from_name(options.order) if options else GREVLEX
     data = {
@@ -197,10 +197,5 @@ def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> di
         ],
     }
     if options is not None:
-        data["options"] = {
-            "order": options.order,
-            "degree_cap": options.degree_cap,
-            "depth_fuse": options.depth_fuse,
-            "seed": options.seed,
-        }
+        data["options"] = asdict(options)
     return data

@@ -48,8 +48,7 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, support: tuple[str, ...]
     prod = Polynomial.constant(names, 1)
     for n in support:
         prod = prod * Polynomial.variable(names, n)
-    witnesses = x.excluded.generators if not x.excluded.is_zero() else (Polynomial.constant(names, 1),)
-    for g in witnesses:
+    for g in x.excluded.generators:
         if not saturate(base, prod * g).is_unit():
             return True
     return False
@@ -66,8 +65,6 @@ def stabilizer_stratification(x: GradedCdga, var_cap: int = VARIABLE_CAP) -> Sta
         raise TooManyVariables(
             f"stratification over {len(names)} variables exceeds the cap of {var_cap}"
         )
-    # A unit excluded ideal means every point was removed already.
-    all_removed = x.excluded.is_unit()
     truncation = classical_truncation(x)
     weights = {v.name: v.weight for v in x.ring_vars}
     strata = []
@@ -75,7 +72,7 @@ def stabilizer_stratification(x: GradedCdga, var_cap: int = VARIABLE_CAP) -> Sta
         for support in itertools.combinations(names, size):
             rows = [weights[n] for n in support]
             dim = x.torus_rank - (rational_rank(rows) if rows else 0)
-            alive = False if all_removed else _support_nonempty(x, truncation, support)
+            alive = _support_nonempty(x, truncation, support)
             strata.append(Stratum(support, dim, alive))
     alive = [s for s in strata if s.nonempty]
     max_dim = max((s.stabilizer_dim for s in alive), default=0)
@@ -170,10 +167,3 @@ def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis, degree_cap: int = 1
             mono = mono * Polynomial.variable(names, n) ** e
         gens.append(mono)
     return Ideal(names, tuple(gens))
-
-
-def xmax(x: GradedCdga):
-    """The maximal-stabilizer data driving one reduction step."""
-    report = stabilizer_stratification(x)
-    subtori = witness_subtori(x, report)
-    return report, subtori

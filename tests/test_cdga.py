@@ -14,12 +14,14 @@ from stabred import (
     fixed_locus,
     from_invariant_function,
     load_scene,
+    stabilizer_stratification,
     tangent_complex_ranks,
     validate_presentation,
     weight_split,
 )
 from stabred.cdga import homogeneous_weight, is_fixed_weight, pairing, require_valid
 from stabred.poly import Polynomial
+from stabred.report import cdga_document
 
 from helpers import FULL1, ideal_of, poly, strings
 
@@ -209,6 +211,29 @@ def test_fixed_locus_keeps_fixed_directions():
     assert tuple(g.name for g in cut.gens1) == ("w2",)
     assert cut.gens1[0].differential.to_string() == "z^2"
     assert strings(cut.excluded.generators) == ("z",)
+
+
+def test_fixed_locus_inside_the_removed_locus_keeps_no_point():
+    # the full-torus fixed locus of the plane is the origin, which lies on
+    # the removed axis x = 0
+    base = load_scene("scenes/a2-hyperbolic.json")
+    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x"))
+    cut = fixed_locus(x, FULL1)
+    assert cut.excluded.is_zero()
+    report = stabilizer_stratification(cut)
+    assert not any(s.nonempty for s in report.strata)
+    assert cdga_document(cut)["excluded"] == ["1"]
+
+
+def test_fixed_locus_off_the_removed_locus_keeps_every_point():
+    # the removed hyperbola x*y = 1 misses the origin
+    base = load_scene("scenes/a2-hyperbolic.json")
+    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
+    cut = fixed_locus(x, FULL1)
+    assert cut.excluded.is_unit()
+    report = stabilizer_stratification(cut)
+    assert [s.support for s in report.strata if s.nonempty] == [()]
+    assert cdga_document(cut)["excluded"] == []
 
 
 def test_fixed_locus_prunes_gens2_through_moving_targets():

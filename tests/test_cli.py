@@ -139,6 +139,20 @@ def test_report_lists_leaf_data(capsys):
         assert "dagger True" in line
 
 
+def test_seed_flag_is_accepted_and_ignored(tmp_path, capsys):
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    scene = f"{SCENES}/darboux-x2y2.json"
+    code, out, _ = run(capsys, "report", "--scene", scene, "--json", str(plain))
+    assert code == 0
+    code, seeded_out, _ = run(
+        capsys, "report", "--scene", scene, "--json", str(seeded), "--seed", "99"
+    )
+    assert code == 0
+    assert seeded_out == out
+    assert seeded.read_bytes() == plain.read_bytes()
+    assert main(["report", "--scene", scene, "--seed", "x"]) == 2
+
+
 def test_depth_fuse_is_an_internal_error(capsys):
     code, _, err = run(
         capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json",

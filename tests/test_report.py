@@ -1,18 +1,21 @@
 import hashlib
 import json
 
-from stabred import load_scene, stabilizer_reduce, validate_presentation
+from stabred import Ideal, load_scene, stabilizer_reduce, validate_presentation
 from stabred.report import (
     TOOL_VERSION,
     canonical_json,
     cdga_document,
     document,
+    excluded_document,
     input_digest,
     leaves_document,
     pi0_document,
     reduction_document,
     validation_document,
 )
+
+from helpers import ideal_of
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -54,6 +57,14 @@ def test_cdga_document_round_trips_strings():
     }
     assert doc["gens2"][0]["differential"] == {"w_x": "x", "w_y": "-y"}
     assert doc["excluded"] == []
+
+
+def test_excluded_document_renders_the_removed_locus():
+    ring = ("x", "y")
+    assert excluded_document(Ideal.unit(ring)) == []  # nothing removed
+    assert excluded_document(ideal_of(ring, "x", "x - 1")) == []
+    assert excluded_document(Ideal.zero(ring)) == ["1"]  # every point removed
+    assert excluded_document(ideal_of(ring, "x*y", "x")) == ["x"]
 
 
 def test_validation_document():

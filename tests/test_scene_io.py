@@ -7,8 +7,8 @@ from stabred import (
     InvalidPresentation,
     SchemaError,
     load_scene,
-    load_scene_file,
     parse_scene,
+    read_scene,
     serialize_scene,
 )
 from stabred.scene import SceneOptions, parse_scene_text
@@ -37,9 +37,11 @@ def test_load_named_scenes():
         ("scenes/a2-positive.json", 1),
         ("scenes/xy.json", 1),
     ):
-        scene = load_scene_file(path)
+        scene, raw = read_scene(path)
         assert scene.cdga.torus_rank == rank
         assert load_scene(path) == scene.cdga
+        with open(path, "rb") as handle:
+            assert raw == handle.read()
 
 
 def test_parse_minimal_scene():
@@ -57,7 +59,15 @@ def test_options_parsed_and_defaulted():
     assert scene.options.monomial_order() == LEX
     assert scene.options.degree_cap == 6
     assert scene.options.depth_fuse == 8
-    assert scene.options.seed == 0
+
+
+def test_seed_option_is_accepted_and_ignored():
+    data = minimal_scene()
+    data["options"] = {"seed": 99}
+    assert parse_scene(data).options == SceneOptions()
+    data["options"] = {"seed": "99"}
+    with pytest.raises(SchemaError, match="options.seed"):
+        parse_scene(data)
 
 
 def test_gens2_targets_normalized_to_declaration_order():
@@ -132,7 +142,7 @@ def test_serialize_round_trip_on_named_scenes():
         "scenes/darboux-x2y2.json",
         "scenes/a2-positive.json",
     ):
-        scene = load_scene_file(path)
+        scene, _ = read_scene(path)
         data = serialize_scene(scene.cdga, scene.options)
         again = parse_scene(data)
         assert again.cdga == scene.cdga
