@@ -19,6 +19,7 @@ from .cdga import (
     Generator2,
     SubtorusBasis,
     Weight,
+    WeightSplit,
     classical_truncation,
     homogeneous_weight,
     is_fixed_weight,
@@ -26,8 +27,8 @@ from .cdga import (
     weight_split,
 )
 from .errors import DaggerViolation, NoCenter, NotInIdeal
-from .groebner import divide
-from .ideal import Ideal, exact_divide, fresh_name, ideal_equal, intersect, saturate
+from .groebner import divide, exact_divide
+from .ideal import Ideal, fresh_name, ideal_equal, intersect, saturate
 from .poly import GREVLEX, MonomialOrder, Polynomial
 
 
@@ -74,11 +75,17 @@ def dagger_check(x: GradedCdga, subtorus: SubtorusBasis) -> bool:
     return True
 
 
-def _require_dagger(x: GradedCdga, subtorus: SubtorusBasis) -> None:
+def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
+    """The fixed and moving names of a valid presentation whose moving
+    degree-2 data vanishes on the center of ``subtorus``."""
+    require_valid(x)
+    if subtorus.ambient_rank != x.torus_rank:
+        raise ValueError("subtorus does not match the torus rank")
     if not dagger_check(x, subtorus):
         raise DaggerViolation(
             "a moving degree-2 differential does not vanish on the center"
         )
+    return weight_split(x, subtorus)
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,7 @@ def rees_presentation(
     variable of every coefficient replaced likewise.  Fixed generators ride
     along untouched.
     """
-    require_valid(x)
-    if subtorus.ambient_rank != x.torus_rank:
-        raise ValueError("subtorus does not match the torus rank")
-    _require_dagger(x, subtorus)
-    split = weight_split(x, subtorus)
-    moving = split.moving
+    moving = _center_split(x, subtorus).moving
 
     taken = set(x.var_names)
     taken.update(g.name for g in x.gens1)
@@ -200,13 +202,6 @@ class Chart:
     parent_id: str
     fully_unstable: bool = False
 
-    def substitution(self) -> dict[str, Polynomial]:
-        return dict(self.phi)
-
-    @property
-    def excluded(self) -> Ideal:
-        return self.cdga.excluded
-
 
 def blowup_charts(
     x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
@@ -218,13 +213,9 @@ def blowup_charts(
     generator differentials lose one exceptional factor; fixed degree-2
     differentials compensate the rescaling of their moving targets.
     """
-    require_valid(x)
-    if subtorus.ambient_rank != x.torus_rank:
-        raise ValueError("subtorus does not match the torus rank")
-    split = weight_split(x, subtorus)
+    split = _center_split(x, subtorus)
     if not split.moving:
         raise NoCenter("the subtorus moves no ring variable")
-    _require_dagger(x, subtorus)
 
     taken = set(x.var_names)
     taken.update(g.name for g in x.gens1)
@@ -330,7 +321,7 @@ def kirwan_charts(
     charts = []
     for chart in blowup_charts(x, subtorus, parent_id):
         ring = chart.cdga.var_names
-        images = chart.substitution()
+        images = dict(chart.phi)
         pulled = Ideal(ring, tuple(p.substitute(images, ring) for p in saturation.generators))
         unstable = saturate(pulled, Polynomial.variable(ring, chart.exceptional.name))
         # blowup_charts already strict-transformed the parent exclusions
@@ -345,7 +336,7 @@ def kirwan_charts(
     return tuple(charts)
 
 
-def crosscheck_truncation(chart: Chart, parent: GradedCdga, subtorus: SubtorusBasis | None = None) -> bool:
+def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
     """Recompute the chart's degree-0 quotient from classical data alone.
 
     The parent's truncation generators are split by their own weights:
@@ -354,16 +345,15 @@ def crosscheck_truncation(chart: Chart, parent: GradedCdga, subtorus: SubtorusBa
     presentation; this equality is the executable content of the
     comparison between the classical and derived constructions.
     """
-    subtorus = subtorus if subtorus is not None else chart.subtorus
     ring = chart.cdga.var_names
     xi = Polynomial.variable(ring, chart.exceptional.name)
-    images = chart.substitution()
+    images = dict(chart.phi)
     weights = [v.weight for v in parent.ring_vars]
     recipe = []
     for g in classical_truncation(parent).generators:
         ok, w = homogeneous_weight(g, weights, parent.torus_rank)
         image = g.substitute(images, ring)
-        if ok and w is not None and not is_fixed_weight(w, subtorus):
+        if ok and w is not None and not is_fixed_weight(w, chart.subtorus):
             image = exact_divide(image, xi)
         recipe.append(image)
     return ideal_equal(classical_truncation(chart.cdga), Ideal(ring, tuple(recipe)))
@@ -377,7 +367,7 @@ def chart_truncation_via_lambda(lam: LambdaMatrix, moving: tuple[str, ...], char
     Any valid matrix for the same differentials induces the same ideal.
     """
     ring = chart.cdga.var_names
-    images = chart.substitution()
+    images = dict(chart.phi)
     slope_of = dict(chart.slopes)
     out = []
     for row in lam.entries:

@@ -9,52 +9,18 @@ internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import report as rpt
 from .blowup import blowup_charts, kirwan_charts, rees_presentation
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, fixed_locus, validate_presentation
-from .errors import (
-    DaggerViolation,
-    DegreeCapReached,
-    DepthExceeded,
-    InvalidPresentation,
-    NoCenter,
-    NoPositiveDimensionalStabilizer,
-    NotDivisible,
-    NotInIdeal,
-    ParseError,
-    SchemaError,
-    StrictDecreaseViolation,
-    TooManyVariables,
-    UnknownVariable,
-)
-from .poly import order_from_name
-from .reduce import ReduceConfig, stabilizer_reduce
-from .scene import read_scene
+from .errors import DomainError, InternalError, InvalidPresentation, SchemaError
+from .poly import ORDERS
+from .reduce import stabilizer_reduce
+from .scene import parse_scene_text, read_scene, read_scene_bytes
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
-
-DOMAIN_ERRORS = (
-    SchemaError,
-    ParseError,
-    UnknownVariable,
-    InvalidPresentation,
-    NoCenter,
-    NoPositiveDimensionalStabilizer,
-    DaggerViolation,
-    DegreeCapReached,
-    TooManyVariables,
-    OSError,
-)
-
-INTERNAL_ERRORS = (
-    NotDivisible,
-    NotInIdeal,
-    DepthExceeded,
-    StrictDecreaseViolation,
-    AssertionError,
-)
 
 COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce", "report")
 
@@ -63,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scene", required=True, help="path to the scene JSON file")
     common.add_argument("--subtorus", help="basis vectors, e.g. '1,0;0,-1' (default: a maximal witness)")
-    common.add_argument("--order", choices=("lex", "grevlex"), help="monomial order override")
+    common.add_argument("--order", choices=tuple(ORDERS), help="monomial order override")
     common.add_argument("--chart", help="restrict chart output to this chart name")
     common.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
     common.add_argument("--degree-cap", type=int, dest="degree_cap", help="invariant-monomial search bound")
@@ -138,27 +104,23 @@ def _select_charts(charts, wanted: str | None):
 
 def run_command(args) -> int:
     if args.command == "validate":
+        raw = read_scene_bytes(args.scene)
         try:
-            scene, raw = read_scene(args.scene)
+            checked = validate_presentation(parse_scene_text(raw.decode("utf-8"), args.scene).cdga)
         except InvalidPresentation as err:
-            data = rpt.validation_document(err.report)
-            print(_styled("invalid", False))
-            for v in err.report.violations:
-                print(f"  {v.kind} {v.subject}: {v.message}")
-            if args.json_path:
-                with open(args.json_path, "w", encoding="utf-8") as handle:
-                    handle.write(rpt.canonical_json(rpt.document("validate", "", data)))
-            return 1
-        data = rpt.validation_document(validate_presentation(scene.cdga))
-        _emit(args, "validate", rpt.input_digest(raw), data, [_styled("ok", True)])
-        return 0
+            checked = err.report
+        lines = [_styled("ok", True)] if checked.ok else [_styled("invalid", False)]
+        lines += [f"  {v.kind} {v.subject}: {v.message}" for v in checked.violations]
+        _emit(args, "validate", rpt.input_digest(raw), rpt.validation_document(checked), lines)
+        return 0 if checked.ok else 1
 
     scene, raw = read_scene(args.scene)
     digest = rpt.input_digest(raw)
     x = scene.cdga
-    order = order_from_name(args.order or scene.options.order)
-    degree_cap = args.degree_cap if args.degree_cap is not None else scene.options.degree_cap
-    depth_fuse = args.depth_fuse if args.depth_fuse is not None else scene.options.depth_fuse
+    # each flag overrides the scene's option of the same name
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(scene.options)}
+    options = dataclasses.replace(scene.options, **{k: v for k, v in flags.items() if v is not None})
+    order = ORDERS[options.order]
 
     if args.command == "pi0":
         data = rpt.pi0_document(x, order)
@@ -201,15 +163,14 @@ def run_command(args) -> int:
 
     if args.command == "kirwan":
         h = _resolve_subtorus(x, args)
-        sat = saturation_ideal(x, h, degree_cap)
+        sat = saturation_ideal(x, h, options.degree_cap)
         charts = _select_charts(kirwan_charts(x, h, sat), args.chart)
         data = rpt.charts_document(charts, order)
         data["saturation"] = [g.to_string(order) for g in sat.groebner(order)]
         _emit(args, "kirwan", digest, data, _chart_lines(charts, order))
         return 0
 
-    config = ReduceConfig(max_depth=depth_fuse, degree_cap=degree_cap)
-    tree = stabilizer_reduce(x, config)
+    tree = stabilizer_reduce(x, options)
 
     if args.command == "reduce":
         data = rpt.reduction_document(tree, order)
@@ -261,10 +222,10 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else 2
     try:
         return run_command(args)
-    except DOMAIN_ERRORS as err:
+    except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except INTERNAL_ERRORS as err:
+    except (InternalError, AssertionError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
 

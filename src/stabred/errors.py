@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Domain-condition failures (bad input, missing center, capped searches) are
-distinct from internal invariant breaches (a division that must succeed but
+Every error derives from exactly one of two bases.  ``DomainError`` is a
+refusal of the input (bad input, missing center, capped searches);
+``InternalError`` is a breached invariant (a division that must succeed but
 did not, a stabilizer dimension that failed to drop).  The command line maps
 the former to exit code 1 and the latter to exit code 3.
 """
@@ -11,11 +12,19 @@ class StabredError(Exception):
     pass
 
 
-class NotDivisible(StabredError):
+class DomainError(StabredError):
+    """The input is outside what the package accepts; exit code 1."""
+
+
+class InternalError(StabredError):
+    """An invariant of the package failed; exit code 3."""
+
+
+class NotDivisible(InternalError):
     """Exact division hit a term the divisor does not divide."""
 
 
-class NotInIdeal(StabredError):
+class NotInIdeal(InternalError):
     """Ordered division left a nonzero remainder."""
 
     def __init__(self, index, message=None):
@@ -23,7 +32,7 @@ class NotInIdeal(StabredError):
         super().__init__(message or f"entry {index} is not reducible to zero by the given list")
 
 
-class InvalidPresentation(StabredError):
+class InvalidPresentation(DomainError):
     """An operation required a valid presentation and got violations instead."""
 
     def __init__(self, report):
@@ -32,11 +41,11 @@ class InvalidPresentation(StabredError):
         super().__init__(f"invalid presentation: {lines}")
 
 
-class SchemaError(StabredError):
+class SchemaError(DomainError):
     """A scene file does not match the expected JSON shape."""
 
 
-class ParseError(StabredError):
+class ParseError(DomainError):
     """Polynomial text that does not match the grammar."""
 
     def __init__(self, message, line, column, expected=()):
@@ -49,7 +58,7 @@ class ParseError(StabredError):
         super().__init__(detail)
 
 
-class UnknownVariable(StabredError):
+class UnknownVariable(DomainError):
     """A name in polynomial text that is not a declared variable."""
 
     def __init__(self, name, line=None, column=None):
@@ -60,29 +69,29 @@ class UnknownVariable(StabredError):
         super().__init__(f"unknown variable {name!r}{where}")
 
 
-class TooManyVariables(StabredError):
+class TooManyVariables(DomainError):
     """The stratification refuses rings above its variable cap."""
 
 
-class NoCenter(StabredError):
+class NoCenter(DomainError):
     """A blow-up was requested but no ring variable moves under the subtorus."""
 
 
-class NoPositiveDimensionalStabilizer(StabredError):
+class NoPositiveDimensionalStabilizer(DomainError):
     """The locus with positive-dimensional stabilizer was requested but is empty."""
 
 
-class DegreeCapReached(StabredError):
+class DegreeCapReached(DomainError):
     """Monomial enumeration hit its degree cap; generators may be incomplete."""
 
 
-class DaggerViolation(StabredError):
+class DaggerViolation(DomainError):
     """A moving degree-2 generator has a differential coefficient outside the moving ideal."""
 
 
-class DepthExceeded(StabredError):
+class DepthExceeded(InternalError):
     """The reduction recursion fuse tripped before reaching finite stabilizers."""
 
 
-class StrictDecreaseViolation(StabredError):
+class StrictDecreaseViolation(InternalError):
     """A blow-up chart failed to lower the maximal stabilizer dimension."""

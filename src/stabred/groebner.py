@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotDivisible
 from .poly import GREVLEX, Polynomial, monomial_divides, monomial_lcm
 
 
@@ -54,6 +55,14 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
         [Polynomial(f.variables, q) for q in quotients],
         Polynomial(f.variables, remainder),
     )
+
+
+def exact_divide(f: Polynomial, divisor: Polynomial) -> Polynomial:
+    """The quotient ``f / divisor``; raises NotDivisible unless it is exact."""
+    (quotient,), remainder = divide(f, [divisor])
+    if not remainder.is_zero():
+        raise NotDivisible(f"{divisor.to_string()} does not divide {f.to_string()}")
+    return quotient
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:

@@ -1,6 +1,6 @@
 """Ideals over the rational polynomial rings, with the operations the
 blow-up pipeline leans on: membership, equality, saturation by a single
-polynomial, elimination, intersection and exact monomial division.
+polynomial, elimination and intersection.
 
 Saturation and intersection go through an auxiliary variable and a block
 elimination order; everything reduces to Buchberger bases at desk scale.
@@ -8,7 +8,6 @@ elimination order; everything reduces to Buchberger bases at desk scale.
 
 from __future__ import annotations
 
-from .errors import NotDivisible
 from .groebner import buchberger, normal_form
 from .poly import ElimOrder, GREVLEX, Polynomial
 
@@ -104,7 +103,11 @@ def fresh_name(base: str, taken) -> str:
 
 
 def eliminate(ideal: Ideal, names) -> Ideal:
-    """Intersect with the subring omitting ``names``."""
+    """Intersect with the subring omitting ``names``.
+
+    The elimination order restricted to the monomials free of ``names`` is
+    grevlex on the remaining variables, so the kept basis elements are the
+    reduced grevlex basis of the result, already sorted; it is cached."""
     names = tuple(names)
     if not names:
         return Ideal(ideal.variables, ideal.generators)
@@ -115,7 +118,9 @@ def eliminate(ideal: Ideal, names) -> Ideal:
         if any(g.uses(n) for n in names):
             continue
         kept.append(g.restrict(remaining))
-    return Ideal(remaining, kept)
+    result = Ideal(remaining, kept)
+    result._bases[GREVLEX] = result.generators
+    return result
 
 
 def saturate(ideal: Ideal, f: Polynomial, order=GREVLEX) -> Ideal:
@@ -158,19 +163,3 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     gens += [(one - t) * g.extend(extended) for g in b.generators]
     return eliminate(Ideal(extended, gens), (aux,))
 
-
-def exact_divide(f: Polynomial, divisor: Polynomial) -> Polynomial:
-    """Divide by a single-term divisor, demanding exactness term by term."""
-    if divisor.is_zero() or len(divisor.terms) != 1:
-        raise ValueError("divisor must be a single nonzero term")
-    ((dexps, dcoeff),) = divisor.terms.items()
-    out = {}
-    for exps, coeff in f.terms.items():
-        shifted = tuple(a - b for a, b in zip(exps, dexps))
-        if any(e < 0 for e in shifted):
-            mono = Polynomial(f.variables, {exps: coeff})
-            raise NotDivisible(
-                f"term {mono.to_string()} is not divisible by {divisor.to_string()}"
-            )
-        out[shifted] = coeff / dcoeff
-    return Polynomial(f.variables, out)

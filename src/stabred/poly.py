@@ -19,35 +19,16 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A term order, ``lex`` or ``grevlex``, with optional variable precedence.
+    """A term order, ``lex`` or ``grevlex``, on the declared order of the
+    ring's variables; ``ORDERS`` holds the two by name."""
 
-    ``precedence`` lists variable names from most to least significant and
-    must be a permutation of the ring it is applied to; when omitted the
-    declared order of the ring is used.
-    """
-
-    kind: str = "grevlex"
-    precedence: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
-            raise ValueError(f"unknown monomial order kind {self.kind!r}")
-        if self.precedence is not None:
-            object.__setattr__(self, "precedence", tuple(self.precedence))
+    kind: str
 
     def key(self, variables: tuple[str, ...]) -> Callable[[Exponents], tuple]:
         """Sort key on exponent tuples; a larger key means a larger monomial."""
-        if self.precedence is None:
-            perm = tuple(range(len(variables)))
-        else:
-            if sorted(self.precedence) != sorted(variables):
-                raise ValueError("precedence must be a permutation of the ring variables")
-            index = {name: i for i, name in enumerate(variables)}
-            perm = tuple(index[name] for name in self.precedence)
         if self.kind == "lex":
-            return lambda exps: tuple(exps[i] for i in perm)
-        rev = tuple(reversed(perm))
-        return lambda exps: (sum(exps), tuple(-exps[i] for i in rev))
+            return tuple
+        return lambda exps: (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 @dataclass(frozen=True)
@@ -75,16 +56,10 @@ class ElimOrder:
         return key_fn
 
 
-GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
-
-
-def order_from_name(name: str) -> MonomialOrder:
-    if name == "lex":
-        return LEX
-    if name == "grevlex":
-        return GREVLEX
-    raise ValueError(f"unknown monomial order {name!r}")
+GREVLEX = MonomialOrder("grevlex")
+# The one table of order names: scene options and the --order flag read it.
+ORDERS = {order.kind: order for order in (LEX, GREVLEX)}
 
 
 class Polynomial:

@@ -14,24 +14,16 @@ from dataclasses import dataclass
 
 from .blowup import Chart, dagger_check, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import DepthExceeded, NotDivisible, StrictDecreaseViolation
-from .groebner import divide
+from .errors import DepthExceeded, StrictDecreaseViolation
+from .groebner import exact_divide
 from .poly import Polynomial
 from .scene import SceneOptions
 from .torus import (
-    VARIABLE_CAP,
     StabilizerReport,
     saturation_ideal,
     stabilizer_stratification,
     witness_subtori,
 )
-
-
-@dataclass(frozen=True)
-class ReduceConfig:
-    max_depth: int = SceneOptions.depth_fuse
-    var_cap: int = VARIABLE_CAP
-    degree_cap: int = SceneOptions.degree_cap
 
 
 @dataclass(frozen=True)
@@ -42,13 +34,6 @@ class ObstructionReport:
     dagger: bool
     dm: bool
     fully_unstable: bool
-
-
-def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
-    (quotient,), remainder = divide(f, [g])
-    if not remainder.is_zero():
-        raise NotDivisible(f"{g.to_string()} does not divide {f.to_string()}")
-    return quotient
 
 
 def _delta2_generic_rank(x: GradedCdga) -> int:
@@ -74,29 +59,24 @@ def _delta2_generic_rank(x: GradedCdga) -> int:
         head = matrix[rank]
         for row in matrix[rank + 1 :]:
             for c in range(col + 1, len(head)):
-                row[c] = _exact_quotient(head[col] * row[c] - row[col] * head[c], previous)
+                row[c] = exact_divide(head[col] * row[c] - row[col] * head[c], previous)
             row[col] = zero
         previous = head[col]
         rank += 1
     return rank
 
 
-def obstruction_report(
-    x: GradedCdga,
-    *,
-    dm: bool = True,
-    fully_unstable: bool | None = None,
-) -> ObstructionReport:
+def obstruction_report(x: GradedCdga) -> ObstructionReport:
     """Obstruction-theory summary of a finite-stabilizer presentation.
 
     The two ranks describe the dual two-term complex: ambient tangent
     directions minus the torus, and degree-1 generators minus the generic
     rank of the degree-2 coefficient matrix.  They are only meaningful
     when the degree-2 data vanishes on fixed loci and some semistable
-    point exists, so they are omitted otherwise.
+    point exists, so they are omitted otherwise.  ``dm`` is always true: the
+    report describes leaves of the reduction, whose stabilizers are finite.
     """
-    if fully_unstable is None:
-        fully_unstable = x.excluded.is_zero()
+    fully_unstable = x.excluded.is_zero()
     dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
     ranks = tangent_complex_ranks(x)
     e_ranks = None
@@ -107,7 +87,7 @@ def obstruction_report(
         e_ranks=e_ranks,
         quasi_smooth=not x.gens2,
         dagger=dagger,
-        dm=dm,
+        dm=True,
         fully_unstable=fully_unstable,
     )
 
@@ -121,22 +101,22 @@ class ReductionNode:
     leaf_report: ObstructionReport | None
 
 
-def stabilizer_reduce(x: GradedCdga, config: ReduceConfig | None = None) -> ReductionNode:
-    """Run the full reduction and return the tree of blow-up rounds."""
-    if config is None:
-        config = ReduceConfig()
+def stabilizer_reduce(x: GradedCdga, options: SceneOptions | None = None) -> ReductionNode:
+    """Run the full reduction and return the tree of blow-up rounds.
+
+    Reads ``depth_fuse`` and ``degree_cap`` from ``options``."""
     require_valid(x)
-    return _reduce(x, "root", 0, config)
+    return _reduce(x, "root", 0, options or SceneOptions())
 
 
-def _reduce(x: GradedCdga, node_id: str, depth: int, config: ReduceConfig) -> ReductionNode:
-    if depth > config.max_depth:
+def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> ReductionNode:
+    if depth > options.depth_fuse:
         raise DepthExceeded(
-            f"reduction exceeded the depth fuse ({config.max_depth}) at {node_id!r}"
+            f"reduction exceeded the depth fuse ({options.depth_fuse}) at {node_id!r}"
         )
-    report = stabilizer_stratification(x, config.var_cap)
+    report = stabilizer_stratification(x)
     if report.max_dim == 0:
-        leaf = obstruction_report(x, dm=True)
+        leaf = obstruction_report(x)
         return ReductionNode(node_id, x, report, (), leaf)
 
     parent_dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
@@ -144,14 +124,14 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, config: ReduceConfig) -> Re
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        j = saturation_ideal(x, h, config.degree_cap)
+        j = saturation_ideal(x, h, options.degree_cap)
         for chart in kirwan_charts(x, h, j, parent_id=node_id):
             if parent_dagger:
                 assert dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)), (
                     f"blow-up chart {chart.name} of {node_id!r} lost the degree-2 vanishing property"
                 )
             suffix = f"s{i}.{chart.center_var}" if multi else chart.center_var
-            child = _reduce(chart.cdga, f"{node_id}/{suffix}", depth + 1, config)
+            child = _reduce(chart.cdga, f"{node_id}/{suffix}", depth + 1, options)
             if child.stabilizer.max_dim >= report.max_dim:
                 raise StrictDecreaseViolation(
                     f"stabilizer dimension failed to drop from {report.max_dim} "

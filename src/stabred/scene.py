@@ -14,17 +14,19 @@ from dataclasses import asdict, dataclass, fields
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
 from .parsing import parse_polynomial
-from .poly import GREVLEX, MonomialOrder, order_from_name
+from .poly import GREVLEX, ORDERS
 
 
 @dataclass(frozen=True)
 class SceneOptions:
-    order: str = "grevlex"
+    """The run settings and their defaults: the monomial order for printing,
+    the degree cap of the invariant-monomial search and the depth fuse of
+    the reduction.  A scene's ``options`` and the flags of the same names
+    override them."""
+
+    order: str = GREVLEX.kind
     degree_cap: int = 12
     depth_fuse: int = 8
-
-    def monomial_order(self) -> MonomialOrder:
-        return order_from_name(self.order)
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def parse_scene(data) -> Scene:
     # it is still accepted and checked, then dropped.
     _expect_fields(given, "options", (), known + ("seed",))
     options = SceneOptions(**{key: given[key] for key in known if key in given})
-    if options.order not in ("lex", "grevlex"):
-        raise SchemaError("options.order must be 'lex' or 'grevlex'")
+    if not isinstance(options.order, str) or options.order not in ORDERS:
+        raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
     _expect_int(options.degree_cap, "options.degree_cap")
     _expect_int(options.depth_fuse, "options.depth_fuse")
     _expect_int(given.get("seed", 0), "options.seed")
@@ -160,11 +162,16 @@ def parse_scene_text(text: str, source: str = "scene") -> Scene:
     return parse_scene(data)
 
 
-def read_scene(path: str) -> tuple[Scene, bytes]:
-    """Read, decode and validate a scene file; the raw bytes come back too,
-    for the input digest of the documents."""
+def read_scene_bytes(path: str) -> bytes:
+    """The raw bytes of a scene file, which the documents' input digest
+    hashes; the one place a scene file is opened."""
     with open(path, "rb") as handle:
-        raw = handle.read()
+        return handle.read()
+
+
+def read_scene(path: str) -> tuple[Scene, bytes]:
+    """Read, decode and validate a scene file; the raw bytes come back too."""
+    raw = read_scene_bytes(path)
     return parse_scene_text(raw.decode("utf-8"), path), raw
 
 
@@ -179,7 +186,7 @@ def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> di
     scene field and must travel through report documents instead."""
     if not cdga.excluded.is_unit():
         raise ValueError("a presentation with removed points cannot be written as a scene")
-    mono = order_from_name(options.order) if options else GREVLEX
+    mono = ORDERS[options.order] if options else GREVLEX
     data = {
         "torus_rank": cdga.torus_rank,
         "variables": [{"name": v.name, "weight": list(v.weight)} for v in cdga.ring_vars],

@@ -17,6 +17,7 @@ from .errors import DegreeCapReached, NoPositiveDimensionalStabilizer, TooManyVa
 from .ideal import Ideal, intersect, saturate
 from .intlinalg import integer_kernel, rational_rank
 from .poly import Polynomial
+from .scene import SceneOptions
 
 VARIABLE_CAP = 16
 
@@ -54,16 +55,16 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, support: tuple[str, ...]
     return False
 
 
-def stabilizer_stratification(x: GradedCdga, var_cap: int = VARIABLE_CAP) -> StabilizerReport:
+def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     """Enumerate supports, compute stabilizer dimensions, and test emptiness.
 
-    Runs over all variable subsets, so the ring is capped at ``var_cap``
-    variables.
+    Runs over all variable subsets, so the ring is capped at
+    ``VARIABLE_CAP`` variables.
     """
     names = x.var_names
-    if len(names) > var_cap:
+    if len(names) > VARIABLE_CAP:
         raise TooManyVariables(
-            f"stratification over {len(names)} variables exceeds the cap of {var_cap}"
+            f"stratification over {len(names)} variables exceeds the cap of {VARIABLE_CAP}"
         )
     truncation = classical_truncation(x)
     weights = {v.name: v.weight for v in x.ring_vars}
@@ -124,7 +125,9 @@ def _rank_one_saturation(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
     return intersect(Ideal.of_variables(names, plus), Ideal.of_variables(names, minus))
 
 
-def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis, degree_cap: int = 12) -> Ideal:
+def saturation_ideal(
+    x: GradedCdga, subtorus: SubtorusBasis, degree_cap: int = SceneOptions.degree_cap
+) -> Ideal:
     """Invariant-monomial obstruction to contracting the moving directions.
 
     Generated by the minimal subtorus-invariant monomials in the moving

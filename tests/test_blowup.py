@@ -238,7 +238,7 @@ def test_chart_geometry():
     assert chart.exceptional.name == "xi"
     assert chart.exceptional.weight == (1,)
     assert [(v.name, v.weight) for v in chart.cdga.ring_vars] == [("xi", (1,)), ("u_y", (-2,))]
-    assert {k: v.to_string() for k, v in chart.substitution().items()} == {
+    assert {k: v.to_string() for k, v in dict(chart.phi).items()} == {
         "x": "xi",
         "y": "xi*u_y",
     }
@@ -299,8 +299,8 @@ def test_chart_excluded_is_the_strict_transform():
     x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x - x^2*y"))
     charts = blowup_charts(x, FULL1)
     # phi(x - x^2*y) = xi - xi^3*u_y, and dividing out xi leaves the strict part
-    assert strings(charts[0].excluded.groebner()) == ("xi^2*u_y - 1",)
-    assert strings(charts[1].excluded.groebner()) == ("xi^2*u_x^2 - u_x",)
+    assert strings(charts[0].cdga.excluded.groebner()) == ("xi^2*u_y - 1",)
+    assert strings(charts[1].cdga.excluded.groebner()) == ("xi^2*u_x^2 - u_x",)
 
 
 def test_chart_excluded_unit_normalises_to_zero():
@@ -309,8 +309,8 @@ def test_chart_excluded_unit_normalises_to_zero():
     charts = blowup_charts(x, FULL1)
     # the removed axis leaves chart_x entirely through the exceptional divisor,
     # so chart_x removes nothing: its excluded ideal is the unit ideal
-    assert charts[0].excluded.is_unit()
-    assert strings(charts[1].excluded.generators) == ("u_x",)
+    assert charts[0].cdga.excluded.is_unit()
+    assert strings(charts[1].cdga.excluded.generators) == ("u_x",)
 
 
 def test_no_center_without_moving_variables():
@@ -330,8 +330,8 @@ def test_kirwan_charts_delete_the_unstable_strict_transform():
     x = load_scene("scenes/a2-hyperbolic.json")
     J = saturation_ideal(x, FULL1)
     charts = kirwan_charts(x, FULL1, J)
-    assert strings(charts[0].excluded.generators) == ("u_y",)
-    assert strings(charts[1].excluded.generators) == ("u_x",)
+    assert strings(charts[0].cdga.excluded.generators) == ("u_y",)
+    assert strings(charts[1].cdga.excluded.generators) == ("u_x",)
     assert not any(c.fully_unstable for c in charts)
 
 
@@ -341,7 +341,7 @@ def test_kirwan_flags_fully_unstable_charts():
     assert J.is_zero()
     charts = kirwan_charts(x, FULL1, J)
     assert all(c.fully_unstable for c in charts)
-    assert all(c.excluded.is_zero() for c in charts)  # every point removed
+    assert all(c.cdga.excluded.is_zero() for c in charts)  # every point removed
 
 
 def test_kirwan_folds_in_the_parent_exclusions():
@@ -349,7 +349,7 @@ def test_kirwan_folds_in_the_parent_exclusions():
     x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
     J = saturation_ideal(x, FULL1)
     charts = kirwan_charts(x, FULL1, J)
-    got = charts[0].excluded
+    got = charts[0].cdga.excluded
     # removals accumulate as a union of loci: the strict transform of the
     # axes and of the previously removed hyperbola
     expected = ideal_of(("xi", "u_y"), "xi^2*u_y^2 - u_y")
@@ -391,7 +391,7 @@ def test_chart_truncation_localizes_correctly_outside_the_exceptional():
             ring = chart.cdga.var_names
             xi = Polynomial.variable(ring, chart.exceptional.name)
             unit_slice = Ideal(ring, (xi - Polynomial.constant(ring, Fraction(1)),))
-            images = chart.substitution()
+            images = dict(chart.phi)
             pulled = Ideal(
                 ring,
                 tuple(g.substitute(images, ring) for g in parent_truncation.generators),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from stabred import cli, errors
 from stabred.cli import main
 
 SCENES = "scenes"
@@ -162,6 +164,48 @@ def test_depth_fuse_is_an_internal_error(capsys):
     assert err.startswith("internal error:")
 
 
+def test_scene_depth_fuse_option_and_flag_override(tmp_path, capsys):
+    data = json.loads(open(f"{SCENES}/a2-hyperbolic.json").read())
+    data["options"] = {"depth_fuse": 0}
+    scene = tmp_path / "fused.json"
+    scene.write_text(json.dumps(data))
+    code, _, err = run(capsys, "reduce", "--scene", str(scene))
+    assert code == 3
+    assert "depth fuse (0)" in err
+    code, out, _ = run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8")
+    assert code == 0
+    assert out.splitlines()[1] == "checks: ok"
+
+
+ERROR_CLASSES = sorted(
+    (
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.StabredError)
+        and obj not in (errors.StabredError, errors.DomainError, errors.InternalError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_error_taxonomy_is_complete():
+    assert len(ERROR_CLASSES) == 13
+
+
+@pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_is_domain_or_internal(error_class, monkeypatch, capsys):
+    domain = issubclass(error_class, errors.DomainError)
+    assert domain != issubclass(error_class, errors.InternalError)
+
+    def refuse(path):
+        # bypass __init__: some classes take structured arguments
+        raise error_class.__new__(error_class)
+
+    monkeypatch.setattr(cli, "read_scene", refuse)
+    code, _, err = run(capsys, "pi0", "--scene", f"{SCENES}/xy.json")
+    assert code == (1 if domain else 3)
+    assert err.startswith("error:" if domain else "internal error:")
+
+
 def test_json_report_is_deterministic(tmp_path, capsys):
     target_a = tmp_path / "a.json"
     target_b = tmp_path / "b.json"
@@ -192,6 +236,7 @@ def test_json_written_even_for_validation_failure(tmp_path, capsys):
     assert code == 1
     doc = json.loads(target.read_text())
     assert doc["data"]["ok"] is False
+    assert doc["input_digest"] == hashlib.sha256(bad.read_bytes()).hexdigest()
 
 
 def test_no_ansi_codes_when_not_a_tty(capsys):

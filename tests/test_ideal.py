@@ -12,6 +12,8 @@ from stabred import (
     intersect,
     saturate,
 )
+import stabred.ideal
+from stabred.groebner import buchberger
 from stabred.ideal import fresh_name
 from stabred.poly import Polynomial
 
@@ -92,6 +94,28 @@ def test_eliminate_drops_variables_from_the_ring():
     assert J.is_zero()
 
 
+def test_eliminate_returns_its_reduced_grevlex_basis(monkeypatch):
+    calls = []
+
+    def counted(generators, *args):
+        calls.append(1)
+        return buchberger(generators, *args)
+
+    monkeypatch.setattr(stabred.ideal, "buchberger", counted)
+    ring = ("s", "t", "x", "y")
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(30):
+        gens = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(1, 3))]
+        names = ring[: rng.randint(1, 2)]
+        J = eliminate(Ideal(ring, gens), names)
+        calls.clear()
+        assert J.groebner() == buchberger(J.generators)
+        assert not calls
+        nonzero += not J.is_zero()
+    assert nonzero >= 10
+
+
 def test_intersect_frozen_values():
     assert strings(intersect(ideal_of(V, "x"), ideal_of(V, "y")).groebner()) == ("x*y",)
     got = intersect(ideal_of(V, "x^2", "y"), ideal_of(V, "x"))
@@ -119,6 +143,9 @@ def test_exact_divide():
         exact_divide(poly("xi*v + 1", ring), xi)
     assert exact_divide(poly("x^2*y^2", V), poly("x*y", V)).to_string() == "x*y"
     assert exact_divide(Polynomial.zero(V), poly("x", V)).is_zero()
+    assert exact_divide(poly("x^2 - y^2", V), poly("x + y", V)).to_string() == "x - y"
+    with pytest.raises(NotDivisible):
+        exact_divide(poly("x^2 + y^2", V), poly("x + y", V))
 
 
 def test_exact_divide_round_trip():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from stabred import (
     GradedVariable,
     Generator1,
     Generator2,
-    ReduceConfig,
+    Ideal,
+    SceneOptions,
     iter_leaves,
     load_scene,
     obstruction_report,
@@ -122,7 +124,7 @@ def test_depth_fuse():
     with pytest.raises(DepthExceeded):
         stabilizer_reduce(
             load_scene("scenes/a2-hyperbolic.json"),
-            ReduceConfig(max_depth=0),
+            SceneOptions(depth_fuse=0),
         )
 
 
@@ -159,8 +161,10 @@ def test_obstruction_report_without_dagger_omits_ranks():
 
 
 def test_obstruction_report_fully_unstable_override():
-    x = load_scene("scenes/a2-hyperbolic.json")
-    report = obstruction_report(x, fully_unstable=True)
+    base = load_scene("scenes/a2-hyperbolic.json")
+    # the zero ideal removes every point
+    x = replace(base, excluded=Ideal.zero(base.var_names))
+    report = obstruction_report(x)
     assert report.fully_unstable
     assert report.e_ranks is None
 

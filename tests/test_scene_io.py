@@ -12,7 +12,7 @@ from stabred import (
     serialize_scene,
 )
 from stabred.scene import SceneOptions, parse_scene_text
-from stabred.poly import GREVLEX, LEX
+from stabred.poly import GREVLEX, LEX, ORDERS
 
 from helpers import build_corpus, ideal_of
 
@@ -48,15 +48,14 @@ def test_parse_minimal_scene():
     scene = parse_scene(minimal_scene())
     assert scene.cdga.var_names == ("x", "y")
     assert scene.options == SceneOptions()
-    assert scene.options.monomial_order() == GREVLEX
+    assert ORDERS[scene.options.order] == GREVLEX
 
 
 def test_options_parsed_and_defaulted():
     data = minimal_scene()
     data["options"] = {"order": "lex", "degree_cap": 6}
     scene = parse_scene(data)
-    assert scene.options.order == "lex"
-    assert scene.options.monomial_order() == LEX
+    assert ORDERS[scene.options.order] == LEX
     assert scene.options.degree_cap == 6
     assert scene.options.depth_fuse == 8
 
