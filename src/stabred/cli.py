@@ -19,7 +19,7 @@ from .cdga import GradedCdga, SubtorusBasis, classical_truncation, fixed_locus, 
 from .errors import DomainError, InternalError, InvalidPresentation, SchemaError
 from .poly import ORDERS
 from .reduce import stabilizer_reduce
-from .scene import parse_scene_text, read_scene, read_scene_bytes
+from .scene import parse_scene_bytes, read_scene, read_scene_bytes
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
 
 COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce", "report")
@@ -106,7 +106,7 @@ def run_command(args) -> int:
     if args.command == "validate":
         raw = read_scene_bytes(args.scene)
         try:
-            checked = validate_presentation(parse_scene_text(raw.decode("utf-8"), args.scene).cdga)
+            checked = validate_presentation(parse_scene_bytes(raw, args.scene).cdga)
         except InvalidPresentation as err:
             checked = err.report
         lines = [_styled("ok", True)] if checked.ok else [_styled("invalid", False)]
@@ -117,7 +117,8 @@ def run_command(args) -> int:
     scene, raw = read_scene(args.scene)
     digest = rpt.input_digest(raw)
     x = scene.cdga
-    # each flag overrides the scene's option of the same name
+    # each flag overrides the scene's option of the same name, and
+    # SceneOptions checks the result as it checks a scene's options
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(scene.options)}
     options = dataclasses.replace(scene.options, **{k: v for k, v in flags.items() if v is not None})
     order = ORDERS[options.order]

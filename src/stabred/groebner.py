@@ -2,12 +2,15 @@
 
 The basis routine follows the classic loop with the normal selection
 strategy (smallest lcm first) and prunes pairs with the coprime
-leading-term and chain criteria.  Output bases are reduced and monic, so
-for a fixed order they are canonical for the ideal.
+leading-term and chain criteria.  Pending pairs wait in a heap keyed by
+the order key of their lcm, ties broken by index, so each pair's lcm and
+key are computed once.  Output bases are reduced and monic, so for a
+fixed order they are canonical for the ideal.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import NotDivisible
@@ -90,16 +93,23 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
     keyf = order.key(variables)
     lead = [g.leading(order)[0] for g in basis]
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # leading monomials never change, so the key computed when a pair is
+    # formed stays valid; ``pairs`` holds the pairs still in the heap
+    queue = []
+    pairs = set()
 
-    def pair_key(ij):
-        i, j = ij
-        return (keyf(monomial_lcm(lead[i], lead[j])), ij)
+    def add_pairs(j):
+        for i in range(j):
+            lcm = monomial_lcm(lead[i], lead[j])
+            heapq.heappush(queue, (keyf(lcm), (i, j), lcm))
+            pairs.add((i, j))
 
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+    for j in range(1, len(basis)):
+        add_pairs(j)
+
+    while queue:
+        _, (i, j), lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        lcm = monomial_lcm(lead[i], lead[j])
         # coprime leading terms reduce to zero
         if tuple(a + b for a, b in zip(lead[i], lead[j])) == lcm:
             continue
@@ -122,8 +132,7 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
         remainder = remainder.monic(order)
         basis.append(remainder)
         lead.append(remainder.leading(order)[0])
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
     keep = []

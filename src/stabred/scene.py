@@ -22,11 +22,19 @@ class SceneOptions:
     """The run settings and their defaults: the monomial order for printing,
     the degree cap of the invariant-monomial search and the depth fuse of
     the reduction.  A scene's ``options`` and the flags of the same names
-    override them."""
+    override them; every value is checked here, wherever it came from."""
 
     order: str = GREVLEX.kind
     degree_cap: int = 12
     depth_fuse: int = 8
+
+    def __post_init__(self):
+        if not isinstance(self.order, str) or self.order not in ORDERS:
+            raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
+        # no moving variable is invariant alone, so the invariant-monomial
+        # search starts at degree 2 and a smaller cap would search nothing
+        _expect_at_least(self.degree_cap, 2, "options.degree_cap")
+        _expect_at_least(self.depth_fuse, 0, "options.depth_fuse")
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,11 @@ def _expect_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where} must be an integer")
     return value
+
+
+def _expect_at_least(value, least: int, where: str) -> None:
+    if _expect_int(value, where) < least:
+        raise SchemaError(f"{where} must be at least {least}, not {value}")
 
 
 def parse_scene(data) -> Scene:
@@ -143,10 +156,6 @@ def parse_scene(data) -> Scene:
     # it is still accepted and checked, then dropped.
     _expect_fields(given, "options", (), known + ("seed",))
     options = SceneOptions(**{key: given[key] for key in known if key in given})
-    if not isinstance(options.order, str) or options.order not in ORDERS:
-        raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
-    _expect_int(options.degree_cap, "options.degree_cap")
-    _expect_int(options.depth_fuse, "options.depth_fuse")
     _expect_int(given.get("seed", 0), "options.seed")
 
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
@@ -169,10 +178,20 @@ def read_scene_bytes(path: str) -> bytes:
         return handle.read()
 
 
+def parse_scene_bytes(raw: bytes, source: str = "scene") -> Scene:
+    """Build a validated scene from the raw bytes of a scene file, which
+    must be UTF-8 JSON."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{source} is not UTF-8 text: {err}") from err
+    return parse_scene_text(text, source)
+
+
 def read_scene(path: str) -> tuple[Scene, bytes]:
     """Read, decode and validate a scene file; the raw bytes come back too."""
     raw = read_scene_bytes(path)
-    return parse_scene_text(raw.decode("utf-8"), path), raw
+    return parse_scene_bytes(raw, path), raw
 
 
 def load_scene(path: str) -> GradedCdga:

@@ -44,6 +44,17 @@ def test_schema_error_is_a_domain_failure(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "pi0"])
+def test_non_utf8_scene_is_a_domain_failure(command, tmp_path, capsys):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, command, "--scene", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "not UTF-8" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pi0", "--scene", "does-not-exist.json")
     assert code == 1
@@ -175,6 +186,21 @@ def test_scene_depth_fuse_option_and_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8")
     assert code == 0
     assert out.splitlines()[1] == "checks: ok"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--depth-fuse", "-1", "options.depth_fuse must be at least 0"),
+        ("--degree-cap", "1", "options.degree_cap must be at least 2"),
+    ],
+)
+def test_out_of_range_flags_are_domain_errors(flag, value, message, capsys):
+    code, out, err = run(capsys, "reduce", "--scene", f"{SCENES}/xy.json", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
 
 
 ERROR_CLASSES = sorted(

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
+from stabred import groebner
 from stabred.groebner import buchberger, divide, normal_form, s_polynomial
-from stabred.poly import GREVLEX, LEX
+from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
 from helpers import poly, strings
 from test_poly import random_poly
@@ -80,3 +83,71 @@ def test_normal_form_of_member_is_zero():
     basis = buchberger((poly("x^2 - 1", V), poly("x*y - 1", V)), GREVLEX)
     member = poly("x^2 - 1", V) * poly("y^3", V) + poly("x*y - 1", V) * poly("x - 2", V)
     assert normal_form(member, basis, GREVLEX).is_zero()
+
+
+# Fixed ideals with the (lead_i, lead_j) sequence of the S-pairs that
+# ``buchberger`` reduces, and so their count.  The normal selection
+# strategy (smallest lcm, ties by index) fixes the sequence, so any pair
+# queue must reproduce it; it was recorded with a linear scan for the
+# smallest pending pair.  The ElimOrder case is a stratum saturation met
+# while reducing the critical locus of a*b*c*d + a*b over the weights
+# a (1,0), b (-1,0), c (0,1), d (0,-1).
+S_PAIR_CASES = {
+    "grevlex": (
+        ("x", "y", "z"),
+        ("x^2*y - z^3", "x*y^2 - y*z^2", "x^3 - y*z + 2"),
+        GREVLEX,
+        [
+            ("x^2*y", "x*y^2"), ("x^2*y", "x^3"), ("x*y*z^2", "x*z^3"),
+            ("x*y^2", "x*y*z^2"), ("x^2*y", "x*y*z^2"), ("y*z^4", "z^5"),
+            ("x*z^3", "z^5"), ("y*z^4", "y^2*z^3"), ("x*y*z^2", "y*z^4"),
+            ("y^2*z^3", "y^3*z^2"), ("y^2*z^3", "y^2*z^2"), ("y^3*z^2", "y^2*z^2"),
+            ("y^2*z^2", "y^2*z"), ("x*y^2", "y^2*z"), ("y^4*z", "y^2*z"),
+            ("y^2*z", "y^3"), ("x*y^2", "y^3"), ("x^3", "x*z^3"),
+        ],
+    ),
+    "lex": (
+        ("x", "y", "z"),
+        ("x^2 + y^2 + z^2 - 1", "x*y - z", "x - y^2 + z"),
+        LEX,
+        [
+            ("x*y", "x"), ("x*y", "y^3"), ("x^2", "x"), ("y^3", "y^2*z"),
+            ("y^2*z", "y^2"), ("y^2*z", "y*z^3"), ("y*z^3", "y*z^2"),
+            ("y*z^2", "y*z"), ("y*z", "y"), ("y*z^3", "z^7"), ("y^2", "y"),
+            ("y^2*z", "y*z"), ("y^3", "y^2"), ("z^7", "z^6"), ("y*z^3", "z^6"),
+            ("x*y", "y"),
+        ],
+    ),
+    "elim": (
+        ("xi0", "u_u_b", "xi", "u_d", "_s"),
+        (
+            "u_u_b*xi^2*u_d + u_u_b", "xi^2*u_d + 1", "xi0^2*u_u_b*xi^2*u_d",
+            "xi0^2*u_u_b*xi^2", "xi0*u_u_b^2*xi*u_d*_s - 1",
+        ),
+        ElimOrder(("_s",)),
+        [
+            ("u_u_b*xi^2*u_d", "xi^2*u_d"), ("u_u_b*xi^2*u_d", "xi0^2*u_u_b*xi^2*u_d"),
+            ("xi0^2*u_u_b*xi^2", "xi0^2*u_u_b"), ("u_u_b*xi^2*u_d", "xi0^2*u_u_b*xi^2"),
+            ("u_u_b*xi^2*u_d", "xi0*u_u_b^2*xi*u_d*_s"), ("xi0^2*u_u_b", "xi0*u_u_b^2*_s"),
+            ("xi^2*u_d", "xi0*xi"), ("xi0*xi", "xi0"), ("xi0^2*u_u_b", "xi0"),
+            ("xi0*u_u_b^2*_s", "xi0"), ("xi0*xi", "xi"), ("xi^2*u_d", "xi"),
+            ("xi0*u_u_b^2*xi*u_d*_s", "xi0*u_u_b^2*_s"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(S_PAIR_CASES))
+def test_s_pair_sequence_is_pinned(case, monkeypatch):
+    variables, texts, order, expected = S_PAIR_CASES[case]
+    seen = []
+
+    def recording(f, g, pair_order=GREVLEX):
+        seen.append(tuple(
+            Polynomial.monomial(variables, p.leading(pair_order)[0]).to_string() for p in (f, g)
+        ))
+        return s_polynomial(f, g, pair_order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", recording)
+    groebner.buchberger(tuple(poly(t, variables) for t in texts), order)
+    assert seen == expected

@@ -1,15 +1,20 @@
-"""Cross-checks of the Groebner-based kernel against linear-algebra oracles.
+"""Cross-checks of the Groebner-based kernel against independent oracles.
 
-The oracle writes a candidate certificate f = sum of h_i*g_i with
-undetermined bounded-degree coefficients and decides solvability by
-Gaussian elimination, sharing no code with the division/Buchberger path.
+The linear-algebra oracle writes a candidate certificate f = sum of
+h_i*g_i with undetermined bounded-degree coefficients and decides
+solvability by Gaussian elimination, sharing no code with the
+division/Buchberger path.  Reduced bases are also compared with sympy's,
+where sympy is installed.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from stabred import Ideal, ideal_equal, saturate
-from stabred.poly import Polynomial
+from stabred.groebner import buchberger
+from stabred.poly import GREVLEX, LEX, Polynomial
 
 from helpers import (
     ORACLE_CEILING,
@@ -155,3 +160,37 @@ def test_saturation_against_oracle():
                 reported = oracle_member(m, S.generators, bounds=(ORACLE_CEILING,))
             assert reported == in_sat_truth
             assert S.contains(m) == in_sat_truth
+
+
+def sympy_reduced_basis(sympy, gens, variables, order):
+    """sympy's reduced basis as sets of terms, each element scaled by its
+    leading coefficient in ``order`` (``Poly.monic`` would use lex)."""
+    symbols = sympy.symbols(variables)
+    polys = [
+        sympy.Poly.from_dict(
+            {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in g.terms.items()},
+            *symbols, domain="QQ",
+        )
+        for g in gens
+    ]
+    basis = set()
+    for p in sympy.groebner(polys, *symbols, order=order.kind, domain="QQ").polys:
+        p = p.quo_ground(p.LC(order=order.kind))
+        basis.add(frozenset((exps, Fraction(int(c.p), int(c.q))) for exps, c in p.terms()))
+    return basis
+
+
+def test_buchberger_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    variables = ("x", "y", "z")
+    rng = random.Random(59)
+    for _ in range(25):
+        size = rng.randint(2, 3)
+        gens = []
+        while len(gens) < size:
+            g = random_poly(rng, variables, max_degree=2, max_terms=3)
+            if not g.is_zero():
+                gens.append(g)
+        for order in (GREVLEX, LEX):
+            mine = {frozenset(g.terms.items()) for g in buchberger(tuple(gens), order)}
+            assert mine == sympy_reduced_basis(sympy, gens, variables, order)

@@ -99,6 +99,8 @@ def test_gens2_targets_normalized_to_declaration_order():
         (lambda d: d.update(torus_rank="one"), "torus_rank"),
         (lambda d: d.update(options={"order": "degrevlex"}), "order"),
         (lambda d: d.update(options={"degree_cap": "big"}), "degree_cap"),
+        (lambda d: d.update(options={"degree_cap": 1}), "degree_cap must be at least 2"),
+        (lambda d: d.update(options={"depth_fuse": -1}), "depth_fuse must be at least 0"),
         (lambda d: d.update(options={"mystery": 1}), "mystery"),
     ],
 )
@@ -107,6 +109,12 @@ def test_schema_violations(mutate, fragment):
     mutate(data)
     with pytest.raises(SchemaError, match=fragment):
         parse_scene(data)
+
+
+def test_option_ranges_include_their_bounds():
+    data = minimal_scene()
+    data["options"] = {"degree_cap": 2, "depth_fuse": 0}
+    assert parse_scene(data).options == SceneOptions(degree_cap=2, depth_fuse=0)
 
 
 def test_gens2_unknown_target_is_a_schema_error():
