@@ -63,16 +63,13 @@ def dagger_check(x: GradedCdga, subtorus: SubtorusBasis) -> bool:
     vanish once the moving ring variables are set to zero; equivalently
     each of its monomials contains a moving variable.
     """
-    split = weight_split(x, subtorus)
-    moving = set(split.moving)
-    for g in x.gens2:
-        if is_fixed_weight(g.weight, subtorus):
-            continue
-        for _, coeff in g.differential:
-            for exps in coeff.terms:
-                if not any(e and name in moving for e, name in zip(exps, coeff.variables)):
-                    return False
-    return True
+    fixed = weight_split(x, subtorus).fixed
+    return all(
+        coeff.restrict(fixed).is_zero()
+        for g in x.gens2
+        if not is_fixed_weight(g.weight, subtorus)
+        for _, coeff in g.differential
+    )
 
 
 def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:

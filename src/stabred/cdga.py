@@ -298,16 +298,9 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
         raise ValueError("subtorus does not match the torus rank")
     split = weight_split(x, subtorus)
     ring = split.fixed
-    zero_map = {
-        name: Polynomial.zero(x.var_names) for name in split.moving
-    }
-
-    def cut(p: Polynomial) -> Polynomial:
-        return p.substitute(zero_map, x.var_names).restrict(ring)
-
     variables = tuple(v for v in x.ring_vars if v.name in ring)
     gens1 = tuple(
-        Generator1(g.name, g.weight, cut(g.differential))
+        Generator1(g.name, g.weight, g.differential.restrict(ring))
         for g in x.gens1
         if is_fixed_weight(g.weight, subtorus)
     )
@@ -316,13 +309,10 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
     for g in x.gens2:
         if not is_fixed_weight(g.weight, subtorus):
             continue
-        diff = tuple(
-            (target, cut(coeff))
-            for target, coeff in g.differential
-            if target in kept1 and not cut(coeff).is_zero()
-        )
+        cut = ((target, coeff.restrict(ring)) for target, coeff in g.differential if target in kept1)
+        diff = tuple((target, coeff) for target, coeff in cut if not coeff.is_zero())
         gens2.append(Generator2(g.name, g.weight, diff))
-    excluded = Ideal(ring, tuple(cut(p) for p in x.excluded.generators))
+    excluded = Ideal(ring, tuple(p.restrict(ring) for p in x.excluded.generators))
     return GradedCdga(x.torus_rank, variables, gens1, tuple(gens2), excluded)
 
 

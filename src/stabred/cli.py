@@ -164,7 +164,7 @@ def run_command(args) -> int:
 
     if args.command == "kirwan":
         h = _resolve_subtorus(x, args)
-        sat = saturation_ideal(x, h, options.degree_cap)
+        sat = saturation_ideal(x, h, options)
         charts = _select_charts(kirwan_charts(x, h, sat), args.chart)
         data = rpt.charts_document(charts, order)
         data["saturation"] = [g.to_string(order) for g in sat.groebner(order)]

@@ -123,7 +123,7 @@ def eliminate(ideal: Ideal, names) -> Ideal:
     return result
 
 
-def saturate(ideal: Ideal, f: Polynomial, order=GREVLEX) -> Ideal:
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^inf), computed with an inverted auxiliary variable.
 
     (0 : f^inf) = 0 and (1 : f^inf) = 1 return the ideal itself, as does a

@@ -256,20 +256,22 @@ class Polynomial:
         return result
 
     def restrict(self, target: Iterable[str]) -> "Polynomial":
-        """Reinterpret over a variable subset; unused variables must not occur."""
+        """The ring map onto ``target`` that sends every other variable to zero.
+
+        Terms using a variable outside ``target`` are dropped; the rest keep
+        their coefficients.  Each name in ``target`` must be a variable here.
+        """
         target = tuple(target)
-        keep = []
-        for i, name in enumerate(self.variables):
-            if name in target:
-                keep.append((i, target.index(name)))
-            elif any(e[i] for e in self.terms):
-                raise ValueError(f"polynomial still uses {name!r}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(target)
-            for src, dst in keep:
-                e[dst] = exps[src]
-            out[tuple(e)] = out.get(tuple(e), _ZERO) + c
+        for name in target:
+            if name not in self.variables:
+                raise ValueError(f"{name!r} is not a variable of {self.variables}")
+        positions = [self.variables.index(name) for name in target]
+        dropped = [i for i, name in enumerate(self.variables) if name not in target]
+        out = {
+            tuple(exps[i] for i in positions): c
+            for exps, c in self.terms.items()
+            if not any(exps[i] for i in dropped)
+        }
         return Polynomial(target, out)
 
     def extend(self, target: Iterable[str]) -> "Polynomial":

@@ -124,7 +124,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> R
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        j = saturation_ideal(x, h, options.degree_cap)
+        j = saturation_ideal(x, h, options)
         for chart in kirwan_charts(x, h, j, parent_id=node_id):
             if parent_dagger:
                 assert dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)), (

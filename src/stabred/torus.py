@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing
+from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import DegreeCapReached, NoPositiveDimensionalStabilizer, TooManyVariables
 from .ideal import Ideal, intersect, saturate
 from .intlinalg import integer_kernel, rational_rank
@@ -39,18 +39,15 @@ class StabilizerReport:
 def _support_nonempty(x: GradedCdga, truncation: Ideal, support: tuple[str, ...]) -> bool:
     """A stratum survives when some excluded generator fails to vanish on it.
 
-    Pass to the locus where exactly the support variables are nonzero:
-    impose the vanishing of the complement, then saturate away the support
-    hyperplanes and the candidate excluded generator together.
+    Work in the ring of the support alone: restricting every polynomial to
+    it sets the other variables to zero, and saturating by the product of
+    the support variables times a candidate excluded generator keeps the
+    points where exactly the support is nonzero and that generator is not.
     """
-    names = x.var_names
-    outside = [Polynomial.variable(names, n) for n in names if n not in support]
-    base = Ideal(names, tuple(truncation.generators) + tuple(outside))
-    prod = Polynomial.constant(names, 1)
-    for n in support:
-        prod = prod * Polynomial.variable(names, n)
+    base = Ideal(support, tuple(g.restrict(support) for g in truncation.generators))
+    prod = Polynomial.monomial(support, (1,) * len(support))
     for g in x.excluded.generators:
-        if not saturate(base, prod * g).is_unit():
+        if not saturate(base, prod * g.restrict(support)).is_unit():
             return True
     return False
 
@@ -72,7 +69,7 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     for size in range(len(names) + 1):
         for support in itertools.combinations(names, size):
             rows = [weights[n] for n in support]
-            dim = x.torus_rank - (rational_rank(rows) if rows else 0)
+            dim = x.torus_rank - rational_rank(rows)
             alive = _support_nonempty(x, truncation, support)
             strata.append(Stratum(support, dim, alive))
     alive = [s for s in strata if s.nonempty]
@@ -104,10 +101,6 @@ def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBa
     return tuple(out)
 
 
-def _moving_names(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[str, ...]:
-    return tuple(v.name for v in x.ring_vars if any(pairing(v.weight, h) for h in subtorus.vectors))
-
-
 def _rank_one_saturation(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
     """For a one-parameter subtorus the unstable locus splits by sign.
 
@@ -126,24 +119,24 @@ def _rank_one_saturation(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
 
 
 def saturation_ideal(
-    x: GradedCdga, subtorus: SubtorusBasis, degree_cap: int = SceneOptions.degree_cap
+    x: GradedCdga, subtorus: SubtorusBasis, options: SceneOptions = SceneOptions()
 ) -> Ideal:
     """Invariant-monomial obstruction to contracting the moving directions.
 
     Generated by the minimal subtorus-invariant monomials in the moving
     variables; a point where one of them survives cannot flow into the
     fixed locus.  Minimal generators are sought degree by degree up to
-    ``degree_cap``; finding one at the cap itself means the enumeration
-    may be incomplete and raises.
+    ``options.degree_cap``; finding one at the cap itself means the
+    enumeration may be incomplete and raises.
     """
     if subtorus.rank == 1:
         return _rank_one_saturation(x, subtorus)
     names = x.var_names
-    moving = _moving_names(x, subtorus)
+    moving = weight_split(x, subtorus).moving
     weights = {v.name: v.weight for v in x.ring_vars}
     minimal: list[dict[str, int]] = []
     at_cap = False
-    for degree in range(2, degree_cap + 1):
+    for degree in range(2, options.degree_cap + 1):
         for combo in itertools.combinations_with_replacement(moving, degree):
             exps: dict[str, int] = {}
             for n in combo:
@@ -157,16 +150,11 @@ def saturation_ideal(
                     break
             if ok:
                 minimal.append(exps)
-                if degree == degree_cap:
+                if degree == options.degree_cap:
                     at_cap = True
     if at_cap:
         raise DegreeCapReached(
-            f"a minimal invariant monomial appeared at the degree cap {degree_cap}"
+            f"a minimal invariant monomial appeared at the degree cap {options.degree_cap}"
         )
-    gens = []
-    for exps in minimal:
-        mono = Polynomial.constant(names, 1)
-        for n, e in exps.items():
-            mono = mono * Polynomial.variable(names, n) ** e
-        gens.append(mono)
+    gens = (Polynomial.monomial(names, tuple(exps.get(n, 0) for n in names)) for exps in minimal)
     return Ideal(names, tuple(gens))

@@ -95,16 +95,18 @@ def test_dagger_rejects_constant_coefficient_on_moving_pair():
         Generator1("w1", (2,), poly("x^2", V)),
         Generator1("w2", (2,), poly("x^2", V)),
     )
-    gens2 = (
-        Generator2("e", (2,), (("w1", poly("1", V)), ("w2", poly("-1", V)))),
-    )
-    x = GradedCdga(1, HYPERBOLIC, gens1, gens2)
-    assert validate_presentation(x).ok
-    assert not dagger_check(x, FULL1)
-    with pytest.raises(DaggerViolation):
-        rees_presentation(x, FULL1)
-    with pytest.raises(DaggerViolation):
-        blowup_charts(x, FULL1)
+    # a constant coefficient, and one whose moving monomial x*y sits beside
+    # the fixed-only monomial 1: neither vanishes on the center
+    for text in ("1", "x*y + 1"):
+        c = poly(text, V)
+        gens2 = (Generator2("e", (2,), (("w1", c), ("w2", -c))),)
+        x = GradedCdga(1, HYPERBOLIC, gens1, gens2)
+        assert validate_presentation(x).ok
+        assert not dagger_check(x, FULL1)
+        with pytest.raises(DaggerViolation):
+            rees_presentation(x, FULL1)
+        with pytest.raises(DaggerViolation):
+            blowup_charts(x, FULL1)
 
 
 def test_dagger_is_relative_to_the_subtorus():

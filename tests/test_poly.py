@@ -97,12 +97,16 @@ def test_substitute_and_extend():
 
 
 def test_restrict_drops_unused_variables():
-    p = poly("x^2 + 1", V)
-    narrow = p.restrict(("x",))
+    # restrict is the ring map sending every variable outside the target to 0
+    assert poly("x*y", V).restrict(("x",)).is_zero()
+    narrow = poly("x^2 + x*y + 1", V).restrict(("x",))
     assert narrow.variables == ("x",)
     assert narrow.to_string() == "x^2 + 1"
-    with pytest.raises(Exception):
-        poly("x*y", V).restrict(("x",))
+    constant = poly("x^2 + x*y - 3", V).restrict(())
+    assert constant.variables == ()
+    assert constant.to_string() == "-3"
+    with pytest.raises(ValueError):
+        poly("x", V).restrict(("x", "z"))
 
 
 def test_partial_derivative():

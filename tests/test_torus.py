@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stabred import (
@@ -7,18 +9,36 @@ from stabred import (
     Generator1,
     Ideal,
     NoPositiveDimensionalStabilizer,
+    Polynomial,
+    SceneOptions,
     SubtorusBasis,
     TooManyVariables,
+    classical_truncation,
+    from_invariant_function,
     ideal_equal,
     load_scene,
+    saturate,
     saturation_ideal,
+    stabilizer_reduce,
     stabilizer_stratification,
+    tree_depth,
     witness_subtori,
 )
+from stabred.torus import _support_nonempty
 
-from helpers import FULL1, ideal_of, poly, strings
+from helpers import FULL1, build_corpus, ideal_of, poly, strings
 
 V = ("x", "y")
+RANK2 = (
+    GradedVariable("a", (1, 0)),
+    GradedVariable("b", (-1, 0)),
+    GradedVariable("c", (0, 1)),
+    GradedVariable("d", (0, -1)),
+)
+
+
+def rank2_critical(text):
+    return from_invariant_function(RANK2, 2, poly(text, "abcd"))
 
 
 def by_support(report):
@@ -146,10 +166,65 @@ def test_saturation_ideal_degree_cap():
     x = GradedCdga(2, (GradedVariable("x", (1, 0)), GradedVariable("y", (-1, 0))))
     h = SubtorusBasis.full(2)
     with pytest.raises(DegreeCapReached):
-        saturation_ideal(x, h, degree_cap=2)
-    assert not saturation_ideal(x, h, degree_cap=3).is_zero()
+        saturation_ideal(x, h, SceneOptions(degree_cap=2))
+    assert not saturation_ideal(x, h, SceneOptions(degree_cap=3)).is_zero()
+
+
+def test_saturation_ideal_cap_below_the_first_invariants_raises():
+    # a cap below 2 is refused by SceneOptions itself; cap 2 meets the
+    # degree-2 invariants a*b and c*d at the cap
+    x = rank2_critical("a*b + c*d - 1")
+    h = SubtorusBasis.full(2)
+    with pytest.raises(DegreeCapReached):
+        saturation_ideal(x, h, SceneOptions(degree_cap=2))
+    J = saturation_ideal(x, h, SceneOptions(degree_cap=12))
+    assert strings(J.generators) == ("a*b", "c*d")
 
 
 def test_saturation_ideal_no_invariants():
     x = GradedCdga(2, (GradedVariable("x", (1, 0)), GradedVariable("y", (-1, -1))))
     assert saturation_ideal(x, SubtorusBasis.full(2)).is_zero()
+
+
+# -- stratum tests against the full-ring formulation ---------------------------
+
+
+def _full_ring_nonempty(x, truncation, support):
+    """Reference stratum test over the whole ring: the variables outside the
+    support join the truncation as generators, then the ideal is saturated
+    by the support product times each excluded generator."""
+    names = x.var_names
+    outside = tuple(Polynomial.variable(names, n) for n in names if n not in support)
+    base = Ideal(names, truncation.generators + outside)
+    prod = Polynomial.monomial(names, tuple(int(n in support) for n in names))
+    return any(not saturate(base, prod * g).is_unit() for g in x.excluded.generators)
+
+
+def _reduction_nodes(node):
+    yield node
+    for _, child in node.children:
+        yield from _reduction_nodes(child)
+
+
+def _check_strata_against_full_ring(tree):
+    """Compare each stratum test of each node of a reduction tree with the
+    oracle."""
+    for node in _reduction_nodes(tree):
+        y = node.cdga
+        truncation = classical_truncation(y)
+        for size in range(len(y.var_names) + 1):
+            for support in itertools.combinations(y.var_names, size):
+                expected = _full_ring_nonempty(y, truncation, support)
+                assert _support_nonempty(y, truncation, support) == expected, (node.id, support)
+
+
+def test_stratum_tests_match_the_full_ring_oracle_on_the_corpus():
+    for x in build_corpus():
+        _check_strata_against_full_ring(stabilizer_reduce(x))
+
+
+def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
+    tree = stabilizer_reduce(rank2_critical("a*b*c*d + a*b"))
+    assert tree_depth(tree) == 2
+    assert sum(not node.cdga.excluded.is_unit() for node in _reduction_nodes(tree)) == 8
+    _check_strata_against_full_ring(tree)
