@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", choices=tuple(ORDERS), help="monomial order override")
     common.add_argument("--chart", help="restrict chart output to this chart name")
     common.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
-    common.add_argument("--degree-cap", type=int, dest="degree_cap", help="invariant-monomial search bound")
+    common.add_argument("--degree-cap", type=int, help="ignored; unstable loci are exact (kept for older scripts)")
     common.add_argument("--depth-fuse", type=int, dest="depth_fuse", help="maximum blow-up recursion depth")
     common.add_argument("--seed", type=int, help="ignored; generic ranks are exact (kept for older scripts)")
 
@@ -164,7 +164,7 @@ def run_command(args) -> int:
 
     if args.command == "kirwan":
         h = _resolve_subtorus(x, args)
-        sat = saturation_ideal(x, h, options)
+        sat = saturation_ideal(x, h)
         charts = _select_charts(kirwan_charts(x, h, sat), args.chart)
         data = rpt.charts_document(charts, order)
         data["saturation"] = [g.to_string(order) for g in sat.groebner(order)]

@@ -81,10 +81,6 @@ class NoPositiveDimensionalStabilizer(DomainError):
     """The locus with positive-dimensional stabilizer was requested but is empty."""
 
 
-class DegreeCapReached(DomainError):
-    """Monomial enumeration hit its degree cap; generators may be incomplete."""
-
-
 class DaggerViolation(DomainError):
     """A moving degree-2 generator has a differential coefficient outside the moving ideal."""
 

@@ -104,7 +104,7 @@ class ReductionNode:
 def stabilizer_reduce(x: GradedCdga, options: SceneOptions | None = None) -> ReductionNode:
     """Run the full reduction and return the tree of blow-up rounds.
 
-    Reads ``depth_fuse`` and ``degree_cap`` from ``options``."""
+    Reads ``depth_fuse`` from ``options``."""
     require_valid(x)
     return _reduce(x, "root", 0, options or SceneOptions())
 
@@ -124,18 +124,22 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> R
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        j = saturation_ideal(x, h, options)
+        j = saturation_ideal(x, h)
         for chart in kirwan_charts(x, h, j, parent_id=node_id):
+            where = (
+                f"subtorus {[list(v) for v in h.vectors]}, parent maximal supports "
+                f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"
+            )
             if parent_dagger:
                 assert dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)), (
-                    f"blow-up chart {chart.name} of {node_id!r} lost the degree-2 vanishing property"
+                    f"blow-up chart of {node_id!r} lost the degree-2 vanishing property ({where})"
                 )
             suffix = f"s{i}.{chart.center_var}" if multi else chart.center_var
             child = _reduce(chart.cdga, f"{node_id}/{suffix}", depth + 1, options)
             if child.stabilizer.max_dim >= report.max_dim:
                 raise StrictDecreaseViolation(
                     f"stabilizer dimension failed to drop from {report.max_dim} "
-                    f"at {node_id!r} to {child.stabilizer.max_dim} at {child.id!r}"
+                    f"at {node_id!r} to {child.stabilizer.max_dim} at {child.id!r} ({where})"
                 )
             children.append((chart, child))
     return ReductionNode(node_id, x, report, tuple(children), None)

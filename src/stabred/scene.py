@@ -19,22 +19,25 @@ from .poly import GREVLEX, ORDERS
 
 @dataclass(frozen=True)
 class SceneOptions:
-    """The run settings and their defaults: the monomial order for printing,
-    the degree cap of the invariant-monomial search and the depth fuse of
-    the reduction.  A scene's ``options`` and the flags of the same names
-    override them; every value is checked here, wherever it came from."""
+    """The run settings and their defaults: the monomial order for printing
+    and the depth fuse of the reduction.  A scene's ``options`` and the
+    flags of the same names override them; every value is checked here,
+    wherever it came from."""
 
     order: str = GREVLEX.kind
-    degree_cap: int = 12
     depth_fuse: int = 8
 
     def __post_init__(self):
         if not isinstance(self.order, str) or self.order not in ORDERS:
             raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
-        # no moving variable is invariant alone, so the invariant-monomial
-        # search starts at degree 2 and a smaller cap would search nothing
-        _expect_at_least(self.degree_cap, 2, "options.degree_cap")
         _expect_at_least(self.depth_fuse, 0, "options.depth_fuse")
+
+
+# Settings that no longer steer anything: "seed" once seeded random rank
+# probes and "degree_cap" once bounded the invariant-monomial search.  Older
+# scene files keep them, so each is still checked to be an integer, then
+# dropped.
+RETIRED_OPTIONS = ("seed", "degree_cap")
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,10 @@ def parse_scene(data) -> Scene:
 
     given = _expect_object(top.get("options", {}), "options")
     known = tuple(f.name for f in fields(SceneOptions))
-    # "seed" once seeded random rank probes; older scene files keep it, so
-    # it is still accepted and checked, then dropped.
-    _expect_fields(given, "options", (), known + ("seed",))
+    _expect_fields(given, "options", (), known + RETIRED_OPTIONS)
     options = SceneOptions(**{key: given[key] for key in known if key in given})
-    _expect_int(given.get("seed", 0), "options.seed")
+    for key in RETIRED_OPTIONS:
+        _expect_int(given.get(key, 0), f"options.{key}")
 
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
     require_valid(cdga)

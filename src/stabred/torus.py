@@ -13,11 +13,10 @@ import itertools
 from dataclasses import dataclass
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
-from .errors import DegreeCapReached, NoPositiveDimensionalStabilizer, TooManyVariables
-from .ideal import Ideal, intersect, saturate
+from .errors import NoPositiveDimensionalStabilizer, TooManyVariables
+from .ideal import Ideal, saturate
 from .intlinalg import integer_kernel, rational_rank
 from .poly import Polynomial
-from .scene import SceneOptions
 
 VARIABLE_CAP = 16
 
@@ -101,60 +100,34 @@ def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBa
     return tuple(out)
 
 
-def _rank_one_saturation(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
-    """For a one-parameter subtorus the unstable locus splits by sign.
+def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
+    """The ideal whose zeros are the points unstable for the subtorus.
 
-    Points limiting to the fixed locus under t -> 0 have all-positive
-    pairings on their support; the other limit has all-negative ones.  The
-    saturation ideal cuts both out at once, so it is the intersection of
-    the two coordinate ideals, and vanishes when either side is empty.
+    By Hilbert-Mumford a point is unstable exactly when 0 is not in the
+    convex hull of the pairings of its moving variables with the subtorus,
+    that is, when no monomial in those variables is invariant.  Every
+    invariant monomial is a product of positive circuits: sets of at most
+    ``rank + 1`` moving variables whose pairings have a one-dimensional
+    kernel spanned by a vector of one sign with no zero entry.  The
+    squarefree monomials of the positive circuits generate the radical of
+    the invariant-monomial ideal, so they cut out the same points, with no
+    degree bound.  For a one-parameter subtorus the circuits are the pairs
+    of one positive and one negative variable.
     """
-    h = subtorus.vectors[0]
     names = x.var_names
-    plus = [v.name for v in x.ring_vars if pairing(v.weight, h) > 0]
-    minus = [v.name for v in x.ring_vars if pairing(v.weight, h) < 0]
-    if not plus or not minus:
-        return Ideal.zero(names)
-    return intersect(Ideal.of_variables(names, plus), Ideal.of_variables(names, minus))
-
-
-def saturation_ideal(
-    x: GradedCdga, subtorus: SubtorusBasis, options: SceneOptions = SceneOptions()
-) -> Ideal:
-    """Invariant-monomial obstruction to contracting the moving directions.
-
-    Generated by the minimal subtorus-invariant monomials in the moving
-    variables; a point where one of them survives cannot flow into the
-    fixed locus.  Minimal generators are sought degree by degree up to
-    ``options.degree_cap``; finding one at the cap itself means the
-    enumeration may be incomplete and raises.
-    """
-    if subtorus.rank == 1:
-        return _rank_one_saturation(x, subtorus)
-    names = x.var_names
-    moving = weight_split(x, subtorus).moving
     weights = {v.name: v.weight for v in x.ring_vars}
-    minimal: list[dict[str, int]] = []
-    at_cap = False
-    for degree in range(2, options.degree_cap + 1):
-        for combo in itertools.combinations_with_replacement(moving, degree):
-            exps: dict[str, int] = {}
-            for n in combo:
-                exps[n] = exps.get(n, 0) + 1
-            if any(all(exps.get(n, 0) >= m.get(n, 0) for n in m) for m in minimal):
-                continue
-            ok = True
-            for h in subtorus.vectors:
-                if sum(e * pairing(weights[n], h) for n, e in exps.items()):
-                    ok = False
-                    break
-            if ok:
-                minimal.append(exps)
-                if degree == options.degree_cap:
-                    at_cap = True
-    if at_cap:
-        raise DegreeCapReached(
-            f"a minimal invariant monomial appeared at the degree cap {options.degree_cap}"
-        )
-    gens = (Polynomial.monomial(names, tuple(exps.get(n, 0) for n in names)) for exps in minimal)
+    pairings = {
+        n: tuple(pairing(weights[n], h) for h in subtorus.vectors)
+        for n in weight_split(x, subtorus).moving
+    }
+    gens = []
+    for size in range(1, subtorus.rank + 2):
+        for circuit in itertools.combinations(pairings, size):
+            rows = list(zip(*(pairings[n] for n in circuit)))
+            kernel = integer_kernel(rows, size)
+            # the Hermite form makes the first entry positive, so a kernel
+            # of one sign with no zero entry is all positive
+            if len(kernel) == 1 and all(c > 0 for c in kernel[0]):
+                exps = tuple(int(n in circuit) for n in names)
+                gens.append(Polynomial.monomial(names, exps))
     return Ideal(names, tuple(gens))

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from stabred import cli, errors
-from stabred.cli import main
+from stabred.cli import build_parser, main
 
 SCENES = "scenes"
 
@@ -166,6 +169,20 @@ def test_seed_flag_is_accepted_and_ignored(tmp_path, capsys):
     assert main(["report", "--scene", scene, "--seed", "x"]) == 2
 
 
+def test_degree_cap_flag_is_accepted_and_ignored(tmp_path, capsys):
+    plain, capped = tmp_path / "plain.json", tmp_path / "capped.json"
+    scene = f"{SCENES}/xy.json"
+    code, out, _ = run(capsys, "reduce", "--scene", scene, "--json", str(plain))
+    assert code == 0
+    code, capped_out, _ = run(
+        capsys, "reduce", "--scene", scene, "--json", str(capped), "--degree-cap", "1"
+    )
+    assert code == 0
+    assert capped_out == out
+    assert capped.read_bytes() == plain.read_bytes()
+    assert main(["reduce", "--scene", scene, "--degree-cap", "x"]) == 2
+
+
 def test_depth_fuse_is_an_internal_error(capsys):
     code, _, err = run(
         capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json",
@@ -192,7 +209,6 @@ def test_scene_depth_fuse_option_and_flag_override(tmp_path, capsys):
     "flag, value, message",
     [
         ("--depth-fuse", "-1", "options.depth_fuse must be at least 0"),
-        ("--degree-cap", "1", "options.degree_cap must be at least 2"),
     ],
 )
 def test_out_of_range_flags_are_domain_errors(flag, value, message, capsys):
@@ -214,7 +230,7 @@ ERROR_CLASSES = sorted(
 
 
 def test_error_taxonomy_is_complete():
-    assert len(ERROR_CLASSES) == 13
+    assert len(ERROR_CLASSES) == 12
 
 
 @pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)
@@ -283,3 +299,16 @@ def test_rees_output(capsys):
     assert "homogeneous coordinates: t_inv, v_x, v_y" in out
     assert "(0,0)  t_inv*v_x - x" in out
     assert "(0,1)  x*y*v_x" in out
+
+
+def test_readme_lists_every_flag_of_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    shared = readme.split("Shared flags:", 1)[1].split("\n\n", 2)[1]
+    documented = sorted(re.findall(r"^\* `(--[a-z-]+)", shared, re.M))
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands.choices) == sorted(cli.COMMANDS)
+    for name, parser in commands.choices.items():
+        flags = sorted(
+            flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")
+        )
+        assert documented == [f for f in flags if f != "--help"], name

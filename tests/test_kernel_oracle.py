@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabred import Ideal, ideal_equal, saturate
+from stabred import Ideal, eliminate, ideal_equal, saturate
 from stabred.groebner import buchberger
 from stabred.poly import GREVLEX, LEX, Polynomial
 
@@ -162,22 +162,54 @@ def test_saturation_against_oracle():
             assert S.contains(m) == in_sat_truth
 
 
-def sympy_reduced_basis(sympy, gens, variables, order):
-    """sympy's reduced basis as sets of terms, each element scaled by its
-    leading coefficient in ``order`` (``Poly.monic`` would use lex)."""
-    symbols = sympy.symbols(variables)
-    polys = [
+def _sympy_polys(sympy, gens, symbols):
+    return [
         sympy.Poly.from_dict(
             {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in g.terms.items()},
             *symbols, domain="QQ",
         )
         for g in gens
     ]
+
+
+def _sympy_basis(sympy, polys, symbols, order):
+    """sympy's reduced basis as sets of terms, each element scaled by its
+    leading coefficient in ``order`` (``Poly.monic`` would use lex)."""
     basis = set()
+    if not polys:
+        return basis
     for p in sympy.groebner(polys, *symbols, order=order.kind, domain="QQ").polys:
         p = p.quo_ground(p.LC(order=order.kind))
         basis.add(frozenset((exps, Fraction(int(c.p), int(c.q))) for exps, c in p.terms()))
     return basis
+
+
+def sympy_reduced_basis(sympy, gens, variables, order):
+    symbols = sympy.symbols(variables)
+    return _sympy_basis(sympy, _sympy_polys(sympy, gens, symbols), symbols, order)
+
+
+def sympy_eliminated_basis(sympy, polys, front, kept):
+    """The reduced grevlex basis of the ideal of ``polys`` meet the subring
+    of the ``kept`` symbols: the members of a lex basis with the ``front``
+    symbols first that are free of them, reduced again."""
+    lex = sympy.groebner(polys, *front, *kept, order="lex", domain="QQ")
+    free = [sympy.Poly(p, *kept, domain="QQ") for p in lex.exprs if not p.has(*front)]
+    return _sympy_basis(sympy, free, kept, GREVLEX)
+
+
+def _random_ideal(rng, variables):
+    size = rng.randint(1, 3)
+    gens = []
+    while len(gens) < size:
+        g = random_poly(rng, variables, max_degree=2, max_terms=3)
+        if not g.is_zero():
+            gens.append(g)
+    return Ideal(variables, tuple(gens))
+
+
+def _terms(basis):
+    return {frozenset(g.terms.items()) for g in basis}
 
 
 def test_buchberger_against_sympy():
@@ -194,3 +226,36 @@ def test_buchberger_against_sympy():
         for order in (GREVLEX, LEX):
             mine = {frozenset(g.terms.items()) for g in buchberger(tuple(gens), order)}
             assert mine == sympy_reduced_basis(sympy, gens, variables, order)
+
+
+def test_eliminate_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    variables = ("x", "y", "z")
+    symbols = sympy.symbols(variables)
+    rng = random.Random(61)
+    for _ in range(15):
+        ideal = _random_ideal(rng, variables)
+        polys = [p.as_expr() for p in _sympy_polys(sympy, ideal.generators, symbols)]
+        for names in (("z",), ("x", "z")):
+            front = tuple(s for s, n in zip(symbols, variables) if n in names)
+            kept = tuple(s for s, n in zip(symbols, variables) if n not in names)
+            mine = _terms(eliminate(ideal, names).groebner())
+            assert mine == sympy_eliminated_basis(sympy, polys, front, kept), (ideal.generators, names)
+
+
+def test_saturate_against_sympy():
+    # (I : f^inf) is the elimination of t from I + (1 - t*f)
+    sympy = pytest.importorskip("sympy")
+    variables = ("x", "y", "z")
+    symbols = sympy.symbols(variables)
+    t = sympy.Symbol("t")
+    rng = random.Random(67)
+    for _ in range(15):
+        ideal = _random_ideal(rng, variables)
+        f = random_poly(rng, variables, max_degree=2, max_terms=2)
+        if f.is_zero():
+            continue
+        (f_expr,) = (p.as_expr() for p in _sympy_polys(sympy, (f,), symbols))
+        polys = [p.as_expr() for p in _sympy_polys(sympy, ideal.generators, symbols)]
+        expected = sympy_eliminated_basis(sympy, polys + [1 - t * f_expr], (t,), symbols)
+        assert _terms(saturate(ideal, f).groebner()) == expected, (ideal.generators, f)

@@ -24,6 +24,7 @@ from stabred.reduce import _delta2_generic_rank
 
 from helpers import poly, strings
 from test_blowup import synthetic_pair_scene
+from test_torus import RANK2, SKEW, STEEP, critical
 
 V = ("x", "y")
 
@@ -99,6 +100,31 @@ def test_rank_zero_torus_is_a_single_leaf():
     assert tree.children == ()
     assert tree.leaf_report is not None
     assert tree.leaf_report.dm
+
+
+@pytest.mark.parametrize(
+    "variables, text, k",
+    [
+        (RANK2, "a^2*b^2 + c*d", 2),
+        (RANK2, "a*b + c*d - 1", 2),
+        (SKEW, "a*b + c*d", 2),
+        (RANK2, "a*b*c*d + a*b", 2),
+        (RANK2 + (GradedVariable("e", (1, 1)), GradedVariable("f", (-1, -1))), "a*b + c*d + e*f", 4),
+        (STEEP, "x^12*y + z*w", 2),
+        (
+            tuple(GradedVariable(f"{v}{i}", (s,)) for i in (1, 2, 3) for v, s in (("x", 1), ("y", -1))),
+            "x1*y1 + x2*y2 + x3*y3",
+            5,
+        ),
+    ],
+    ids=["a2b2+cd", "ab+cd-1", "ab+cd-skew", "abcd+ab", "ab+cd+ef", "steep", "x1y1+x2y2+x3y3"],
+)
+def test_critical_locus_leaves_are_minus_one_shifted_symplectic(variables, text, k):
+    # a derived critical locus is (-1)-shifted symplectic: its two-term
+    # complex is self-dual, so every reduced chart has vdim 0 and ranks (k, k)
+    for node in iter_leaves(stabilizer_reduce(critical(variables, text))):
+        assert node.leaf_report.vdim == 0, node.id
+        assert node.leaf_report.e_ranks == (k, k), node.id
 
 
 def test_strict_decrease_along_edges():

@@ -53,10 +53,9 @@ def test_parse_minimal_scene():
 
 def test_options_parsed_and_defaulted():
     data = minimal_scene()
-    data["options"] = {"order": "lex", "degree_cap": 6}
+    data["options"] = {"order": "lex"}
     scene = parse_scene(data)
     assert ORDERS[scene.options.order] == LEX
-    assert scene.options.degree_cap == 6
     assert scene.options.depth_fuse == 8
 
 
@@ -67,6 +66,14 @@ def test_seed_option_is_accepted_and_ignored():
     data["options"] = {"seed": "99"}
     with pytest.raises(SchemaError, match="options.seed"):
         parse_scene(data)
+
+
+def test_degree_cap_option_is_accepted_and_ignored():
+    # the unstable locus is exact, so no cap is read and none is out of range
+    data = minimal_scene()
+    for cap in (1, 12):
+        data["options"] = {"degree_cap": cap, "depth_fuse": 3}
+        assert parse_scene(data).options == SceneOptions(depth_fuse=3)
 
 
 def test_gens2_targets_normalized_to_declaration_order():
@@ -99,7 +106,6 @@ def test_gens2_targets_normalized_to_declaration_order():
         (lambda d: d.update(torus_rank="one"), "torus_rank"),
         (lambda d: d.update(options={"order": "degrevlex"}), "order"),
         (lambda d: d.update(options={"degree_cap": "big"}), "degree_cap"),
-        (lambda d: d.update(options={"degree_cap": 1}), "degree_cap must be at least 2"),
         (lambda d: d.update(options={"depth_fuse": -1}), "depth_fuse must be at least 0"),
         (lambda d: d.update(options={"mystery": 1}), "mystery"),
     ],
@@ -113,8 +119,8 @@ def test_schema_violations(mutate, fragment):
 
 def test_option_ranges_include_their_bounds():
     data = minimal_scene()
-    data["options"] = {"degree_cap": 2, "depth_fuse": 0}
-    assert parse_scene(data).options == SceneOptions(degree_cap=2, depth_fuse=0)
+    data["options"] = {"depth_fuse": 0}
+    assert parse_scene(data).options == SceneOptions(depth_fuse=0)
 
 
 def test_gens2_unknown_target_is_a_schema_error():

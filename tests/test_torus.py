@@ -1,21 +1,22 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from stabred import (
-    DegreeCapReached,
     GradedCdga,
     GradedVariable,
     Generator1,
     Ideal,
     NoPositiveDimensionalStabilizer,
     Polynomial,
-    SceneOptions,
+    StrictDecreaseViolation,
     SubtorusBasis,
     TooManyVariables,
     classical_truncation,
     from_invariant_function,
     ideal_equal,
+    iter_leaves,
     load_scene,
     saturate,
     saturation_ideal,
@@ -24,6 +25,7 @@ from stabred import (
     tree_depth,
     witness_subtori,
 )
+from stabred.cdga import pairing, weight_split
 from stabred.torus import _support_nonempty
 
 from helpers import FULL1, build_corpus, ideal_of, poly, strings
@@ -36,9 +38,30 @@ RANK2 = (
     GradedVariable("d", (0, -1)),
 )
 
+SKEW = RANK2[:2] + (GradedVariable("c", (1, 1)), GradedVariable("d", (-1, -1)))
+# the one invariant monomial in x and y, x^12*y, has degree 13
+STEEP = (
+    GradedVariable("x", (1, 0)),
+    GradedVariable("y", (-12, 0)),
+    GradedVariable("z", (0, 1)),
+    GradedVariable("w", (0, -1)),
+)
+# every primitive direction of the square lattice up to sign, on 8 variables
+OCTAGON = RANK2 + (
+    GradedVariable("e", (1, 1)),
+    GradedVariable("f", (-1, -1)),
+    GradedVariable("g", (1, -1)),
+    GradedVariable("h", (-1, 1)),
+)
+
+
+def critical(variables, text):
+    rank = len(variables[0].weight)
+    return from_invariant_function(variables, rank, poly(text, [v.name for v in variables]))
+
 
 def rank2_critical(text):
-    return from_invariant_function(RANK2, 2, poly(text, "abcd"))
+    return critical(RANK2, text)
 
 
 def by_support(report):
@@ -162,23 +185,28 @@ def test_saturation_ideal_general_rank():
     assert len(J.generators) == 1
 
 
-def test_saturation_ideal_degree_cap():
-    x = GradedCdga(2, (GradedVariable("x", (1, 0)), GradedVariable("y", (-1, 0))))
-    h = SubtorusBasis.full(2)
-    with pytest.raises(DegreeCapReached):
-        saturation_ideal(x, h, SceneOptions(degree_cap=2))
-    assert not saturation_ideal(x, h, SceneOptions(degree_cap=3)).is_zero()
-
-
 def test_saturation_ideal_cap_below_the_first_invariants_raises():
-    # a cap below 2 is refused by SceneOptions itself; cap 2 meets the
-    # degree-2 invariants a*b and c*d at the cap
+    # the degree-2 invariants a*b and c*d are the positive circuits of the
+    # full rank-2 torus
     x = rank2_critical("a*b + c*d - 1")
-    h = SubtorusBasis.full(2)
-    with pytest.raises(DegreeCapReached):
-        saturation_ideal(x, h, SceneOptions(degree_cap=2))
-    J = saturation_ideal(x, h, SceneOptions(degree_cap=12))
+    J = saturation_ideal(x, SubtorusBasis.full(2))
     assert strings(J.generators) == ("a*b", "c*d")
+
+
+def test_saturation_ideal_has_no_degree_cap():
+    x = critical(STEEP, "x^12*y + z*w")
+    J = saturation_ideal(x, SubtorusBasis.full(2))
+    assert ideal_equal(J, ideal_of(x.var_names, "x*y", "z*w"))
+    # the points with x*y != 0 are semistable, so their charts survive
+    assert len(list(iter_leaves(stabilizer_reduce(x)))) == 6
+
+
+def test_saturation_ideal_is_squarefree():
+    # a^1*b^2 is the minimal invariant; the circuit {a, b} gives its radical
+    x = GradedCdga(2, (GradedVariable("a", (2, 0)), GradedVariable("b", (-1, 0))))
+    h = SubtorusBasis.full(2)
+    assert strings(saturation_ideal(x, h).generators) == ("a*b",)
+    assert _minimal_invariant_monomials(x, h, cap=6) == [Counter(a=1, b=2)]
 
 
 def test_saturation_ideal_no_invariants():
@@ -228,3 +256,80 @@ def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
     assert tree_depth(tree) == 2
     assert sum(not node.cdga.excluded.is_unit() for node in _reduction_nodes(tree)) == 8
     _check_strata_against_full_ring(tree)
+
+
+# -- saturation ideals against the invariant-monomial enumeration --------------
+
+
+def _minimal_invariant_monomials(x, subtorus, cap):
+    """Reference: the minimal subtorus-invariant monomials in the moving
+    variables, sought degree by degree up to ``cap``.  One found at the cap
+    itself means a larger one may lie beyond it, so the cap must be raised."""
+    weights = {v.name: v.weight for v in x.ring_vars}
+    minimal = []
+    for degree in range(2, cap + 1):
+        for combo in itertools.combinations_with_replacement(weight_split(x, subtorus).moving, degree):
+            exps = Counter(combo)
+            if any(all(exps[n] >= e for n, e in m.items()) for m in minimal):
+                continue
+            if all(sum(e * pairing(weights[n], h) for n, e in exps.items()) == 0 for h in subtorus.vectors):
+                assert degree < cap, f"an invariant monomial of degree {degree} reaches the cap"
+                minimal.append(exps)
+    return minimal
+
+
+def _check_saturation_against_enumeration(tree, cap):
+    """On every witness subtorus of every node, the squarefree parts of the
+    minimal invariant monomials generate the saturation ideal."""
+    met = 0
+    for node in _reduction_nodes(tree):
+        if node.leaf_report is not None:
+            continue
+        y = node.cdga
+        for h in witness_subtori(y, node.stabilizer):
+            squarefree = tuple(
+                Polynomial.monomial(y.var_names, tuple(int(n in m) for n in y.var_names))
+                for m in _minimal_invariant_monomials(y, h, cap)
+            )
+            assert ideal_equal(saturation_ideal(y, h), Ideal(y.var_names, squarefree)), (node.id, h)
+            met += 1
+    return met
+
+
+def test_saturation_ideal_matches_the_enumeration_on_the_corpus():
+    assert sum(_check_saturation_against_enumeration(stabilizer_reduce(x), 10) for x in build_corpus()) > 0
+
+
+@pytest.mark.parametrize(
+    "variables, text, cap",
+    [
+        (RANK2, "a*b*c*d + a*b", 6),
+        (RANK2, "a*b + c*d - 1", 6),
+        (RANK2, "a^2*b^2 + c*d", 6),
+        (SKEW, "a*b + c*d", 6),
+        (STEEP, "x^12*y + z*w", 16),
+        (OCTAGON, "a*b + c*d + e*f + g*h", 6),
+    ],
+    ids=["abcd+ab", "ab+cd-1", "a2b2+cd", "ab+cd-skew", "steep", "octagon"],
+)
+def test_saturation_ideal_matches_the_enumeration_on_rank_two(variables, text, cap):
+    assert _check_saturation_against_enumeration(stabilizer_reduce(critical(variables, text)), cap) > 0
+
+
+def test_saturation_ideal_matches_the_enumeration_on_a_hypersurface():
+    ring = tuple(v.name for v in RANK2)
+    x = GradedCdga(2, RANK2, (Generator1("w1", (0, 0), poly("a*b - 1", ring)),))
+    assert _check_saturation_against_enumeration(stabilizer_reduce(x), 6) > 0
+
+
+# -- invariant failures name where they happened -------------------------------
+
+
+def test_strict_decrease_violation_names_subtorus_supports_and_chart():
+    with pytest.raises(StrictDecreaseViolation) as caught:
+        stabilizer_reduce(rank2_critical("a*b*c*d"))
+    message = str(caught.value)
+    assert "'root/a/u_c'" in message
+    assert "subtorus [[0, 1]]" in message
+    assert "parent maximal supports [['u_b'], ['xi', 'u_b']]" in message
+    assert "chart chart_u_c" in message
