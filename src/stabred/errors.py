@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Every error derives from exactly one of two bases.  ``DomainError`` is a
-refusal of the input (bad input, missing center, capped searches);
-``InternalError`` is a breached invariant (a division that must succeed but
-did not, a stabilizer dimension that failed to drop).  The command line maps
-the former to exit code 1 and the latter to exit code 3.
+refusal of the input (bad input, missing center); ``InternalError`` is a
+breached invariant (a division that must succeed but did not, a stabilizer
+dimension that failed to drop).  The command line maps the former to exit
+code 1 and the latter to exit code 3.
 """
 
 
@@ -67,10 +67,6 @@ class UnknownVariable(DomainError):
         self.column = column
         where = f" at line {line}, column {column}" if line is not None else ""
         super().__init__(f"unknown variable {name!r}{where}")
-
-
-class TooManyVariables(DomainError):
-    """The stratification refuses rings above its variable cap."""
 
 
 class NoCenter(DomainError):

@@ -38,11 +38,6 @@ class Ideal:
         variables = tuple(variables)
         return cls(variables, (Polynomial.constant(variables, 1),))
 
-    @classmethod
-    def of_variables(cls, variables, names) -> "Ideal":
-        variables = tuple(variables)
-        return cls(variables, tuple(Polynomial.variable(variables, n) for n in names))
-
     def groebner(self, order=GREVLEX) -> tuple[Polynomial, ...]:
         basis = self._bases.get(order)
         if basis is None:

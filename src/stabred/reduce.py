@@ -127,7 +127,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> R
         j = saturation_ideal(x, h)
         for chart in kirwan_charts(x, h, j, parent_id=node_id):
             where = (
-                f"subtorus {[list(v) for v in h.vectors]}, parent maximal supports "
+                f"subtorus {[list(v) for v in h.vectors]}, parent maximal flats "
                 f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"
             )
             if parent_dagger:

@@ -1,10 +1,11 @@
 """Stabilizer stratification and saturation for torus actions.
 
-The classical points of a presentation fall into strata indexed by their
-variable support; a point's stabilizer dimension is the torus rank minus
-the rational rank of the weights occurring in its support.  Finding the
-locus of maximal stabilizer dimension and the subtori witnessing it
-drives the choice of blow-up centers.
+A point's stabilizer depends only on the flat its support spans: the set
+of variables whose weights lie in the rational span of the weights of the
+support.  The stabilizer of a point is then the kernel of that flat, of
+dimension the torus rank minus the flat's rank.  Finding the locus of
+maximal stabilizer dimension and the subtori witnessing it drives the
+choice of blow-up centers.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
-from .errors import NoPositiveDimensionalStabilizer, TooManyVariables
+from .errors import NoPositiveDimensionalStabilizer
 from .ideal import Ideal, saturate
 from .intlinalg import integer_kernel, rational_rank
 from .poly import Polynomial
-
-VARIABLE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -35,52 +34,60 @@ class StabilizerReport:
     maximal_support: tuple[tuple[str, ...], ...]
 
 
-def _support_nonempty(x: GradedCdga, truncation: Ideal, support: tuple[str, ...]) -> bool:
-    """A stratum survives when some excluded generator fails to vanish on it.
+def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -> bool:
+    """Whether some point outside the removed locus vanishes on every
+    variable off the flat.
 
-    Work in the ring of the support alone: restricting every polynomial to
-    it sets the other variables to zero, and saturating by the product of
-    the support variables times a candidate excluded generator keeps the
-    points where exactly the support is nonzero and that generator is not.
+    Work in the ring of the flat alone: restricting every polynomial to it
+    sets the other variables to zero, and saturating by a candidate
+    excluded generator keeps the points where that generator is nonzero.
     """
-    base = Ideal(support, tuple(g.restrict(support) for g in truncation.generators))
-    prod = Polynomial.monomial(support, (1,) * len(support))
-    for g in x.excluded.generators:
-        if not saturate(base, prod * g.restrict(support)).is_unit():
-            return True
-    return False
+    base = Ideal(flat, tuple(g.restrict(flat) for g in truncation.generators))
+    return any(not saturate(base, g.restrict(flat)).is_unit() for g in x.excluded.generators)
+
+
+def _flats(names: tuple[str, ...], weights: dict, rank: int) -> list[tuple[str, ...]]:
+    """The flats of the given rank, in the order their first independent
+    spanning subset appears among the combinations of ``names``."""
+    flats: list[tuple[str, ...]] = []
+    for basis in itertools.combinations(names, rank):
+        if any(set(basis) <= set(f) for f in flats):
+            continue
+        rows = [weights[n] for n in basis]
+        if rational_rank(rows) < rank:
+            continue
+        flats.append(tuple(n for n in names if rational_rank(rows + [weights[n]]) == rank))
+    return flats
 
 
 def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
-    """Enumerate supports, compute stabilizer dimensions, and test emptiness.
+    """Test the flats by increasing rank and stop at the first nonempty rank.
 
-    Runs over all variable subsets, so the ring is capped at
-    ``VARIABLE_CAP`` variables.
+    A point lies on the locus of a rank-k flat exactly when its stabilizer
+    contains the flat's kernel, so the first rank with a nonempty flat gives
+    the maximal stabilizer dimension, and its nonempty flats are the
+    maximal strata.  The strata list every flat tested.
     """
-    names = x.var_names
-    if len(names) > VARIABLE_CAP:
-        raise TooManyVariables(
-            f"stratification over {len(names)} variables exceeds the cap of {VARIABLE_CAP}"
-        )
-    truncation = classical_truncation(x)
     weights = {v.name: v.weight for v in x.ring_vars}
-    strata = []
-    for size in range(len(names) + 1):
-        for support in itertools.combinations(names, size):
-            rows = [weights[n] for n in support]
-            dim = x.torus_rank - rational_rank(rows)
-            alive = _support_nonempty(x, truncation, support)
-            strata.append(Stratum(support, dim, alive))
-    alive = [s for s in strata if s.nonempty]
-    max_dim = max((s.stabilizer_dim for s in alive), default=0)
-    maximal = tuple(s.support for s in alive if s.stabilizer_dim == max_dim)
-    return StabilizerReport(tuple(strata), max_dim, maximal)
+    truncation = classical_truncation(x)
+    strata: list[Stratum] = []
+    for rank in range(rational_rank(list(weights.values())) + 1):
+        dim = x.torus_rank - rank
+        level = [
+            Stratum(flat, dim, _support_nonempty(x, truncation, flat))
+            for flat in _flats(x.var_names, weights, rank)
+        ]
+        strata.extend(level)
+        maximal = tuple(s.support for s in level if s.nonempty)
+        if maximal:
+            return StabilizerReport(tuple(strata), dim, maximal)
+    return StabilizerReport(tuple(strata), 0, ())
 
 
 def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
     """The distinct subtori stabilizing the maximal strata pointwise.
 
-    Each maximal support yields the saturated integer kernel of its weight
+    Each maximal flat yields the saturated integer kernel of its weight
     matrix; kernels are deduplicated by their canonical basis.
     """
     if report.max_dim <= 0:

@@ -230,7 +230,7 @@ ERROR_CLASSES = sorted(
 
 
 def test_error_taxonomy_is_complete():
-    assert len(ERROR_CLASSES) == 12
+    assert len(ERROR_CLASSES) == 11
 
 
 @pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)

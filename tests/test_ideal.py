@@ -159,9 +159,6 @@ def test_exact_divide_round_trip():
 def test_ideal_constructors():
     assert Ideal.zero(V).is_zero()
     assert Ideal.unit(V).is_unit()
-    I = Ideal.of_variables(V, ("y",))
-    assert strings(I.generators) == ("y",)
-    assert I.contains(poly("x*y", V))
 
 
 def test_saturate_and_intersect_identities_return_an_operand():

@@ -10,9 +10,10 @@ from stabred import (
     Ideal,
     NoPositiveDimensionalStabilizer,
     Polynomial,
+    StabilizerReport,
     StrictDecreaseViolation,
+    Stratum,
     SubtorusBasis,
-    TooManyVariables,
     classical_truncation,
     from_invariant_function,
     ideal_equal,
@@ -26,7 +27,7 @@ from stabred import (
     witness_subtori,
 )
 from stabred.cdga import pairing, weight_split
-from stabred.torus import _support_nonempty
+from stabred.intlinalg import rational_rank
 
 from helpers import FULL1, build_corpus, ideal_of, poly, strings
 
@@ -64,28 +65,18 @@ def rank2_critical(text):
     return critical(RANK2, text)
 
 
-def by_support(report):
-    return {s.support: s for s in report.strata}
-
-
 def test_stratification_of_xy_scene():
+    # the origin is the rank-0 flat; it lies on x*y = 0, so the walk stops
+    # there without testing the line of rank 1
     report = stabilizer_stratification(load_scene("scenes/xy.json"))
-    strata = by_support(report)
-    assert set(strata) == {(), ("x",), ("y",), ("x", "y")}
-    assert strata[()].stabilizer_dim == 1 and strata[()].nonempty
-    assert strata[("x",)].stabilizer_dim == 0 and strata[("x",)].nonempty
-    assert strata[("y",)].stabilizer_dim == 0 and strata[("y",)].nonempty
-    # both coordinates nonzero is incompatible with x*y = 0
-    assert not strata[("x", "y")].nonempty
+    assert report.strata == (Stratum((), 1, True),)
     assert report.max_dim == 1
     assert report.maximal_support == ((),)
 
 
 def test_stratification_of_smooth_plane():
     report = stabilizer_stratification(load_scene("scenes/a2-hyperbolic.json"))
-    strata = by_support(report)
-    assert all(s.nonempty for s in report.strata)
-    assert strata[("x", "y")].stabilizer_dim == 0
+    assert report.strata == (Stratum((), 1, True),)
     assert report.max_dim == 1
     assert report.maximal_support == ((),)
 
@@ -99,12 +90,26 @@ def test_stratification_respects_excluded_ideal():
         excluded=ideal_of(V, "x", "y"),
     )
     report = stabilizer_stratification(x)
-    strata = by_support(report)
-    assert not strata[()].nonempty  # the origin is removed
-    assert strata[("x",)].nonempty
+    # the origin is removed, so the walk goes on to the one flat of rank 1,
+    # the line, where the punctured axes have finite stabilizers
+    assert report.strata == (Stratum((), 1, False), Stratum(("x", "y"), 0, True))
     assert report.max_dim == 0
+    assert report.maximal_support == (("x", "y"),)
     with pytest.raises(NoPositiveDimensionalStabilizer):
         witness_subtori(x, report)
+
+
+def test_flats_of_one_rank_keep_their_first_seen_order():
+    # with the origin of 4-space removed, the rank-1 flats {a, b} and
+    # {c, d} are both nonempty, so both are maximal, in the order of their
+    # first spanning variable
+    names = tuple(v.name for v in RANK2)
+    x = GradedCdga(2, RANK2, excluded=ideal_of(names, "a", "b", "c", "d"))
+    report = stabilizer_stratification(x)
+    assert [s.support for s in report.strata] == [(), ("a", "b"), ("c", "d")]
+    assert report.max_dim == 1
+    assert report.maximal_support == (("a", "b"), ("c", "d"))
+    assert [h.vectors for h in witness_subtori(x, report)] == [((0, 1),), ((1, 0),)]
 
 
 def test_unit_excluded_kills_every_stratum():
@@ -116,10 +121,18 @@ def test_unit_excluded_kills_every_stratum():
     assert report.max_dim == 0
 
 
-def test_variable_cap():
+def test_many_variables_of_one_weight_have_one_flat_to_test():
     many = tuple(GradedVariable(f"v{i}", (1,)) for i in range(17))
-    with pytest.raises(TooManyVariables):
-        stabilizer_stratification(GradedCdga(1, many))
+    report = stabilizer_stratification(GradedCdga(1, many))
+    assert report.strata == (Stratum((), 1, True),)
+    assert report.max_dim == 1
+
+
+def test_five_hyperbolic_pairs_test_one_root_flat():
+    pairs = tuple(GradedVariable(f"{v}{i}", (s,)) for i in range(1, 6) for v, s in (("x", 1), ("y", -1)))
+    tree = stabilizer_reduce(critical(pairs, "+".join(f"x{i}*y{i}" for i in range(1, 6))))
+    assert len(tree.stabilizer.strata) == 1
+    assert len(list(iter_leaves(tree))) == 10
 
 
 def test_witness_subtorus_is_full_lattice_at_the_origin():
@@ -146,7 +159,7 @@ def test_witness_subtorus_canonical_kernel():
 
 def test_witness_subtori_deduplicated():
     # x*y = 0 with the origin removed leaves the two punctured axes; their
-    # proportional weight rows give the same kernel, reported once
+    # weights are proportional, so they span one flat with one kernel
     ring = ("x", "y")
     x = GradedCdga(
         2,
@@ -156,7 +169,7 @@ def test_witness_subtori_deduplicated():
     )
     report = stabilizer_stratification(x)
     assert report.max_dim == 1
-    assert report.maximal_support == (("x",), ("y",))
+    assert report.maximal_support == (("x", "y"),)
     witnesses = witness_subtori(x, report)
     assert len(witnesses) == 1
     assert witnesses[0].vectors == ((1, -1),)
@@ -214,13 +227,14 @@ def test_saturation_ideal_no_invariants():
     assert saturation_ideal(x, SubtorusBasis.full(2)).is_zero()
 
 
-# -- stratum tests against the full-ring formulation ---------------------------
+# -- flats against the per-support walk in the full ring -----------------------
 
 
 def _full_ring_nonempty(x, truncation, support):
     """Reference stratum test over the whole ring: the variables outside the
     support join the truncation as generators, then the ideal is saturated
-    by the support product times each excluded generator."""
+    by the support product times each excluded generator, which keeps the
+    points whose support is exactly ``support``."""
     names = x.var_names
     outside = tuple(Polynomial.variable(names, n) for n in names if n not in support)
     base = Ideal(names, truncation.generators + outside)
@@ -234,28 +248,63 @@ def _reduction_nodes(node):
         yield from _reduction_nodes(child)
 
 
-def _check_strata_against_full_ring(tree):
-    """Compare each stratum test of each node of a reduction tree with the
-    oracle."""
+def _check_against_support_walk(y, report):
+    """Compare a stratification with the walk over every variable support:
+    the same maximal dimension, the same witnesses in the same order, and
+    each flat tested is nonempty exactly when some support inside it is."""
+    truncation = classical_truncation(y)
+    weights = {v.name: v.weight for v in y.ring_vars}
+    alive = {
+        support: _full_ring_nonempty(y, truncation, support)
+        for size in range(len(y.var_names) + 1)
+        for support in itertools.combinations(y.var_names, size)
+    }
+    dims = {s: y.torus_rank - rational_rank([weights[n] for n in s]) for s in alive}
+    max_dim = max((dims[s] for s in alive if alive[s]), default=0)
+    assert report.max_dim == max_dim
+    assert len({s.support for s in report.strata}) == len(report.strata)
+    for stratum in report.strata:
+        inside = [s for s in alive if set(s) <= set(stratum.support)]
+        assert stratum.nonempty == any(alive[s] for s in inside), stratum
+    if max_dim > 0:
+        maximal = tuple(s for s in alive if alive[s] and dims[s] == max_dim)
+        assert witness_subtori(y, report) == witness_subtori(y, StabilizerReport((), max_dim, maximal))
+
+
+def _check_tree_against_support_walk(tree):
     for node in _reduction_nodes(tree):
-        y = node.cdga
-        truncation = classical_truncation(y)
-        for size in range(len(y.var_names) + 1):
-            for support in itertools.combinations(y.var_names, size):
-                expected = _full_ring_nonempty(y, truncation, support)
-                assert _support_nonempty(y, truncation, support) == expected, (node.id, support)
+        _check_against_support_walk(node.cdga, node.stabilizer)
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_the_corpus():
     for x in build_corpus():
-        _check_strata_against_full_ring(stabilizer_reduce(x))
+        _check_tree_against_support_walk(stabilizer_reduce(x))
 
 
 def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
     tree = stabilizer_reduce(rank2_critical("a*b*c*d + a*b"))
     assert tree_depth(tree) == 2
     assert sum(not node.cdga.excluded.is_unit() for node in _reduction_nodes(tree)) == 8
-    _check_strata_against_full_ring(tree)
+    _check_tree_against_support_walk(tree)
+
+
+def test_stratum_tests_match_the_full_ring_oracle_on_steep():
+    tree = stabilizer_reduce(critical(STEEP, "x^12*y + z*w"))
+    assert tree_depth(tree) == 2
+    _check_tree_against_support_walk(tree)
+
+
+def test_stratum_tests_match_the_full_ring_oracle_on_octagon():
+    _check_tree_against_support_walk(stabilizer_reduce(critical(OCTAGON, "a*b + c*d + e*f + g*h")))
+
+
+def test_stratum_tests_match_the_full_ring_oracle_at_roots_that_fail_to_reduce():
+    ring = tuple(v.name for v in RANK2)
+    hyperbola = GradedCdga(2, RANK2, (Generator1("w1", (0, 0), poly("a*b + c*d - 1", ring)),))
+    for x, witnesses in ((rank2_critical("a*b*c*d"), 1), (hyperbola, 2)):
+        report = stabilizer_stratification(x)
+        assert len(witness_subtori(x, report)) == witnesses
+        _check_against_support_walk(x, report)
 
 
 # -- saturation ideals against the invariant-monomial enumeration --------------
@@ -331,5 +380,5 @@ def test_strict_decrease_violation_names_subtorus_supports_and_chart():
     message = str(caught.value)
     assert "'root/a/u_c'" in message
     assert "subtorus [[0, 1]]" in message
-    assert "parent maximal supports [['u_b'], ['xi', 'u_b']]" in message
+    assert "parent maximal flats [['xi', 'u_b']]" in message
     assert "chart chart_u_c" in message
