@@ -197,7 +197,11 @@ class Chart:
     phi: tuple[tuple[str, Polynomial], ...]
     subtorus: SubtorusBasis
     parent_id: str
-    fully_unstable: bool = False
+
+    @property
+    def fully_unstable(self) -> bool:
+        """Whether the chart has removed every point."""
+        return self.cdga.excluded.is_zero()
 
 
 def blowup_charts(
@@ -323,13 +327,7 @@ def kirwan_charts(
         unstable = saturate(pulled, Polynomial.variable(ring, chart.exceptional.name))
         # blowup_charts already strict-transformed the parent exclusions
         excluded = intersect(unstable, chart.cdga.excluded)
-        charts.append(
-            replace(
-                chart,
-                cdga=replace(chart.cdga, excluded=excluded),
-                fully_unstable=excluded.is_zero(),
-            )
-        )
+        charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
     return tuple(charts)
 
 

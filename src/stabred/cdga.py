@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidPresentation
 from .ideal import Ideal
-from .intlinalg import rational_rank
+from .intlinalg import integer_kernel
 from .poly import Polynomial
 
 Weight = tuple[int, ...]
@@ -73,7 +73,10 @@ class SubtorusBasis:
         for v in self.vectors:
             if len(v) != self.ambient_rank:
                 raise ValueError(f"subtorus vector {v} does not have length {self.ambient_rank}")
-        if self.vectors and rational_rank(self.vectors) != len(self.vectors):
+        # independent exactly when the kernel has the complementary rank
+        if self.vectors and (
+            len(integer_kernel(self.vectors, self.ambient_rank)) != self.ambient_rank - self.rank
+        ):
             raise ValueError("subtorus basis vectors are linearly dependent")
 
     @property

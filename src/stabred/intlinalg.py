@@ -1,33 +1,12 @@
-"""Exact rank, integer kernels and Hermite forms for small weight matrices."""
+"""Integer kernels and Hermite forms for small weight matrices.
+
+The integer kernel answers every exact question about weights: a set of
+weight vectors is independent when its kernel has the complementary rank,
+and the variables a kernel fixes are those whose weights lie in the
+rational span of the set.
+"""
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def rational_rank(rows) -> int:
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    if not matrix:
-        return 0
-    cols = len(matrix[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = Fraction(1) / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return rank
 
 
 def integer_kernel(rows, width: int) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ Grammar (no implicit multiplication, whitespace ignored):
     atom        := coefficient | var | '(' expr ')'
     coefficient := nat ('/' positive nat)?
     var         := [A-Za-z_][A-Za-z0-9_]*
+    nat         := [0-9]+
 
 A leading '-' negates the first term; every later '+'/'-' is binary.  The
 canonical printer in ``Polynomial.to_string`` emits text this grammar
@@ -25,6 +26,7 @@ _INT = "INT"
 _NAME = "NAME"
 _OP = "OP"
 _END = "END"
+_DIGITS = "0123456789"
 
 
 def _tokenize(text):
@@ -42,9 +44,9 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append((_INT, text[i:j], line, col))
             col += j - i

@@ -1,11 +1,12 @@
 """Stabilizer stratification and saturation for torus actions.
 
-A point's stabilizer depends only on the flat its support spans: the set
-of variables whose weights lie in the rational span of the weights of the
-support.  The stabilizer of a point is then the kernel of that flat, of
-dimension the torus rank minus the flat's rank.  Finding the locus of
-maximal stabilizer dimension and the subtori witnessing it drives the
-choice of blow-up centers.
+A point's stabilizer is the integer kernel of the weights of its support,
+and it depends only on the flat the support spans: every variable that
+kernel fixes, which is every variable whose weight lies in the rational
+span of the support's weights.  The stabilizer has dimension the torus
+rank minus the flat's rank.  Finding the locus of maximal stabilizer
+dimension and the subtori witnessing it drives the choice of blow-up
+centers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
 from .ideal import Ideal, saturate
-from .intlinalg import integer_kernel, rational_rank
+from .intlinalg import integer_kernel
 from .poly import Polynomial
 
 
@@ -46,17 +47,26 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     return any(not saturate(base, g.restrict(flat)).is_unit() for g in x.excluded.generators)
 
 
-def _flats(names: tuple[str, ...], weights: dict, rank: int) -> list[tuple[str, ...]]:
+def _kernel(x: GradedCdga, names: tuple[str, ...]) -> SubtorusBasis:
+    """The subtorus fixing the named variables: the saturated integer
+    kernel of their weights, in Hermite form."""
+    return SubtorusBasis(x.torus_rank, integer_kernel([x.weight_of(n) for n in names], x.torus_rank))
+
+
+def _flats(x: GradedCdga, rank: int) -> list[tuple[str, ...]]:
     """The flats of the given rank, in the order their first independent
-    spanning subset appears among the combinations of ``names``."""
+    spanning subset appears among the combinations of the variables.
+
+    A subset is independent when its kernel has corank ``rank``, and its
+    flat is every variable that kernel fixes.
+    """
     flats: list[tuple[str, ...]] = []
-    for basis in itertools.combinations(names, rank):
+    for basis in itertools.combinations(x.var_names, rank):
         if any(set(basis) <= set(f) for f in flats):
             continue
-        rows = [weights[n] for n in basis]
-        if rational_rank(rows) < rank:
-            continue
-        flats.append(tuple(n for n in names if rational_rank(rows + [weights[n]]) == rank))
+        kernel = _kernel(x, basis)
+        if kernel.rank == x.torus_rank - rank:
+            flats.append(weight_split(x, kernel).fixed)
     return flats
 
 
@@ -68,14 +78,13 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     the maximal stabilizer dimension, and its nonempty flats are the
     maximal strata.  The strata list every flat tested.
     """
-    weights = {v.name: v.weight for v in x.ring_vars}
     truncation = classical_truncation(x)
     strata: list[Stratum] = []
-    for rank in range(rational_rank(list(weights.values())) + 1):
+    for rank in range(x.torus_rank - _kernel(x, x.var_names).rank + 1):
         dim = x.torus_rank - rank
         level = [
             Stratum(flat, dim, _support_nonempty(x, truncation, flat))
-            for flat in _flats(x.var_names, weights, rank)
+            for flat in _flats(x, rank)
         ]
         strata.extend(level)
         maximal = tuple(s.support for s in level if s.nonempty)
@@ -85,26 +94,17 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
 
 
 def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
-    """The distinct subtori stabilizing the maximal strata pointwise.
+    """The subtori stabilizing the maximal strata pointwise: the kernel of
+    each maximal flat, in the order of the flats.
 
-    Each maximal flat yields the saturated integer kernel of its weight
-    matrix; kernels are deduplicated by their canonical basis.
+    Distinct flats have distinct kernels, since a flat is every variable
+    its kernel fixes, so there is one witness per maximal flat.
     """
     if report.max_dim <= 0:
         raise NoPositiveDimensionalStabilizer(
             "every surviving stratum has a finite stabilizer"
         )
-    weights = {v.name: v.weight for v in x.ring_vars}
-    out: list[SubtorusBasis] = []
-    seen = set()
-    for support in report.maximal_support:
-        rows = [weights[n] for n in support]
-        canon = integer_kernel(rows, x.torus_rank)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(SubtorusBasis(x.torus_rank, canon))
-    return tuple(out)
+    return tuple(_kernel(x, flat) for flat in report.maximal_support)
 
 
 def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:

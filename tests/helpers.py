@@ -108,6 +108,36 @@ def build_corpus(size=CORPUS_SIZE, seed=CORPUS_SEED):
     return tuple(random_scene(rng) for _ in range(size))
 
 
+# -- reference rank -----------------------------------------------------------
+
+
+def rational_rank(rows) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination on Fractions,
+    independent of the integer kernel the package uses."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    if not matrix:
+        return 0
+    cols = len(matrix[0])
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(matrix)):
+            if matrix[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = Fraction(1) / matrix[rank][col]
+        matrix[rank] = [v * inv for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
 # -- linear-algebra membership oracle ---------------------------------------
 
 ORACLE_BOUNDS = (2, 4, 6)

@@ -346,6 +346,17 @@ def test_kirwan_flags_fully_unstable_charts():
     assert all(c.cdga.excluded.is_zero() for c in charts)  # every point removed
 
 
+def test_fully_unstable_follows_the_chart_exclusion():
+    # a parent that has removed every point passes that on to each chart
+    base = load_scene("scenes/a2-hyperbolic.json")
+    x = GradedCdga(1, base.ring_vars, excluded=Ideal.zero(V))
+    charts = blowup_charts(x, FULL1)
+    assert all(c.cdga.excluded.is_zero() for c in charts)
+    assert all(c.fully_unstable for c in charts)
+    charts = blowup_charts(base, FULL1)
+    assert not any(c.cdga.excluded.is_zero() or c.fully_unstable for c in charts)
+
+
 def test_kirwan_folds_in_the_parent_exclusions():
     base = load_scene("scenes/a2-hyperbolic.json")
     x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))

@@ -58,6 +58,22 @@ def test_non_utf8_scene_is_a_domain_failure(command, tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("exponent", ["\u00b2", "\u0663"])
+def test_non_ascii_digit_in_a_differential_is_a_domain_failure(exponent, tmp_path, capsys):
+    scene = tmp_path / "digits.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [{"name": "w", "weight": [0], "differential": f"x^{exponent}*y^2"}],
+        "gens2": [],
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "pi0", "--scene", str(scene))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "line 1, column 3" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pi0", "--scene", "does-not-exist.json")
     assert code == 1

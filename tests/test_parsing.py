@@ -48,6 +48,16 @@ def test_error_positions():
         parse_polynomial("x**2", V)
 
 
+@pytest.mark.parametrize(
+    "text, column", [("x^\u00b2", 3), ("x^\u0663", 3), ("\u00b2*x", 1), ("x + y^1\u0663", 8)]
+)
+def test_only_ascii_digits_are_numbers(text, column):
+    # superscript two and Arabic-Indic three are Unicode digits, not [0-9]
+    with pytest.raises(ParseError, match=f"line 1, column {column}: unexpected character") as caught:
+        parse_polynomial(text, V)
+    assert (caught.value.line, caught.value.column) == (1, column)
+
+
 def test_unknown_variable():
     with pytest.raises(UnknownVariable, match="'q'"):
         parse_polynomial("q + 1", V)

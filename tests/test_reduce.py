@@ -18,11 +18,10 @@ from stabred import (
     stabilizer_reduce,
     tree_depth,
 )
-from stabred.intlinalg import rational_rank
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
 
-from helpers import poly, strings
+from helpers import poly, rational_rank, strings
 from test_blowup import synthetic_pair_scene
 from test_torus import RANK2, SKEW, STEEP, critical
 

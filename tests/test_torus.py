@@ -10,7 +10,6 @@ from stabred import (
     Ideal,
     NoPositiveDimensionalStabilizer,
     Polynomial,
-    StabilizerReport,
     StrictDecreaseViolation,
     Stratum,
     SubtorusBasis,
@@ -27,9 +26,10 @@ from stabred import (
     witness_subtori,
 )
 from stabred.cdga import pairing, weight_split
-from stabred.intlinalg import rational_rank
+from stabred.intlinalg import integer_kernel
+from stabred.torus import _flats
 
-from helpers import FULL1, build_corpus, ideal_of, poly, strings
+from helpers import FULL1, build_corpus, ideal_of, poly, rational_rank, strings
 
 V = ("x", "y")
 RANK2 = (
@@ -157,7 +157,7 @@ def test_witness_subtorus_canonical_kernel():
     assert witness.vectors == ((1, -1),)
 
 
-def test_witness_subtori_deduplicated():
+def test_proportional_weights_give_one_flat_and_one_witness():
     # x*y = 0 with the origin removed leaves the two punctured axes; their
     # weights are proportional, so they span one flat with one kernel
     ring = ("x", "y")
@@ -227,7 +227,33 @@ def test_saturation_ideal_no_invariants():
     assert saturation_ideal(x, SubtorusBasis.full(2)).is_zero()
 
 
-# -- flats against the per-support walk in the full ring -----------------------
+# -- flats against the rank closure and the per-support walk in the full ring ---
+
+
+def _closure_flats(x, rank):
+    """Reference: the flats of one rank as rational-rank closures, in the
+    order their first independent spanning subset appears."""
+    weights = {v.name: v.weight for v in x.ring_vars}
+    flats = []
+    for basis in itertools.combinations(x.var_names, rank):
+        if any(set(basis) <= set(f) for f in flats):
+            continue
+        rows = [weights[n] for n in basis]
+        if rational_rank(rows) < rank:
+            continue
+        flats.append(tuple(n for n in x.var_names if rational_rank(rows + [weights[n]]) == rank))
+    return flats
+
+
+def _check_flats_against_closure(y, report):
+    """The flats read off kernels are the closure's at every rank, in the
+    same order, and the walk tests exactly the closure's flats up to the
+    rank it stops at, or up to the rank of all the weights."""
+    top = rational_rank([v.weight for v in y.ring_vars])
+    closure = [_closure_flats(y, rank) for rank in range(top + 1)]
+    assert [_flats(y, rank) for rank in range(top + 1)] == closure
+    stop = y.torus_rank - report.max_dim if report.maximal_support else top
+    assert [s.support for s in report.strata] == [f for level in closure[: stop + 1] for f in level]
 
 
 def _full_ring_nonempty(x, truncation, support):
@@ -251,7 +277,9 @@ def _reduction_nodes(node):
 def _check_against_support_walk(y, report):
     """Compare a stratification with the walk over every variable support:
     the same maximal dimension, the same witnesses in the same order, and
-    each flat tested is nonempty exactly when some support inside it is."""
+    each flat tested is nonempty exactly when some support inside it is.
+    The reference witnesses are the distinct kernels of the maximal
+    supports, in the order the supports are first met."""
     truncation = classical_truncation(y)
     weights = {v.name: v.weight for v in y.ring_vars}
     alive = {
@@ -267,35 +295,45 @@ def _check_against_support_walk(y, report):
         inside = [s for s in alive if set(s) <= set(stratum.support)]
         assert stratum.nonempty == any(alive[s] for s in inside), stratum
     if max_dim > 0:
-        maximal = tuple(s for s in alive if alive[s] and dims[s] == max_dim)
-        assert witness_subtori(y, report) == witness_subtori(y, StabilizerReport((), max_dim, maximal))
+        kernels = []
+        for s in alive:
+            if alive[s] and dims[s] == max_dim:
+                kernel = integer_kernel([weights[n] for n in s], y.torus_rank)
+                if kernel not in kernels:
+                    kernels.append(kernel)
+        assert [h.vectors for h in witness_subtori(y, report)] == kernels
 
 
-def _check_tree_against_support_walk(tree):
+def _check_against_oracles(y, report):
+    _check_flats_against_closure(y, report)
+    _check_against_support_walk(y, report)
+
+
+def _check_tree_against_oracles(tree):
     for node in _reduction_nodes(tree):
-        _check_against_support_walk(node.cdga, node.stabilizer)
+        _check_against_oracles(node.cdga, node.stabilizer)
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_the_corpus():
     for x in build_corpus():
-        _check_tree_against_support_walk(stabilizer_reduce(x))
+        _check_tree_against_oracles(stabilizer_reduce(x))
 
 
 def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
     tree = stabilizer_reduce(rank2_critical("a*b*c*d + a*b"))
     assert tree_depth(tree) == 2
     assert sum(not node.cdga.excluded.is_unit() for node in _reduction_nodes(tree)) == 8
-    _check_tree_against_support_walk(tree)
+    _check_tree_against_oracles(tree)
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_steep():
     tree = stabilizer_reduce(critical(STEEP, "x^12*y + z*w"))
     assert tree_depth(tree) == 2
-    _check_tree_against_support_walk(tree)
+    _check_tree_against_oracles(tree)
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_octagon():
-    _check_tree_against_support_walk(stabilizer_reduce(critical(OCTAGON, "a*b + c*d + e*f + g*h")))
+    _check_tree_against_oracles(stabilizer_reduce(critical(OCTAGON, "a*b + c*d + e*f + g*h")))
 
 
 def test_stratum_tests_match_the_full_ring_oracle_at_roots_that_fail_to_reduce():
@@ -304,7 +342,7 @@ def test_stratum_tests_match_the_full_ring_oracle_at_roots_that_fail_to_reduce()
     for x, witnesses in ((rank2_critical("a*b*c*d"), 1), (hyperbola, 2)):
         report = stabilizer_stratification(x)
         assert len(witness_subtori(x, report)) == witnesses
-        _check_against_support_walk(x, report)
+        _check_against_oracles(x, report)
 
 
 # -- saturation ideals against the invariant-monomial enumeration --------------
