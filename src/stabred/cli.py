@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Every subcommand reads one scene file, prints a human-readable summary to
+Every command reads one scene file, prints a human-readable summary to
 stdout, and optionally writes the canonical JSON document.  Exit codes:
 0 success, 1 bad input or a domain-level refusal, 2 usage error, 3 an
 internal invariant breach.
@@ -9,7 +9,6 @@ internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -19,27 +18,22 @@ from .cdga import GradedCdga, SubtorusBasis, classical_truncation, fixed_locus, 
 from .errors import DomainError, InternalError, InvalidPresentation, SchemaError
 from .poly import ORDERS
 from .reduce import stabilizer_reduce
-from .scene import parse_scene_bytes, read_scene, read_scene_bytes
+from .scene import RETIRED_OPTIONS, parse_scene_bytes, read_scene, read_scene_bytes
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
 
 COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce", "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scene", required=True, help="path to the scene JSON file")
-    common.add_argument("--subtorus", help="basis vectors, e.g. '1,0;0,-1' (default: a maximal witness)")
-    common.add_argument("--order", choices=tuple(ORDERS), help="monomial order override")
-    common.add_argument("--chart", help="restrict chart output to this chart name")
-    common.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
-    common.add_argument("--degree-cap", type=int, help="ignored; unstable loci are exact (kept for older scripts)")
-    common.add_argument("--depth-fuse", type=int, dest="depth_fuse", help="maximum blow-up recursion depth")
-    common.add_argument("--seed", type=int, help="ignored; generic ranks are exact (kept for older scripts)")
-
     parser = argparse.ArgumentParser(prog="stabred", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--scene", required=True, help="path to the scene JSON file")
+    parser.add_argument("--subtorus", help="basis vectors, e.g. '1,0;0,-1' (default: a maximal witness)")
+    parser.add_argument("--order", choices=tuple(ORDERS), help="monomial order override")
+    parser.add_argument("--chart", help="restrict chart output to this chart name")
+    parser.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
+    for name in RETIRED_OPTIONS:
+        parser.add_argument("--" + name.replace("_", "-"), type=int, help="ignored (kept for older scripts)")
     return parser
 
 
@@ -117,11 +111,7 @@ def run_command(args) -> int:
     scene, raw = read_scene(args.scene)
     digest = rpt.input_digest(raw)
     x = scene.cdga
-    # each flag overrides the scene's option of the same name, and
-    # SceneOptions checks the result as it checks a scene's options
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(scene.options)}
-    options = dataclasses.replace(scene.options, **{k: v for k, v in flags.items() if v is not None})
-    order = ORDERS[options.order]
+    order = ORDERS[args.order or scene.options.order]
 
     if args.command == "pi0":
         data = rpt.pi0_document(x, order)
@@ -171,7 +161,7 @@ def run_command(args) -> int:
         _emit(args, "kirwan", digest, data, _chart_lines(charts, order))
         return 0
 
-    tree = stabilizer_reduce(x, options)
+    tree = stabilizer_reduce(x)
 
     if args.command == "reduce":
         data = rpt.reduction_document(tree, order)

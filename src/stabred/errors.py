@@ -81,9 +81,5 @@ class DaggerViolation(DomainError):
     """A moving degree-2 generator has a differential coefficient outside the moving ideal."""
 
 
-class DepthExceeded(InternalError):
-    """The reduction recursion fuse tripped before reaching finite stabilizers."""
-
-
 class StrictDecreaseViolation(InternalError):
     """A blow-up chart failed to lower the maximal stabilizer dimension."""

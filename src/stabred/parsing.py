@@ -17,6 +17,7 @@ accepts, so print/parse round-trips are exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable
@@ -27,6 +28,8 @@ _NAME = "NAME"
 _OP = "OP"
 _END = "END"
 _DIGITS = "0123456789"
+# the grammar's ``var`` rule; scene files hold every name to it too
+VAR = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text):
@@ -52,11 +55,10 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_NAME, text[i:j], line, col))
+        name = VAR.match(text, i)
+        if name:
+            j = name.end()
+            tokens.append((_NAME, name.group(), line, col))
             col += j - i
             i = j
             continue

@@ -3,8 +3,10 @@
 Each round finds the locus of maximal stabilizer dimension, blows up its
 fixed locus for every witnessing subtorus, removes the unstable points,
 and recurses into the charts.  The maximal stabilizer dimension strictly
-decreases along every edge; the driver asserts this and carries a depth
-fuse so a violation surfaces as an error instead of a hang.  Leaves get
+decreases along every edge: each chart is stratified before the recursion
+descends into it, and an edge that fails to lower it is refused.  So no
+path is longer than the root's ``max_dim``, which is at most the torus
+rank, and the recursion ends by construction.  Leaves get
 obstruction-theory reports.
 """
 
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 
 from .blowup import Chart, dagger_check, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import DepthExceeded, StrictDecreaseViolation
+from .errors import StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
-from .scene import SceneOptions
 from .torus import (
     StabilizerReport,
     saturation_ideal,
@@ -101,20 +102,19 @@ class ReductionNode:
     leaf_report: ObstructionReport | None
 
 
-def stabilizer_reduce(x: GradedCdga, options: SceneOptions | None = None) -> ReductionNode:
-    """Run the full reduction and return the tree of blow-up rounds.
-
-    Reads ``depth_fuse`` from ``options``."""
+def stabilizer_reduce(x: GradedCdga) -> ReductionNode:
+    """Run the full reduction and return the tree of blow-up rounds."""
     require_valid(x)
-    return _reduce(x, "root", 0, options or SceneOptions())
+    return _reduce(x, "root", 0, stabilizer_stratification(x))
 
 
-def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> ReductionNode:
-    if depth > options.depth_fuse:
-        raise DepthExceeded(
-            f"reduction exceeded the depth fuse ({options.depth_fuse}) at {node_id!r}"
-        )
-    report = stabilizer_stratification(x)
+def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -> ReductionNode:
+    """The subtree at ``x``, whose stratification is ``report``; ``depth`` is
+    the node's distance from the root, which ``bench/tracer.py`` reads.
+
+    Each chart is stratified here, before the recursion into it, so an edge
+    that fails to lower ``max_dim`` is refused before anything below it is
+    built, and each node is stratified exactly once."""
     if report.max_dim == 0:
         leaf = obstruction_report(x)
         return ReductionNode(node_id, x, report, (), leaf)
@@ -135,13 +135,14 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, options: SceneOptions) -> R
                     f"blow-up chart of {node_id!r} lost the degree-2 vanishing property ({where})"
                 )
             suffix = f"s{i}.{chart.center_var}" if multi else chart.center_var
-            child = _reduce(chart.cdga, f"{node_id}/{suffix}", depth + 1, options)
-            if child.stabilizer.max_dim >= report.max_dim:
+            child_id = f"{node_id}/{suffix}"
+            child_report = stabilizer_stratification(chart.cdga)
+            if child_report.max_dim >= report.max_dim:
                 raise StrictDecreaseViolation(
                     f"stabilizer dimension failed to drop from {report.max_dim} "
-                    f"at {node_id!r} to {child.stabilizer.max_dim} at {child.id!r} ({where})"
+                    f"at {node_id!r} to {child_report.max_dim} at {child_id!r} ({where})"
                 )
-            children.append((chart, child))
+            children.append((chart, _reduce(chart.cdga, child_id, depth + 1, child_report)))
     return ReductionNode(node_id, x, report, tuple(children), None)
 
 

@@ -13,31 +13,30 @@ from dataclasses import asdict, dataclass, fields
 
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
-from .parsing import parse_polynomial
+from .parsing import VAR, parse_polynomial
 from .poly import GREVLEX, ORDERS
 
 
 @dataclass(frozen=True)
 class SceneOptions:
-    """The run settings and their defaults: the monomial order for printing
-    and the depth fuse of the reduction.  A scene's ``options`` and the
-    flags of the same names override them; every value is checked here,
-    wherever it came from."""
+    """The run setting and its default: the monomial order for printing.  A
+    scene's ``options`` and the ``--order`` flag override it; the value is
+    checked here, wherever it came from."""
 
     order: str = GREVLEX.kind
-    depth_fuse: int = 8
 
     def __post_init__(self):
         if not isinstance(self.order, str) or self.order not in ORDERS:
             raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
-        _expect_at_least(self.depth_fuse, 0, "options.depth_fuse")
 
 
 # Settings that no longer steer anything: "seed" once seeded random rank
-# probes and "degree_cap" once bounded the invariant-monomial search.  Older
-# scene files keep them, so each is still checked to be an integer, then
-# dropped.
-RETIRED_OPTIONS = ("seed", "degree_cap")
+# probes, "degree_cap" once bounded the invariant-monomial search and
+# "depth_fuse" once bounded the reduction's depth, which the strict drop of
+# the stabilizer dimension on every edge now bounds by the torus rank.
+# Older scene files keep them, so each is still checked to be an integer,
+# then dropped.
+RETIRED_OPTIONS = ("seed", "degree_cap", "depth_fuse")
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,8 @@ def _expect_fields(obj: dict, where: str, required: tuple[str, ...], optional: t
 
 
 def _expect_name(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{where} must be a nonempty string")
+    if not isinstance(value, str) or not VAR.fullmatch(value):
+        raise SchemaError(f"{where} must be a name matching {VAR.pattern}")
     return value
 
 
@@ -80,11 +79,6 @@ def _expect_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where} must be an integer")
     return value
-
-
-def _expect_at_least(value, least: int, where: str) -> None:
-    if _expect_int(value, where) < least:
-        raise SchemaError(f"{where} must be at least {least}, not {value}")
 
 
 def parse_scene(data) -> Scene:
@@ -166,8 +160,16 @@ def parse_scene(data) -> Scene:
 
 
 def parse_scene_text(text: str, source: str = "scene") -> Scene:
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{source} repeats the key {key!r} within one object")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaError(f"{source} is not valid JSON: {err}") from err
     return parse_scene(data)

@@ -58,3 +58,22 @@ def test_every_selftest_binding_is_traced():
         wrapped = [getattr(module, name) for module, name in bindings]
     assert [getattr(w, "__wrapped__", None) for w in wrapped] == before
     assert [getattr(module, name) for module, name in bindings] == before
+
+
+def test_tracer_reads_the_node_depth_as_the_third_argument_of_reduce():
+    # ``reduce.depth_max`` is the largest ``args[2]`` of a ``_reduce`` span
+    import stabred.reduce as reduce
+    from test_torus import rank2_critical
+
+    tracer = _load_tracer().Tracer()
+    x = rank2_critical("a*b*c*d + a*b")
+    with tracer.installed():
+        tree = reduce.stabilizer_reduce(x)
+    depths = [span[5] for span in tracer.spans if span[2] == "reduce._reduce"]
+    assert all(type(depth) is int for depth in depths)
+    assert max(depths) == reduce.tree_depth(tree) == 2
+    nodes, stack = 0, [tree]
+    while stack:
+        nodes += 1
+        stack.extend(child for _, child in stack.pop().children)
+    assert len(depths) == nodes

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import re
@@ -199,40 +198,75 @@ def test_degree_cap_flag_is_accepted_and_ignored(tmp_path, capsys):
     assert main(["reduce", "--scene", scene, "--degree-cap", "x"]) == 2
 
 
-def test_depth_fuse_is_an_internal_error(capsys):
-    code, _, err = run(
-        capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json",
-        "--depth-fuse", "0",
-    )
-    assert code == 3
-    assert err.startswith("internal error:")
+def test_depth_fuse_flag_is_accepted_and_ignored(tmp_path, capsys):
+    # the tree is depth 1, past a fuse of 0; the drop of max_dim on every
+    # edge bounds the depth, so no value, in range or not, changes a run
+    plain, fused = tmp_path / "plain.json", tmp_path / "fused.json"
+    scene = f"{SCENES}/a2-hyperbolic.json"
+    code, out, _ = run(capsys, "reduce", "--scene", scene, "--json", str(plain))
+    assert code == 0
+    for depth in ("0", "-1"):
+        code, fused_out, err = run(
+            capsys, "reduce", "--scene", scene, "--json", str(fused), "--depth-fuse", depth
+        )
+        assert (code, err) == (0, "")
+        assert fused_out == out
+        assert fused.read_bytes() == plain.read_bytes()
+    assert main(["reduce", "--scene", scene, "--depth-fuse", "x"]) == 2
 
 
 def test_scene_depth_fuse_option_and_flag_override(tmp_path, capsys):
-    data = json.loads(open(f"{SCENES}/a2-hyperbolic.json").read())
-    data["options"] = {"depth_fuse": 0}
+    # the retired setting is ignored from the scene, and so is the flag
+    source = f"{SCENES}/a2-hyperbolic.json"
+    _, plain, _ = run(capsys, "reduce", "--scene", source)
+    data = json.loads(open(source).read())
     scene = tmp_path / "fused.json"
+    for depth in (0, -1):
+        data["options"] = {"depth_fuse": depth}
+        scene.write_text(json.dumps(data))
+        assert run(capsys, "reduce", "--scene", str(scene)) == (0, plain, "")
+        assert run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8") == (0, plain, "")
+    data["options"] = {"depth_fuse": "deep"}
     scene.write_text(json.dumps(data))
-    code, _, err = run(capsys, "reduce", "--scene", str(scene))
-    assert code == 3
-    assert "depth fuse (0)" in err
-    code, out, _ = run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8")
-    assert code == 0
-    assert out.splitlines()[1] == "checks: ok"
+    code, out, err = run(capsys, "reduce", "--scene", str(scene))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "options.depth_fuse must be an integer" in err
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "key, text",
     [
-        ("--depth-fuse", "-1", "options.depth_fuse must be at least 0"),
+        ("torus_rank", '{"torus_rank": 1, "torus_rank": 1, "variables": [], "gens1": [], "gens2": []}'),
+        ("w", '{"torus_rank": 1, "variables": [{"name": "x", "weight": [1]}],'
+              ' "gens1": [{"name": "w", "weight": [1], "differential": "x"}],'
+              ' "gens2": [{"name": "e", "weight": [1], "differential": {"w": "1", "w": "0"}}]}'),
     ],
+    ids=["torus_rank", "differential"],
 )
-def test_out_of_range_flags_are_domain_errors(flag, value, message, capsys):
-    code, out, err = run(capsys, "reduce", "--scene", f"{SCENES}/xy.json", flag, value)
-    assert code == 1
-    assert out == ""
+def test_duplicate_json_keys_are_rejected(key, text, tmp_path, capsys):
+    # json.loads alone keeps the last value, and both scenes would validate
+    scene = tmp_path / "twice.json"
+    scene.write_text(text)
+    for command in ("validate", "reduce"):
+        code, out, err = run(capsys, command, "--scene", str(scene))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert f"repeats the key {key!r}" in err
+
+
+def test_variable_names_outside_the_grammar_are_rejected(tmp_path, capsys):
+    # the grammar cannot parse x-1 back, so no chart may print u_x-1
+    scene = tmp_path / "dash.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x-1", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [],
+        "gens2": [],
+    }))
+    code, out, err = run(capsys, "reduce", "--scene", str(scene))
+    assert (code, out) == (1, "")
     assert err.startswith("error:")
-    assert message in err
+    assert "variables[0].name must be a name matching" in err
 
 
 ERROR_CLASSES = sorted(
@@ -246,7 +280,7 @@ ERROR_CLASSES = sorted(
 
 
 def test_error_taxonomy_is_complete():
-    assert len(ERROR_CLASSES) == 11
+    assert len(ERROR_CLASSES) == 10
 
 
 @pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)
@@ -321,10 +355,8 @@ def test_readme_lists_every_flag_of_every_command():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     shared = readme.split("Shared flags:", 1)[1].split("\n\n", 2)[1]
     documented = sorted(re.findall(r"^\* `(--[a-z-]+)", shared, re.M))
-    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(commands.choices) == sorted(cli.COMMANDS)
-    for name, parser in commands.choices.items():
-        flags = sorted(
-            flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")
-        )
-        assert documented == [f for f in flags if f != "--help"], name
+    actions = build_parser()._actions
+    (command,) = (a for a in actions if a.dest == "command")
+    assert tuple(command.choices) == cli.COMMANDS
+    flags = sorted(flag for action in actions for flag in action.option_strings if flag.startswith("--"))
+    assert documented == [f for f in flags if f != "--help"]

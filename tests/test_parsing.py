@@ -58,6 +58,17 @@ def test_only_ascii_digits_are_numbers(text, column):
     assert (caught.value.line, caught.value.column) == (1, column)
 
 
+@pytest.mark.parametrize(
+    "text, names, column",
+    [("\u00e9*x", ("\u00e9", "x"), 1), ("x\u0663 + x", ("x\u0663", "x"), 2), ("x*\u212a", ("x", "\u212a"), 3)],
+)
+def test_only_ascii_names_are_variables(text, names, column):
+    # e-acute, Arabic-Indic three and the Kelvin sign pass isalpha/isalnum
+    # but not [A-Za-z_][A-Za-z0-9_]*
+    with pytest.raises(ParseError, match=f"line 1, column {column}: unexpected character"):
+        parse_polynomial(text, names)
+
+
 def test_unknown_variable():
     with pytest.raises(UnknownVariable, match="'q'"):
         parse_polynomial("q + 1", V)

@@ -5,19 +5,19 @@ from fractions import Fraction
 import pytest
 
 from stabred import (
-    DepthExceeded,
     GradedCdga,
     GradedVariable,
     Generator1,
     Generator2,
     Ideal,
-    SceneOptions,
+    StrictDecreaseViolation,
     iter_leaves,
     load_scene,
     obstruction_report,
     stabilizer_reduce,
     tree_depth,
 )
+from stabred import reduce
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
 
@@ -145,12 +145,28 @@ def test_quasi_smooth_scenes_stay_quasi_smooth():
             assert node.leaf_report.quasi_smooth
 
 
-def test_depth_fuse():
-    with pytest.raises(DepthExceeded):
-        stabilizer_reduce(
-            load_scene("scenes/a2-hyperbolic.json"),
-            SceneOptions(depth_fuse=0),
-        )
+def test_a_chart_that_keeps_max_dim_is_refused_before_descending(monkeypatch):
+    # every chart hands back its parent's presentation, so no edge lowers
+    # max_dim; the first edge must be refused before its child is reduced
+    kirwan_charts, stratify = reduce.kirwan_charts, reduce.stabilizer_stratification
+    stratified = []
+
+    def unchanged_charts(x, *args, **kwargs):
+        return tuple(replace(chart, cdga=x) for chart in kirwan_charts(x, *args, **kwargs))
+
+    def recording(x):
+        stratified.append(x)
+        return stratify(x)
+
+    monkeypatch.setattr(reduce, "kirwan_charts", unchanged_charts)
+    monkeypatch.setattr(reduce, "stabilizer_stratification", recording)
+    x = load_scene("scenes/a2-hyperbolic.json")
+    with pytest.raises(StrictDecreaseViolation) as caught:
+        stabilizer_reduce(x)
+    assert str(caught.value).startswith(
+        "stabilizer dimension failed to drop from 1 at 'root' to 1 at 'root/x' ("
+    )
+    assert stratified == [x, x]
 
 
 def test_reduction_is_deterministic():

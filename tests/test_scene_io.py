@@ -11,7 +11,7 @@ from stabred import (
     read_scene,
     serialize_scene,
 )
-from stabred.scene import SceneOptions, parse_scene_text
+from stabred.scene import RETIRED_OPTIONS, SceneOptions, parse_scene_text
 from stabred.poly import GREVLEX, LEX, ORDERS
 
 from helpers import build_corpus, ideal_of
@@ -56,7 +56,7 @@ def test_options_parsed_and_defaulted():
     data["options"] = {"order": "lex"}
     scene = parse_scene(data)
     assert ORDERS[scene.options.order] == LEX
-    assert scene.options.depth_fuse == 8
+    assert parse_scene(minimal_scene()).options.order == GREVLEX.kind
 
 
 def test_seed_option_is_accepted_and_ignored():
@@ -72,8 +72,8 @@ def test_degree_cap_option_is_accepted_and_ignored():
     # the unstable locus is exact, so no cap is read and none is out of range
     data = minimal_scene()
     for cap in (1, 12):
-        data["options"] = {"degree_cap": cap, "depth_fuse": 3}
-        assert parse_scene(data).options == SceneOptions(depth_fuse=3)
+        data["options"] = {"degree_cap": cap, "order": "lex"}
+        assert parse_scene(data).options == SceneOptions(order="lex")
 
 
 def test_gens2_targets_normalized_to_declaration_order():
@@ -106,7 +106,7 @@ def test_gens2_targets_normalized_to_declaration_order():
         (lambda d: d.update(torus_rank="one"), "torus_rank"),
         (lambda d: d.update(options={"order": "degrevlex"}), "order"),
         (lambda d: d.update(options={"degree_cap": "big"}), "degree_cap"),
-        (lambda d: d.update(options={"depth_fuse": -1}), "depth_fuse must be at least 0"),
+        (lambda d: d.update(options={"depth_fuse": 1.5}), "options.depth_fuse"),
         (lambda d: d.update(options={"mystery": 1}), "mystery"),
     ],
 )
@@ -118,10 +118,23 @@ def test_schema_violations(mutate, fragment):
 
 
 def test_option_ranges_include_their_bounds():
+    # a retired setting takes any integer, the fuse's old bound 0 and values
+    # below it included: every edge lowers max_dim, so the depth is at most
+    # the torus rank and no fuse is read
     data = minimal_scene()
-    data["options"] = {"depth_fuse": 0}
-    assert parse_scene(data).options == SceneOptions(depth_fuse=0)
+    for key in RETIRED_OPTIONS:
+        for value in (-1, 0, 8):
+            data["options"] = {key: value}
+            assert parse_scene(data).options == SceneOptions()
 
+
+@pytest.mark.parametrize("name", ["x-1", "x y", "1x", "\u00e9", "x\u0663", "x\n"])
+def test_names_outside_the_grammar_are_schema_errors(name):
+    for field in ("variables", "gens1"):
+        data = minimal_scene()
+        data[field][0]["name"] = name
+        with pytest.raises(SchemaError, match=rf"{field}\[0\]\.name must be a name matching"):
+            parse_scene(data)
 
 def test_gens2_unknown_target_is_a_schema_error():
     data = minimal_scene()
