@@ -30,6 +30,7 @@ from .errors import DaggerViolation, NoCenter, NotInIdeal
 from .groebner import divide, exact_divide
 from .ideal import Ideal, fresh_name, ideal_equal, intersect, saturate
 from .poly import GREVLEX, MonomialOrder, Polynomial
+from .torus import saturation_ideal
 
 
 @dataclass(frozen=True)
@@ -306,25 +307,26 @@ def blowup_charts(
 
 
 def kirwan_charts(
-    x: GradedCdga,
-    subtorus: SubtorusBasis,
-    saturation: Ideal,
-    parent_id: str = "root",
+    x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
 ) -> tuple[Chart, ...]:
     """Blow-up charts with the unstable locus removed.
 
-    Each chart removes the strict transform of the saturation locus as
-    well as whatever the parent had already removed; the union of the two
-    is cut out by the intersection of their ideals.  A zero saturation
-    ideal means no point is semistable: the chart survives in the output,
-    with every point removed, and is flagged fully unstable.
+    Each chart removes the strict transform of the subtorus's unstable
+    locus and whatever the parent had already removed: the intersection of
+    the two ideals.  The unstable locus is cut out by squarefree monomials
+    in moving variables only (``saturation_ideal``), and in the chart at
+    x_c the one over a circuit C pulls back to xi^|C| times the slopes u_m
+    of the other m in C.  So its saturation by xi is the substitution
+    x_c -> 1, x_m -> u_m, with no Groebner basis.  With no semistable
+    point the chart survives, every point removed, flagged fully unstable.
     """
+    unstable_locus = saturation_ideal(x, subtorus)
     charts = []
     for chart in blowup_charts(x, subtorus, parent_id):
         ring = chart.cdga.var_names
-        images = dict(chart.phi)
-        pulled = Ideal(ring, tuple(p.substitute(images, ring) for p in saturation.generators))
-        unstable = saturate(pulled, Polynomial.variable(ring, chart.exceptional.name))
+        strict = {chart.center_var: Polynomial.constant(ring, 1)}
+        strict.update((m, Polynomial.variable(ring, u)) for m, u in chart.slopes)
+        unstable = Ideal(ring, tuple(p.substitute(strict, ring) for p in unstable_locus.generators))
         # blowup_charts already strict-transformed the parent exclusions
         excluded = intersect(unstable, chart.cdga.excluded)
         charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
@@ -334,21 +336,21 @@ def kirwan_charts(
 def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
     """Recompute the chart's degree-0 quotient from classical data alone.
 
-    The parent's truncation generators are split by their own weights:
-    fixed ones pull back, moving ones pull back and lose one exceptional
-    factor.  The result must agree with the truncation of the chart
-    presentation; this equality is the executable content of the
-    comparison between the classical and derived constructions.
+    The parent's truncation is presented by its reduced Groebner basis,
+    which owes nothing to the degree-1 generators and is weight-homogeneous.
+    Fixed elements pull back; moving ones pull back and lose the exceptional
+    factor each of their monomials carries.  The result must agree with the
+    chart's truncation: the classical blow-up against the derived one.
     """
     ring = chart.cdga.var_names
     xi = Polynomial.variable(ring, chart.exceptional.name)
     images = dict(chart.phi)
     weights = [v.weight for v in parent.ring_vars]
     recipe = []
-    for g in classical_truncation(parent).generators:
-        ok, w = homogeneous_weight(g, weights, parent.torus_rank)
+    for g in classical_truncation(parent).groebner():
+        _, w = homogeneous_weight(g, weights, parent.torus_rank)
         image = g.substitute(images, ring)
-        if ok and w is not None and not is_fixed_weight(w, chart.subtorus):
+        if w is not None and not is_fixed_weight(w, chart.subtorus):
             image = exact_divide(image, xi)
         recipe.append(image)
     return ideal_equal(classical_truncation(chart.cdga), Ideal(ring, tuple(recipe)))

@@ -22,6 +22,11 @@ from .scene import RETIRED_OPTIONS, parse_scene_bytes, read_scene, read_scene_by
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
 
 COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce", "report")
+# the commands that read each of these flags; any other command refuses it
+FLAG_COMMANDS = {
+    "--subtorus": ("fixed-locus", "rees", "blowup", "kirwan"),
+    "--chart": ("blowup", "kirwan"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,10 +159,9 @@ def run_command(args) -> int:
 
     if args.command == "kirwan":
         h = _resolve_subtorus(x, args)
-        sat = saturation_ideal(x, h)
-        charts = _select_charts(kirwan_charts(x, h, sat), args.chart)
+        charts = _select_charts(kirwan_charts(x, h), args.chart)
         data = rpt.charts_document(charts, order)
-        data["saturation"] = [g.to_string(order) for g in sat.groebner(order)]
+        data["saturation"] = [g.to_string(order) for g in saturation_ideal(x, h).groebner(order)]
         _emit(args, "kirwan", digest, data, _chart_lines(charts, order))
         return 0
 
@@ -209,6 +213,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, takers in FLAG_COMMANDS.items():
+            if getattr(args, flag[2:]) is not None and args.command not in takers:
+                parser.error(f"{flag} does not apply to the {args.command} command")
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:

@@ -19,12 +19,7 @@ from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_rank
 from .errors import StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
-from .torus import (
-    StabilizerReport,
-    saturation_ideal,
-    stabilizer_stratification,
-    witness_subtori,
-)
+from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        j = saturation_ideal(x, h)
-        for chart in kirwan_charts(x, h, j, parent_id=node_id):
+        for chart in kirwan_charts(x, h, parent_id=node_id):
             where = (
                 f"subtorus {[list(v) for v in h.vectors]}, parent maximal flats "
                 f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"

@@ -14,7 +14,7 @@ from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
 from .ideal import Ideal
 from .poly import GREVLEX, MonomialOrder
-from .reduce import ObstructionReport, ReductionNode
+from .reduce import ObstructionReport, ReductionNode, iter_leaves
 from .torus import StabilizerReport
 
 TOOL_VERSION = "0.1.0"
@@ -203,13 +203,8 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
 
 
 def leaves_document(root: ReductionNode) -> dict:
-    records = []
-
-    def walk(node: ReductionNode):
-        if node.leaf_report is not None:
-            records.append({"id": node.id, **obstruction_document(node.leaf_report)})
-        for _, child in node.children:
-            walk(child)
-
-    walk(root)
-    return {"leaves": records}
+    return {
+        "leaves": [
+            {"id": node.id, **obstruction_document(node.leaf_report)} for node in iter_leaves(root)
+        ]
+    }

@@ -13,7 +13,10 @@ from stabred import (
     Ideal,
     SubtorusBasis,
     dagger_check,
+    intersect,
     parse_polynomial,
+    saturate,
+    saturation_ideal,
     validate_presentation,
 )
 from stabred.poly import Polynomial
@@ -136,6 +139,25 @@ def rational_rank(rows) -> int:
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+# -- Kirwan chart exclusion by saturation ------------------------------------
+
+
+def kirwan_exclusion_by_saturation(parent, chart):
+    """A Kirwan chart's removed locus by the general route: pull the
+    parent's unstable locus back along ``chart.phi``, saturate it by the
+    exceptional variable, and intersect with the parent's exclusion
+    transformed the same way, the exclusion the blow-up carries."""
+    ring = chart.cdga.var_names
+    images = dict(chart.phi)
+    xi = Polynomial.variable(ring, chart.exceptional.name)
+
+    def strict_transform(ideal):
+        return saturate(Ideal(ring, tuple(p.substitute(images, ring) for p in ideal.generators)), xi)
+
+    unstable = strict_transform(saturation_ideal(parent, chart.subtorus))
+    return intersect(unstable, strict_transform(parent.excluded))
 
 
 # -- linear-algebra membership oracle ---------------------------------------

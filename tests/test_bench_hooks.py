@@ -77,3 +77,18 @@ def test_tracer_reads_the_node_depth_as_the_third_argument_of_reduce():
         nodes += 1
         stack.extend(child for _, child in stack.pop().children)
     assert len(depths) == nodes
+
+
+def test_each_kirwan_step_computes_its_own_unstable_locus():
+    # ``torus.saturation_ideal_s`` counts the calls made through the binding
+    # in ``blowup``: one per ``kirwan_charts`` span, and none elsewhere
+    import stabred.reduce as reduce
+    from test_torus import rank2_critical
+
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        reduce.stabilizer_reduce(rank2_critical("a*b*c*d + a*b"))
+    kirwan = [i for i, span in enumerate(tracer.spans) if span[2] == "blowup.kirwan_charts"]
+    parents = [span[1] for span in tracer.spans if span[2] == "torus.saturation_ideal"]
+    assert len(kirwan) > 1
+    assert sorted(parents) == kirwan

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -330,8 +331,7 @@ def test_blowup_checks_subtorus_rank():
 
 def test_kirwan_charts_delete_the_unstable_strict_transform():
     x = load_scene("scenes/a2-hyperbolic.json")
-    J = saturation_ideal(x, FULL1)
-    charts = kirwan_charts(x, FULL1, J)
+    charts = kirwan_charts(x, FULL1)
     assert strings(charts[0].cdga.excluded.generators) == ("u_y",)
     assert strings(charts[1].cdga.excluded.generators) == ("u_x",)
     assert not any(c.fully_unstable for c in charts)
@@ -339,9 +339,8 @@ def test_kirwan_charts_delete_the_unstable_strict_transform():
 
 def test_kirwan_flags_fully_unstable_charts():
     x = load_scene("scenes/a2-positive.json")
-    J = saturation_ideal(x, FULL1)
-    assert J.is_zero()
-    charts = kirwan_charts(x, FULL1, J)
+    assert saturation_ideal(x, FULL1).is_zero()
+    charts = kirwan_charts(x, FULL1)
     assert all(c.fully_unstable for c in charts)
     assert all(c.cdga.excluded.is_zero() for c in charts)  # every point removed
 
@@ -360,8 +359,7 @@ def test_fully_unstable_follows_the_chart_exclusion():
 def test_kirwan_folds_in_the_parent_exclusions():
     base = load_scene("scenes/a2-hyperbolic.json")
     x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
-    J = saturation_ideal(x, FULL1)
-    charts = kirwan_charts(x, FULL1, J)
+    charts = kirwan_charts(x, FULL1)
     got = charts[0].cdga.excluded
     # removals accumulate as a union of loci: the strict transform of the
     # axes and of the previously removed hyperbola
@@ -386,6 +384,17 @@ def test_crosscheck_on_synthetic_pair():
     parent = synthetic_pair_scene()
     for chart in blowup_charts(parent, FULL1):
         assert crosscheck_truncation(chart, parent)
+
+
+def test_crosscheck_fails_on_a_moving_differential_left_undivided():
+    # w1 = x^2*y moves, so in chart_x it must lose one factor of xi
+    parent = load_scene("scenes/xy2-x2y.json")
+    chart = blowup_charts(parent, FULL1)[0]
+    xi = Polynomial.variable(chart.cdga.var_names, chart.exceptional.name)
+    w1, w2 = chart.cdga.gens1
+    undivided = replace(chart.cdga, gens1=(replace(w1, differential=w1.differential * xi), w2))
+    assert crosscheck_truncation(chart, parent)
+    assert not crosscheck_truncation(replace(chart, cdga=undivided), parent)
 
 
 def test_chart_truncation_ignores_gens2():

@@ -90,6 +90,36 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+FLAG_VALUES = {"--subtorus": "1", "--chart": "chart_x"}
+REFUSED_FLAGS = [("--subtorus", c) for c in ("validate", "pi0", "reduce", "report")] + [
+    ("--chart", c) for c in ("validate", "pi0", "fixed-locus", "rees", "reduce", "report")
+]
+
+
+@pytest.mark.parametrize("flag, command", REFUSED_FLAGS, ids=[f"{c}{f}" for f, c in REFUSED_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(flag, command, capsys):
+    code, out, err = run(capsys, command, "--scene", f"{SCENES}/xy.json", flag, FLAG_VALUES[flag])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} does not apply to the {command} command" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi0", "--scene", f"{SCENES}/xy.json", "--chart", "nope", "--subtorus", "5,5,5"],
+        ["reduce", "--scene", f"{SCENES}/xy.json", "--subtorus", "9"],
+        ["report", "--scene", f"{SCENES}/xy.json", "--subtorus", ""],
+    ],
+    ids=["pi0-malformed", "reduce-wrong-rank", "report-empty"],
+)
+def test_malformed_values_of_a_refused_flag_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not apply to the {argv[0]} command" in err
+
+
 def test_pi0_output(capsys):
     code, out, _ = run(capsys, "pi0", "--scene", f"{SCENES}/xy2-x2y.json")
     assert code == 0
@@ -360,3 +390,6 @@ def test_readme_lists_every_flag_of_every_command():
     assert tuple(command.choices) == cli.COMMANDS
     flags = sorted(flag for action in actions for flag in action.option_strings if flag.startswith("--"))
     assert documented == [f for f in flags if f != "--help"]
+    for flag, takers in cli.FLAG_COMMANDS.items():
+        (bullet,) = re.findall(rf"^\* `{flag}[^`]*` \(([^)]*)\)", shared, re.M)
+        assert tuple(re.findall(r"`([a-z0-9-]+)`", bullet)) == takers, flag
