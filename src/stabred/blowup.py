@@ -27,9 +27,9 @@ from .cdga import (
     weight_split,
 )
 from .errors import DaggerViolation, NoCenter, NotInIdeal
-from .groebner import divide, exact_divide
+from .groebner import divide
 from .ideal import Ideal, fresh_name, ideal_equal, intersect, saturate
-from .poly import GREVLEX, MonomialOrder, Polynomial
+from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
 from .torus import saturation_ideal
 
 
@@ -205,15 +205,44 @@ class Chart:
         return self.cdga.excluded.is_zero()
 
 
+def _chart_exponents(source, ring, xi, center, slopes, strict=False) -> tuple[Exponents, ...]:
+    """Exponent image in ``ring`` of each ``source`` variable under the chart map.
+
+    The map is monomial: the center goes to xi, every other moving variable
+    m to xi*u_m, each fixed variable to itself.  ``strict`` drops the xi
+    factor, which is the map x_c -> 1, x_m -> u_m of a strict transform.
+    """
+    position = {name: i for i, name in enumerate(ring)}
+    slope_of = dict(slopes)
+    images = []
+    for v in source:
+        e = [0] * len(ring)
+        if v == center or v in slope_of:
+            e[position[xi]] = 0 if strict else 1
+            if v in slope_of:
+                e[position[slope_of[v]]] = 1
+        else:
+            e[position[v]] = 1
+        images.append(tuple(e))
+    return tuple(images)
+
+
+def _power(ring, name, k) -> Exponents:
+    """The exponents of ``name``^k in ``ring``; k may be negative."""
+    return tuple(k if v == name else 0 for v in ring)
+
+
 def blowup_charts(
     x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
 ) -> tuple[Chart, ...]:
     """Blow up the subtorus-fixed locus; one chart per moving ring variable.
 
     In the chart at x_m the exceptional coordinate replaces x_m and every
-    other moving variable acquires a slope coordinate against it.  Moving
-    generator differentials lose one exceptional factor; fixed degree-2
-    differentials compensate the rescaling of their moving targets.
+    other moving variable acquires a slope coordinate against it.  The
+    chart map is monomial, so each pull-back is an exponent rewrite.
+    Moving generator differentials lose one exceptional factor, an exponent
+    decrement; fixed degree-2 differentials compensate the rescaling of
+    their moving targets.
     """
     split = _center_split(x, subtorus)
     if not split.moving:
@@ -222,6 +251,7 @@ def blowup_charts(
     taken = set(x.var_names)
     taken.update(g.name for g in x.gens1)
     taken.update(g.name for g in x.gens2)
+    moving1 = {g.name for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)}
 
     charts = []
     for center in sorted(split.moving):
@@ -246,51 +276,37 @@ def blowup_charts(
             if v.name in split.fixed:
                 ring_vars.append(v)
         ring = tuple(v.name for v in ring_vars)
+        images = _chart_exponents(x.var_names, ring, xi_name, center, slopes)
 
-        xi = Polynomial.variable(ring, xi_name)
-        images = {center: xi}
-        for m, u in slopes:
-            images[m] = xi * Polynomial.variable(ring, u)
+        def pull_back(p: Polynomial, xi_power: int = 0) -> Polynomial:
+            return p.pull_back(ring, images, _power(ring, xi_name, xi_power))
 
-        def transplant(p: Polynomial) -> Polynomial:
-            return p.substitute(images, ring)
+        def chart_weight(weight: Weight) -> tuple[Weight, int]:
+            """A generator's weight in the chart, and the xi factors it loses:
+            one when the subtorus moves it."""
+            if is_fixed_weight(weight, subtorus):
+                return weight, 0
+            return tuple(a - b for a, b in zip(weight, w_center)), 1
 
         gens1 = []
         for g in x.gens1:
-            if is_fixed_weight(g.weight, subtorus):
-                gens1.append(Generator1(g.name, g.weight, transplant(g.differential)))
-            else:
-                gens1.append(
-                    Generator1(
-                        g.name,
-                        tuple(a - b for a, b in zip(g.weight, w_center)),
-                        exact_divide(transplant(g.differential), xi),
-                    )
-                )
-        moving1 = {g.name for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)}
+            weight, lost = chart_weight(g.weight)
+            gens1.append(Generator1(g.name, weight, pull_back(g.differential, -lost)))
 
         gens2 = []
         for g in x.gens2:
-            rescaled = []
-            for target, coeff in g.differential:
-                image = transplant(coeff)
-                if target in moving1:
-                    image = image * xi
-                rescaled.append((target, image))
-            if is_fixed_weight(g.weight, subtorus):
-                gens2.append(Generator2(g.name, g.weight, tuple(rescaled)))
-            else:
-                divided = tuple((t, exact_divide(c, xi)) for t, c in rescaled)
-                gens2.append(
-                    Generator2(g.name, tuple(a - b for a, b in zip(g.weight, w_center)), divided)
-                )
+            weight, lost = chart_weight(g.weight)
+            # a moving target's differential lost one xi, so its coefficient gains one
+            diff = tuple(
+                (target, pull_back(coeff, (target in moving1) - lost))
+                for target, coeff in g.differential
+            )
+            gens2.append(Generator2(g.name, weight, diff))
 
         # strict transform of the removed locus
-        excluded = saturate(Ideal(ring, tuple(transplant(p) for p in x.excluded.generators)), xi)
+        xi = Polynomial.variable(ring, xi_name)
+        excluded = saturate(Ideal(ring, tuple(pull_back(p) for p in x.excluded.generators)), xi)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
-        images_all = {
-            v: images[v] if v in images else Polynomial.variable(ring, v) for v in x.var_names
-        }
         charts.append(
             Chart(
                 name=f"chart_{center}",
@@ -298,7 +314,7 @@ def blowup_charts(
                 exceptional=GradedVariable(xi_name, w_center),
                 center_var=center,
                 slopes=tuple(slopes),
-                phi=tuple(images_all.items()),
+                phi=tuple((v, Polynomial.monomial(ring, e)) for v, e in zip(x.var_names, images)),
                 subtorus=subtorus,
                 parent_id=parent_id,
             )
@@ -316,17 +332,19 @@ def kirwan_charts(
     the two ideals.  The unstable locus is cut out by squarefree monomials
     in moving variables only (``saturation_ideal``), and in the chart at
     x_c the one over a circuit C pulls back to xi^|C| times the slopes u_m
-    of the other m in C.  So its saturation by xi is the substitution
-    x_c -> 1, x_m -> u_m, with no Groebner basis.  With no semistable
-    point the chart survives, every point removed, flagged fully unstable.
+    of the other m in C.  So its saturation by xi is the monomial map
+    x_c -> 1, x_m -> u_m, an exponent rewrite with no Groebner basis.  With
+    no semistable point the chart survives, every point removed, flagged
+    fully unstable.
     """
     unstable_locus = saturation_ideal(x, subtorus)
     charts = []
     for chart in blowup_charts(x, subtorus, parent_id):
         ring = chart.cdga.var_names
-        strict = {chart.center_var: Polynomial.constant(ring, 1)}
-        strict.update((m, Polynomial.variable(ring, u)) for m, u in chart.slopes)
-        unstable = Ideal(ring, tuple(p.substitute(strict, ring) for p in unstable_locus.generators))
+        strict = _chart_exponents(
+            x.var_names, ring, chart.exceptional.name, chart.center_var, chart.slopes, strict=True
+        )
+        unstable = Ideal(ring, tuple(p.pull_back(ring, strict) for p in unstable_locus.generators))
         # blowup_charts already strict-transformed the parent exclusions
         excluded = intersect(unstable, chart.cdga.excluded)
         charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
@@ -338,21 +356,20 @@ def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
 
     The parent's truncation is presented by its reduced Groebner basis,
     which owes nothing to the degree-1 generators and is weight-homogeneous.
-    Fixed elements pull back; moving ones pull back and lose the exceptional
-    factor each of their monomials carries.  The result must agree with the
-    chart's truncation: the classical blow-up against the derived one.
+    Fixed elements pull back along the monomial chart map; moving ones pull
+    back and lose the exceptional factor each of their monomials carries,
+    one exponent rewrite each.  The result must agree with the chart's
+    truncation: the classical blow-up against the derived one.
     """
     ring = chart.cdga.var_names
-    xi = Polynomial.variable(ring, chart.exceptional.name)
-    images = dict(chart.phi)
+    xi = chart.exceptional.name
+    images = _chart_exponents(parent.var_names, ring, xi, chart.center_var, chart.slopes)
     weights = [v.weight for v in parent.ring_vars]
     recipe = []
     for g in classical_truncation(parent).groebner():
         _, w = homogeneous_weight(g, weights, parent.torus_rank)
-        image = g.substitute(images, ring)
-        if w is not None and not is_fixed_weight(w, chart.subtorus):
-            image = exact_divide(image, xi)
-        recipe.append(image)
+        moving = w is not None and not is_fixed_weight(w, chart.subtorus)
+        recipe.append(g.pull_back(ring, images, _power(ring, xi, -1 if moving else 0)))
     return ideal_equal(classical_truncation(chart.cdga), Ideal(ring, tuple(recipe)))
 
 
@@ -364,7 +381,8 @@ def chart_truncation_via_lambda(lam: LambdaMatrix, moving: tuple[str, ...], char
     Any valid matrix for the same differentials induces the same ideal.
     """
     ring = chart.cdga.var_names
-    images = dict(chart.phi)
+    source = tuple(v for v, _ in chart.phi)
+    images = _chart_exponents(source, ring, chart.exceptional.name, chart.center_var, chart.slopes)
     slope_of = dict(chart.slopes)
     out = []
     for row in lam.entries:
@@ -372,9 +390,7 @@ def chart_truncation_via_lambda(lam: LambdaMatrix, moving: tuple[str, ...], char
         for coeff, m in zip(row, moving):
             if coeff.is_zero():
                 continue
-            image = coeff.substitute(images, ring)
-            if m != chart.center_var:
-                image = image * Polynomial.variable(ring, slope_of[m])
-            acc = acc + image
+            coordinate = None if m == chart.center_var else _power(ring, slope_of[m], 1)
+            acc = acc + coeff.pull_back(ring, images, coordinate)
         out.append(acc)
     return Ideal(ring, tuple(out))

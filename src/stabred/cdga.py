@@ -107,6 +107,8 @@ class GradedCdga:
     gens1: tuple[Generator1, ...] = ()
     gens2: tuple[Generator2, ...] = ()
     excluded: Ideal | None = None
+    # classical_truncation's ideal, built on first use; never compared or printed
+    _truncation: Ideal | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.excluded is None:
@@ -269,8 +271,13 @@ def classical_truncation(x: GradedCdga) -> Ideal:
     """The degree-0 quotient: the ideal generated by the degree-1 differentials.
 
     Degree-2 generators never contribute; they only record obstruction data.
+    The ideal is built once and kept on the presentation, so every caller
+    shares its cached Groebner bases.
     """
-    return Ideal(x.var_names, tuple(g.differential for g in x.gens1 if not g.differential.is_zero()))
+    if x._truncation is None:
+        gens = tuple(g.differential for g in x.gens1 if not g.differential.is_zero())
+        object.__setattr__(x, "_truncation", Ideal(x.var_names, gens))
+    return x._truncation
 
 
 @dataclass(frozen=True)

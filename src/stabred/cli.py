@@ -26,6 +26,7 @@ COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduc
 FLAG_COMMANDS = {
     "--subtorus": ("fixed-locus", "rees", "blowup", "kirwan"),
     "--chart": ("blowup", "kirwan"),
+    "--order": ("pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce"),
 }
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
+
+from .errors import NotDivisible
 
 Exponents = tuple[int, ...]
 
@@ -80,6 +82,15 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             clean[exps] = coeff
         self.terms = clean
+
+    @classmethod
+    def _from_clean(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are clean by construction: integer exponent tuples
+        of the right width, none negative, no zero coefficient."""
+        p = cls.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -254,6 +265,41 @@ class Polynomial:
                 term = term * cached
             result = result + term
         return result
+
+    def pull_back(
+        self, target: Iterable[str], images: Sequence[Exponents], shift: Exponents | None = None
+    ) -> "Polynomial":
+        """Apply the monomial ring map sending the i-th variable to the monomial
+        with exponents ``images[i]`` in ``target``, then multiply by the
+        monomial ``shift``.
+
+        Each term goes to one term with the same coefficient, so this is an
+        exponent rewrite; terms that land on one monomial are summed and zero
+        sums dropped.  A negative entry of ``shift`` divides by that monomial,
+        and a term left with a negative exponent raises NotDivisible.
+        """
+        target = tuple(target)
+        if len(images) != len(self.variables):
+            raise ValueError(f"{len(images)} images for {len(self.variables)} variables")
+        start = list(shift) if shift is not None else [0] * len(target)
+        sparse = [[(j, a) for j, a in enumerate(image) if a] for image in images]
+        out: dict[Exponents, Fraction] = {}
+        for exps, c in self.terms.items():
+            e = list(start)
+            for k, image in zip(exps, sparse):
+                if k:
+                    for j, a in image:
+                        e[j] += k * a
+            if min(e, default=0) < 0:
+                divisor = Polynomial.monomial(target, [max(-s, 0) for s in start])
+                raise NotDivisible(f"{divisor} does not divide the pull-back of {self}")
+            key = tuple(e)
+            total = out.get(key, _ZERO) + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return Polynomial._from_clean(target, out)
 
     def restrict(self, target: Iterable[str]) -> "Polynomial":
         """The ring map onto ``target`` that sends every other variable to zero.

@@ -2,6 +2,7 @@
 linear-algebra oracles used to cross-check the kernel."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from stabred import (
     Ideal,
     SubtorusBasis,
     dagger_check,
+    from_invariant_function,
     intersect,
     parse_polynomial,
     saturate,
     saturation_ideal,
+    serialize_scene,
     validate_presentation,
 )
 from stabred.poly import Polynomial
@@ -109,6 +112,39 @@ def random_scene(rng):
 def build_corpus(size=CORPUS_SIZE, seed=CORPUS_SEED):
     rng = random.Random(seed)
     return tuple(random_scene(rng) for _ in range(size))
+
+
+# -- rank-2 trees -------------------------------------------------------------
+
+_RANK2 = (("a", (1, 0)), ("b", (-1, 0)), ("c", (0, 1)), ("d", (0, -1)))
+_SKEW = _RANK2[:2] + (("c", (1, 1)), ("d", (-1, -1)))
+
+# The rank-2 scenes that reduce, with depth-2 trees, carried exclusions and
+# several charts per node: label -> (weights, invariant function, critical).
+# A critical scene is the derived critical locus of the function; the other
+# kind has the function as its one weight-zero degree-1 differential.
+RANK2_TREES = {
+    "crit-abcd+ab": (_RANK2, "a*b*c*d+a*b", True),
+    "crit-ab+cd-1": (_RANK2, "a*b+c*d-1", True),
+    "crit-a2b2+cd": (_RANK2, "a^2*b^2+c*d", True),
+    "crit-ab+cd-skew": (_SKEW, "a*b+c*d", True),
+    "hyp-ab-1": (_RANK2, "a*b-1", False),
+}
+
+
+def rank2_tree_scene_file(label, directory):
+    """Write the ``RANK2_TREES`` scene ``label`` as ``<directory>/<label>.json``
+    with ``serialize_scene``, two-space indented and newline-terminated."""
+    spec, f, critical = RANK2_TREES[label]
+    variables = tuple(GradedVariable(n, w) for n, w in spec)
+    function = parse_polynomial(f, tuple(n for n, _ in spec))
+    if critical:
+        scene = from_invariant_function(variables, 2, function)
+    else:
+        scene = GradedCdga(2, variables, (Generator1("w1", (0, 0), function),))
+    path = directory / f"{label}.json"
+    path.write_text(json.dumps(serialize_scene(scene), indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 # -- reference rank -----------------------------------------------------------

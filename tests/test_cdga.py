@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,15 @@ def test_classical_truncation():
     x = darboux()
     assert ideal_of(V, "2*x*y^2", "2*x^2*y") == classical_truncation(x)
     assert classical_truncation(load_scene("scenes/a2-hyperbolic.json")).is_zero()
+
+
+def test_classical_truncation_is_built_once_per_presentation():
+    x = darboux()
+    truncation = classical_truncation(x)
+    assert classical_truncation(x) is truncation
+    assert truncation.groebner() is classical_truncation(x).groebner()
+    # a new presentation, even an equal one, builds its own
+    assert classical_truncation(replace(x)) is not truncation
 
 
 def test_truncation_ignores_gens2():

@@ -90,10 +90,12 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-FLAG_VALUES = {"--subtorus": "1", "--chart": "chart_x"}
-REFUSED_FLAGS = [("--subtorus", c) for c in ("validate", "pi0", "reduce", "report")] + [
-    ("--chart", c) for c in ("validate", "pi0", "fixed-locus", "rees", "reduce", "report")
-]
+FLAG_VALUES = {"--subtorus": "1", "--chart": "chart_x", "--order": "lex"}
+REFUSED_FLAGS = (
+    [("--subtorus", c) for c in ("validate", "pi0", "reduce", "report")]
+    + [("--chart", c) for c in ("validate", "pi0", "fixed-locus", "rees", "reduce", "report")]
+    + [("--order", c) for c in ("validate", "report")]
+)
 
 
 @pytest.mark.parametrize("flag, command", REFUSED_FLAGS, ids=[f"{c}{f}" for f, c in REFUSED_FLAGS])

@@ -1,7 +1,11 @@
-"""Frozen digests of the canonical JSON documents of the shipped scenes.
+"""Frozen digests of the canonical JSON documents of the shipped scenes
+and of the rank-2 trees.
 
 Each entry is the sha256 of the ``--json`` document that ``reduce``,
-``kirwan`` or ``fixed-locus`` writes for a scene under ``scenes/``.  A
+``kirwan`` or ``fixed-locus`` writes for a scene under ``scenes/``, or that
+``reduce`` writes for a scene of ``helpers.RANK2_TREES``.  The rank-2 trees
+reach depth 2, carry exclusions from node to node and have several charts
+per node.  A
 change that is meant to leave every output alone must leave these digests
 alone; a change that alters an output on purpose updates the digest and
 says why.
@@ -12,6 +16,8 @@ import hashlib
 import pytest
 
 from stabred.cli import main
+
+from helpers import rank2_tree_scene_file
 
 GOLDEN = {
     ("reduce", "a2-hyperbolic"): "90cf2d238c9be8bddbda17d127da9a4b427b654f3d5d768b7e30057a54efb859",
@@ -38,3 +44,21 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
     assert main([command, "--scene", f"scenes/{scene}.json", "--json", str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[command, scene]
+
+
+RANK2_GOLDEN = {
+    "crit-abcd+ab": "5842d5c577f0ca875574c0a5cae28266d68daabf32dc523634ae1a3a4cfbdd45",
+    "crit-ab+cd-1": "82c8d82fa6eb1624995361315f4113ef20e4c47cf6fa87086df97494dde44551",
+    "crit-a2b2+cd": "0baeef1f7bfff7d1de2ce2d5ee201429ff608f3e68183c0bd6ff7339913d6512",
+    "crit-ab+cd-skew": "18d8ac51b768a916b38928f7e02f2c6835d3ef3f06cfe2b5b19833e71cc50007",
+    "hyp-ab-1": "aeade8a461333d70efb22f4f8fd90efea78213d3e9ed6d09cdee2e5a04a81a9f",
+}
+
+
+@pytest.mark.parametrize("scene", list(RANK2_GOLDEN))
+def test_rank2_tree_reduce_digest(scene, tmp_path, capsys):
+    path = rank2_tree_scene_file(scene, tmp_path)
+    target = tmp_path / "doc.json"
+    assert main(["reduce", "--scene", str(path), "--json", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == RANK2_GOLDEN[scene]

@@ -96,6 +96,18 @@ def test_substitute_and_extend():
     assert wide.to_string() == "x"
 
 
+def test_pull_back_rewrites_exponents():
+    # x -> xi, y -> xi*u, then times u^2 / xi
+    target = ("xi", "u")
+    p = poly("x^2*y - 3*x*y^2 + 5", V)
+    pulled = p.pull_back(target, ((1, 0), (1, 1)), (0, 0))
+    assert pulled == p.substitute({"x": poly("xi", target), "y": poly("xi*u", target)}, target)
+    assert p.pull_back(target, ((0, 0), (0, 1))).to_string() == "-3*u^2 + u + 5"
+    assert poly("x*y", V).pull_back(target, ((1, 0), (1, 1)), (-2, 2)).to_string() == "u^3"
+    with pytest.raises(ValueError):
+        p.pull_back(target, ((1, 0),))
+
+
 def test_restrict_drops_unused_variables():
     # restrict is the ring map sending every variable outside the target to 0
     assert poly("x*y", V).restrict(("x",)).is_zero()

@@ -17,11 +17,12 @@ from stabred import (
     stabilizer_reduce,
     tree_depth,
 )
-from stabred import reduce
+from stabred import ideal, reduce
+from stabred.cli import main
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
 
-from helpers import poly, rational_rank, strings
+from helpers import poly, rank2_tree_scene_file, rational_rank, strings
 from test_blowup import synthetic_pair_scene
 from test_torus import RANK2, SKEW, STEEP, critical
 
@@ -269,3 +270,21 @@ def test_generic_rank_matches_evaluation_on_random_matrices():
 def test_quasi_smooth_check():
     assert obstruction_report(load_scene("scenes/xy.json")).quasi_smooth
     assert not obstruction_report(load_scene("scenes/darboux-x2y2.json")).quasi_smooth
+
+
+def test_each_groebner_basis_is_computed_once_per_run(tmp_path, monkeypatch, capsys):
+    # the stratification, the node records and both sides of every
+    # cross-check share one truncation basis per node
+    inputs = []
+    buchberger = ideal.buchberger
+
+    def recording(generators, order):
+        inputs.append((order, tuple((g.variables, frozenset(g.terms.items())) for g in generators)))
+        return buchberger(generators, order)
+
+    monkeypatch.setattr(ideal, "buchberger", recording)
+    path = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
+    assert main(["reduce", "--scene", str(path), "--json", str(tmp_path / "doc.json")]) == 0
+    capsys.readouterr()
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
