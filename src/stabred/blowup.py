@@ -28,7 +28,16 @@ from .cdga import (
 )
 from .errors import DaggerViolation, NoCenter, NotInIdeal
 from .groebner import divide
-from .ideal import Ideal, fresh_name, ideal_equal, intersect, saturate
+# ``saturate`` is not called here: bench/selftest.py checks that the tracer
+# patches this module's binding of it
+from .ideal import (
+    Ideal,
+    fresh_name,
+    ideal_equal,
+    monomial_ideal,
+    monomial_intersection,
+    saturate,
+)
 from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
 from .torus import saturation_ideal
 
@@ -227,6 +236,17 @@ def _chart_exponents(source, ring, xi, center, slopes, strict=False) -> tuple[Ex
     return tuple(images)
 
 
+def _strict_transform(ideal: Ideal, ring, strict_images) -> Ideal:
+    """The strict transform in a chart of an ideal generated by monomials.
+
+    Each generator pulls back along x_c -> 1, x_m -> u_m.  The total
+    pull-back of a monomial is a power of xi times that image, so this is
+    the saturation of the total pull-back by xi, with no Groebner basis.
+    """
+    pulled = (g.pull_back(ring, strict_images) for g in ideal.generators)
+    return monomial_ideal(ring, (e for g in pulled for e in g.terms))
+
+
 def _power(ring, name, k) -> Exponents:
     """The exponents of ``name``^k in ``ring``; k may be negative."""
     return tuple(k if v == name else 0 for v in ring)
@@ -242,7 +262,9 @@ def blowup_charts(
     chart map is monomial, so each pull-back is an exponent rewrite.
     Moving generator differentials lose one exceptional factor, an exponent
     decrement; fixed degree-2 differentials compensate the rescaling of
-    their moving targets.
+    their moving targets.  The chart carries the strict transform of the
+    removed locus.  That locus is a monomial ideal (``require_valid``
+    refuses any other), so its strict transform is an exponent rewrite too.
     """
     split = _center_split(x, subtorus)
     if not split.moving:
@@ -277,6 +299,7 @@ def blowup_charts(
                 ring_vars.append(v)
         ring = tuple(v.name for v in ring_vars)
         images = _chart_exponents(x.var_names, ring, xi_name, center, slopes)
+        strict = _chart_exponents(x.var_names, ring, xi_name, center, slopes, strict=True)
 
         def pull_back(p: Polynomial, xi_power: int = 0) -> Polynomial:
             return p.pull_back(ring, images, _power(ring, xi_name, xi_power))
@@ -303,9 +326,7 @@ def blowup_charts(
             )
             gens2.append(Generator2(g.name, weight, diff))
 
-        # strict transform of the removed locus
-        xi = Polynomial.variable(ring, xi_name)
-        excluded = saturate(Ideal(ring, tuple(pull_back(p) for p in x.excluded.generators)), xi)
+        excluded = _strict_transform(x.excluded, ring, strict)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
         charts.append(
             Chart(
@@ -333,9 +354,10 @@ def kirwan_charts(
     in moving variables only (``saturation_ideal``), and in the chart at
     x_c the one over a circuit C pulls back to xi^|C| times the slopes u_m
     of the other m in C.  So its saturation by xi is the monomial map
-    x_c -> 1, x_m -> u_m, an exponent rewrite with no Groebner basis.  With
-    no semistable point the chart survives, every point removed, flagged
-    fully unstable.
+    x_c -> 1, x_m -> u_m, an exponent rewrite.  Both ideals are monomial,
+    so their intersection is the minimal pairwise lcms of their generators;
+    no step builds a Groebner basis.  With no semistable point the chart
+    survives, every point removed, flagged fully unstable.
     """
     unstable_locus = saturation_ideal(x, subtorus)
     charts = []
@@ -344,9 +366,9 @@ def kirwan_charts(
         strict = _chart_exponents(
             x.var_names, ring, chart.exceptional.name, chart.center_var, chart.slopes, strict=True
         )
-        unstable = Ideal(ring, tuple(p.pull_back(ring, strict) for p in unstable_locus.generators))
+        unstable = _strict_transform(unstable_locus, ring, strict)
         # blowup_charts already strict-transformed the parent exclusions
-        excluded = intersect(unstable, chart.cdga.excluded)
+        excluded = monomial_intersection(unstable, chart.cdga.excluded)
         charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
     return tuple(charts)
 

@@ -14,8 +14,11 @@ is fixed when it pairs to zero with every basis vector.
 
 The points a presentation has removed are V(``excluded``), the zeros of
 its excluded ideal.  The default is the unit ideal, which removes
-nothing; the zero ideal removes every point.  A union of removed loci is
-the intersection of their ideals.
+nothing; the zero ideal removes every point.  Every generator is a
+monomial: for a linear torus action the unstable locus is a union of
+coordinate subspaces, and the chart maps send monomials to monomials.  A
+union of removed loci is the intersection of their ideals, which for
+monomial ideals is generated by the minimal pairwise lcms.
 """
 
 from __future__ import annotations
@@ -175,7 +178,8 @@ def homogeneous_weight(p: Polynomial, weights, rank: int):
 
 
 def validate_presentation(x: GradedCdga) -> ValidationReport:
-    """Check weight gradings and the vanishing of the composite differential.
+    """Check weight gradings, the vanishing of the composite differential
+    and that the excluded ideal is generated by monomials.
 
     Violations are returned as data; nothing raises here.
     """
@@ -257,6 +261,11 @@ def validate_presentation(x: GradedCdga) -> ValidationReport:
 
     if x.excluded.variables != ring:
         problems.append(Violation("ring", "excluded", "excluded ideal lives in the wrong ring"))
+    for g in x.excluded.generators:
+        if len(g.terms) != 1:
+            problems.append(
+                Violation("monomial", "excluded", f"excluded generator {g.to_string()} is not a monomial")
+            )
 
     return ValidationReport(tuple(problems))
 

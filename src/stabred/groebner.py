@@ -26,6 +26,8 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
     keyf = order.key(f.variables)
     leads = []
     for g in divisors:
+        if g.variables != f.variables:
+            raise ValueError(f"variable mismatch: {f.variables} vs {g.variables}")
         if g.is_zero():
             leads.append(None)
         else:
@@ -54,9 +56,10 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
         else:
             remainder[exps] = coeff
             del work[exps]
+    # each step adds a new nonzero term to one quotient or to the remainder
     return (
-        [Polynomial(f.variables, q) for q in quotients],
-        Polynomial(f.variables, remainder),
+        [Polynomial._from_clean(f.variables, q) for q in quotients],
+        Polynomial._from_clean(f.variables, remainder),
     )
 
 

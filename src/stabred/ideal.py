@@ -1,15 +1,17 @@
-"""Ideals over the rational polynomial rings, with the operations the
-blow-up pipeline leans on: membership, equality, saturation by a single
-polynomial, elimination and intersection.
+"""Ideals over the rational polynomial rings: membership, equality,
+saturation by a single polynomial, elimination and intersection.
 
 Saturation and intersection go through an auxiliary variable and a block
 elimination order; everything reduces to Buchberger bases at desk scale.
+Ideals generated by monomials, which is every removed locus the blow-up
+pipeline builds, have their own constructor and intersection on
+exponents, with no Buchberger call.
 """
 
 from __future__ import annotations
 
 from .groebner import buchberger, normal_form
-from .poly import ElimOrder, GREVLEX, Polynomial
+from .poly import ElimOrder, Exponents, GREVLEX, Polynomial, monomial_divides, monomial_lcm
 
 
 class Ideal:
@@ -79,9 +81,12 @@ def _has_constant(ideal: Ideal) -> bool:
 
 
 def ideal_equal(a: Ideal, b: Ideal, order=GREVLEX) -> bool:
-    """Mutual containment, generator by generator."""
+    """Mutual containment, generator by generator; equal generator lists
+    need no basis."""
     if a.variables != b.variables:
         raise ValueError("ideals live in different rings")
+    if a.generators == b.generators:
+        return True
     return all(b.contains(g, order) for g in a.generators) and all(
         a.contains(g, order) for g in b.generators
     )
@@ -158,3 +163,41 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     gens += [(one - t) * g.extend(extended) for g in b.generators]
     return eliminate(Ideal(extended, gens), (aux,))
 
+
+def monomial_ideal(variables, exponents) -> Ideal:
+    """The ideal generated by the monomials with the given exponent tuples.
+
+    Only the minimal monomials are kept, monic and sorted by descending
+    grevlex key.  That is the reduced grevlex basis Buchberger would
+    return, so it is cached as one."""
+    variables = tuple(variables)
+    minimal: list[Exponents] = []
+    # a proper divisor has a smaller total degree, so it comes first
+    for e in sorted(set(map(tuple, exponents)), key=sum):
+        if not any(monomial_divides(m, e) for m in minimal):
+            minimal.append(e)
+    minimal.sort(key=GREVLEX.key(variables), reverse=True)
+    result = Ideal(variables, tuple(Polynomial.monomial(variables, e) for e in minimal))
+    result._bases[GREVLEX] = result.generators
+    return result
+
+
+def _monomial_exponents(ideal: Ideal) -> tuple[Exponents, ...]:
+    """The exponent tuple of each generator of an ideal generated by
+    monomials; a generator with more than one term raises ValueError."""
+    exponents = []
+    for g in ideal.generators:
+        if len(g.terms) != 1:
+            raise ValueError(f"{g.to_string()} is not a monomial")
+        exponents.extend(g.terms)
+    return tuple(exponents)
+
+
+def monomial_intersection(a: Ideal, b: Ideal) -> Ideal:
+    """The intersection of two ideals generated by monomials: the minimal
+    lcms of one generator of each (Cox-Little-O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 4 §3)."""
+    if a.variables != b.variables:
+        raise ValueError("ideals live in different rings")
+    pairs = [monomial_lcm(e, f) for e in _monomial_exponents(a) for f in _monomial_exponents(b)]
+    return monomial_ideal(a.variables, pairs)

@@ -145,12 +145,12 @@ class Polynomial:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return Polynomial(self.variables, terms)
+        return Polynomial._from_clean(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_clean(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -163,7 +163,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.variables, {e: c * v for e, v in self.terms.items()})
+            if not c:
+                return Polynomial._from_clean(self.variables, {})
+            return Polynomial._from_clean(self.variables, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -174,7 +176,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(self.variables, out)
+        return Polynomial._from_clean(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -318,7 +320,7 @@ class Polynomial:
             for exps, c in self.terms.items()
             if not any(exps[i] for i in dropped)
         }
-        return Polynomial(target, out)
+        return Polynomial._from_clean(target, out)
 
     def extend(self, target: Iterable[str]) -> "Polynomial":
         """Embed into a larger ring containing every current variable."""
@@ -330,7 +332,7 @@ class Polynomial:
             for pos, val in zip(positions, exps):
                 e[pos] = val
             out[tuple(e)] = c
-        return Polynomial(target, out)
+        return Polynomial._from_clean(target, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         total = _ZERO

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
-from .ideal import Ideal, saturate
+from .ideal import Ideal, monomial_ideal, saturate
 from .intlinalg import integer_kernel
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,12 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     Work in the ring of the flat alone: restricting every polynomial to it
     sets the other variables to zero, and saturating by a candidate
     excluded generator keeps the points where that generator is nonzero.
+    A generator that uses a variable off the flat restricts to zero and
+    keeps no point, so it is skipped.
     """
     base = Ideal(flat, tuple(g.restrict(flat) for g in truncation.generators))
-    return any(not saturate(base, g.restrict(flat)).is_unit() for g in x.excluded.generators)
+    candidates = (g.restrict(flat) for g in x.excluded.generators)
+    return any(not saturate(base, g).is_unit() for g in candidates if not g.is_zero())
 
 
 def _kernel(x: GradedCdga, names: tuple[str, ...]) -> SubtorusBasis:
@@ -127,7 +129,7 @@ def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
         n: tuple(pairing(weights[n], h) for h in subtorus.vectors)
         for n in weight_split(x, subtorus).moving
     }
-    gens = []
+    exponents = []
     for size in range(1, subtorus.rank + 2):
         for circuit in itertools.combinations(pairings, size):
             rows = list(zip(*(pairings[n] for n in circuit)))
@@ -135,6 +137,5 @@ def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
             # the Hermite form makes the first entry positive, so a kernel
             # of one sign with no zero entry is all positive
             if len(kernel) == 1 and all(c > 0 for c in kernel[0]):
-                exps = tuple(int(n in circuit) for n in names)
-                gens.append(Polynomial.monomial(names, exps))
-    return Ideal(names, tuple(gens))
+                exponents.append(tuple(int(n in circuit) for n in names))
+    return monomial_ideal(names, exponents)

@@ -10,6 +10,7 @@ from stabred import (
     Generator1,
     Generator2,
     Ideal,
+    InvalidPresentation,
     LambdaMatrix,
     NoCenter,
     NotInIdeal,
@@ -20,6 +21,7 @@ from stabred import (
     crosscheck_truncation,
     dagger_check,
     ideal_equal,
+    intersect,
     kirwan_charts,
     lambda_matrix,
     load_scene,
@@ -299,11 +301,27 @@ def test_chart_moving_gens2_divided_once():
 
 def test_chart_excluded_is_the_strict_transform():
     base = load_scene("scenes/a2-hyperbolic.json")
-    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x - x^2*y"))
+    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x^2*y"))
     charts = blowup_charts(x, FULL1)
-    # phi(x - x^2*y) = xi - xi^3*u_y, and dividing out xi leaves the strict part
-    assert strings(charts[0].cdga.excluded.groebner()) == ("xi^2*u_y - 1",)
-    assert strings(charts[1].cdga.excluded.groebner()) == ("xi^2*u_x^2 - u_x",)
+    # phi(x^2*y) is xi^3*u_y in chart_x and xi^3*u_x^2 in chart_y; setting
+    # xi to 1 leaves the strict part
+    assert strings(charts[0].cdga.excluded.generators) == ("u_y",)
+    assert strings(charts[1].cdga.excluded.generators) == ("u_x^2",)
+    # which is the saturation by xi of the total pull-back
+    for chart in charts:
+        ring = chart.cdga.var_names
+        total = Ideal(ring, tuple(g.substitute(dict(chart.phi), ring) for g in x.excluded.generators))
+        xi = Polynomial.variable(ring, chart.exceptional.name)
+        assert chart.cdga.excluded.generators == saturate(total, xi).groebner()
+
+
+def test_a_non_monomial_exclusion_is_refused_before_any_chart():
+    base = load_scene("scenes/a2-hyperbolic.json")
+    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
+    with pytest.raises(InvalidPresentation, match="x\\*y - 1 is not a monomial"):
+        blowup_charts(x, FULL1)
+    with pytest.raises(InvalidPresentation, match="not a monomial"):
+        kirwan_charts(x, FULL1)
 
 
 def test_chart_excluded_unit_normalises_to_zero():
@@ -358,13 +376,18 @@ def test_fully_unstable_follows_the_chart_exclusion():
 
 def test_kirwan_folds_in_the_parent_exclusions():
     base = load_scene("scenes/a2-hyperbolic.json")
-    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
+    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x^3*y^2", "y^4"))
     charts = kirwan_charts(x, FULL1)
+    # removals accumulate as a union of loci: in chart_x the strict
+    # transform u_y of the unstable axes and (u_y^2, u_y^4) of the removed
+    # locus, whose minimal lcms are u_y^2
+    ring = ("xi", "u_y")
     got = charts[0].cdga.excluded
-    # removals accumulate as a union of loci: the strict transform of the
-    # axes and of the previously removed hyperbola
-    expected = ideal_of(("xi", "u_y"), "xi^2*u_y^2 - u_y")
-    assert ideal_equal(got, expected)
+    assert strings(got.generators) == ("u_y^2",)
+    assert ideal_equal(got, intersect(ideal_of(ring, "u_y"), ideal_of(ring, "u_y^2", "u_y^4")))
+    # in chart_y, y^4 pulls back to xi^4, whose strict transform is the
+    # unit ideal, so only the unstable u_x is removed
+    assert strings(charts[1].cdga.excluded.generators) == ("u_x",)
 
 
 # -- truncation cross-checks ---------------------------------------------------------

@@ -117,6 +117,16 @@ def test_excluded_ring_checked():
     assert any(v.kind == "ring" and v.subject == "excluded" for v in report.violations)
 
 
+def test_a_non_monomial_exclusion_is_named():
+    x = GradedCdga(1, HYPERBOLIC, excluded=ideal_of(V, "x", "x*y - 1", "2*y^3"))
+    report = validate_presentation(x)
+    assert [(v.kind, v.subject, v.message) for v in report.violations] == [
+        ("monomial", "excluded", "excluded generator x*y - 1 is not a monomial")
+    ]
+    with pytest.raises(InvalidPresentation, match="not a monomial"):
+        require_valid(x)
+
+
 def test_require_valid_raises_with_subject():
     x = GradedCdga(1, HYPERBOLIC, (Generator1("w", (3,), poly("x*y", V)),))
     with pytest.raises(InvalidPresentation, match="w"):
@@ -213,13 +223,14 @@ def test_fixed_locus_keeps_fixed_directions():
             Generator1("w1", (1,), poly("x*z", ring)),
             Generator1("w2", (0,), poly("z^2", ring)),
         ),
-        excluded=ideal_of(ring, "z - x"),
+        excluded=ideal_of(ring, "x", "z"),
     )
     cut = fixed_locus(x, FULL1)
     assert tuple(v.name for v in cut.ring_vars) == ("z",)
     # the moving generator w1 is dropped, the fixed one survives restricted
     assert tuple(g.name for g in cut.gens1) == ("w2",)
     assert cut.gens1[0].differential.to_string() == "z^2"
+    # the excluded generator in the moving x vanishes on the fixed locus
     assert strings(cut.excluded.generators) == ("z",)
 
 
@@ -236,9 +247,10 @@ def test_fixed_locus_inside_the_removed_locus_keeps_no_point():
 
 
 def test_fixed_locus_off_the_removed_locus_keeps_every_point():
-    # the removed hyperbola x*y = 1 misses the origin
-    base = load_scene("scenes/a2-hyperbolic.json")
-    x = GradedCdga(1, base.ring_vars, excluded=ideal_of(V, "x*y - 1"))
+    # a removed locus cut out by monomials misses the origin only when it
+    # is empty, so the fixed origin survives exactly when the parent
+    # removed nothing
+    x = load_scene("scenes/a2-hyperbolic.json")
     cut = fixed_locus(x, FULL1)
     assert cut.excluded.is_unit()
     report = stabilizer_stratification(cut)

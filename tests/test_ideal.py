@@ -10,6 +10,8 @@ from stabred import (
     exact_divide,
     ideal_equal,
     intersect,
+    monomial_ideal,
+    monomial_intersection,
     saturate,
 )
 import stabred.ideal
@@ -169,6 +171,24 @@ def test_saturate_and_intersect_identities_return_an_operand():
     assert saturate(unit, poly("x", V)) is unit
     assert intersect(I, unit) is I and intersect(unit, I) is I
     assert intersect(I, zero) is zero and intersect(zero, I) is zero
+
+
+def test_monomial_ideal_keeps_the_minimal_monomials_as_its_basis():
+    I = monomial_ideal(V, [(2, 1), (1, 0), (0, 3), (1, 0), (1, 4)])
+    assert strings(I.generators) == ("y^3", "x")
+    assert I.groebner() is I.generators  # no Buchberger run
+    assert monomial_ideal(V, []).is_zero()
+    assert strings(monomial_ideal(V, [(0, 0), (3, 1)]).generators) == ("1",)
+
+
+def test_monomial_intersection_refuses_what_it_cannot_read():
+    with pytest.raises(ValueError, match="not a monomial"):
+        monomial_intersection(ideal_of(V, "x"), ideal_of(V, "x - y"))
+    with pytest.raises(ValueError, match="different rings"):
+        monomial_intersection(ideal_of(V, "x"), ideal_of(("x",), "x"))
+    # each monomial ideal intersected with the unit or zero ideal
+    assert strings(monomial_intersection(ideal_of(V, "x*y", "2*x"), Ideal.unit(V)).generators) == ("x",)
+    assert monomial_intersection(ideal_of(V, "x"), Ideal.zero(V)).is_zero()
 
 
 def test_fresh_name():

@@ -10,6 +10,7 @@ from stabred import (
     Generator1,
     Generator2,
     Ideal,
+    InvalidPresentation,
     StrictDecreaseViolation,
     iter_leaves,
     load_scene,
@@ -274,7 +275,8 @@ def test_quasi_smooth_check():
 
 def test_each_groebner_basis_is_computed_once_per_run(tmp_path, monkeypatch, capsys):
     # the stratification, the node records and both sides of every
-    # cross-check share one truncation basis per node
+    # cross-check share one truncation basis per node, and a cross-check
+    # whose recipe repeats the truncation's generators needs no basis
     inputs = []
     buchberger = ideal.buchberger
 
@@ -283,8 +285,17 @@ def test_each_groebner_basis_is_computed_once_per_run(tmp_path, monkeypatch, cap
         return buchberger(generators, order)
 
     monkeypatch.setattr(ideal, "buchberger", recording)
-    path = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
-    assert main(["reduce", "--scene", str(path), "--json", str(tmp_path / "doc.json")]) == 0
-    capsys.readouterr()
-    assert inputs
-    assert len(set(inputs)) == len(inputs)
+    for label in ("crit-abcd+ab", "hyp-ab-1"):
+        inputs.clear()
+        path = rank2_tree_scene_file(label, tmp_path)
+        assert main(["reduce", "--scene", str(path), "--json", str(tmp_path / "doc.json")]) == 0
+        capsys.readouterr()
+        assert inputs, label
+        assert len(set(inputs)) == len(inputs), label
+
+
+def test_a_non_monomial_exclusion_is_refused_before_reducing():
+    base = load_scene("scenes/a2-hyperbolic.json")
+    x = replace(base, excluded=Ideal(V, (poly("x*y - 1", V),)))
+    with pytest.raises(InvalidPresentation, match="x\\*y - 1 is not a monomial"):
+        stabilizer_reduce(x)
