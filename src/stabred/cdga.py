@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidPresentation
-from .ideal import Ideal
+from .ideal import Ideal, monomial_ideal
 from .intlinalg import integer_kernel
 from .poly import Polynomial
 
@@ -310,7 +310,8 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
     moving generators are dropped, and terms of degree-2 differentials
     through moving degree-1 generators are deleted.  The excluded ideal is
     cut the same way, so the removed points are those of the fixed locus
-    that the parent removed.
+    that the parent removed; its minimal monomials are kept, with their
+    grevlex basis seeded, as ``monomial_ideal`` does.
     """
     require_valid(x)
     if subtorus.ambient_rank != x.torus_rank:
@@ -331,7 +332,8 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
         cut = ((target, coeff.restrict(ring)) for target, coeff in g.differential if target in kept1)
         diff = tuple((target, coeff) for target, coeff in cut if not coeff.is_zero())
         gens2.append(Generator2(g.name, g.weight, diff))
-    excluded = Ideal(ring, tuple(p.restrict(ring) for p in x.excluded.generators))
+    restricted = (p.restrict(ring) for p in x.excluded.generators)
+    excluded = monomial_ideal(ring, (e for p in restricted for e in p.terms))
     return GradedCdga(x.torus_rank, variables, gens1, tuple(gens2), excluded)
 
 

@@ -14,7 +14,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import NotDivisible
-from .poly import GREVLEX, Polynomial, monomial_divides, monomial_lcm
+from .poly import GREVLEX, Polynomial, coeff_div, monomial_divides, monomial_lcm
 
 
 def divide(f: Polynomial, divisors, order=GREVLEX):
@@ -43,15 +43,19 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
             if lead is None or not monomial_divides(lead[0], exps):
                 continue
             shift = tuple(a - b for a, b in zip(exps, lead[0]))
-            scale = coeff / lead[1]
-            quotients[j][shift] = quotients[j].get(shift, Fraction(0)) + scale
+            scale = coeff_div(coeff, lead[1])
+            # the leading monomial of ``work`` falls at every step, so no
+            # shift repeats within one quotient
+            quotients[j][shift] = scale
             for ge, gc in divisors[j].terms.items():
                 te = tuple(a + b for a, b in zip(ge, shift))
-                val = work.get(te, Fraction(0)) - scale * gc
-                if val:
-                    work[te] = val
-                else:
+                val = work.get(te, 0) - scale * gc
+                if not val:
                     work.pop(te, None)
+                elif type(val) is Fraction and val.denominator == 1:
+                    work[te] = val.numerator
+                else:
+                    work[te] = val
             break
         else:
             remainder[exps] = coeff
@@ -82,8 +86,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
     fe, fc = f.leading(order)
     ge, gc = g.leading(order)
     lcm = monomial_lcm(fe, ge)
-    mf = Polynomial.monomial(f.variables, tuple(a - b for a, b in zip(lcm, fe)), Fraction(1) / fc)
-    mg = Polynomial.monomial(g.variables, tuple(a - b for a, b in zip(lcm, ge)), Fraction(1) / gc)
+    mf = Polynomial.monomial(f.variables, tuple(a - b for a, b in zip(lcm, fe)), coeff_div(1, fc))
+    mg = Polynomial.monomial(g.variables, tuple(a - b for a, b in zip(lcm, ge)), coeff_div(1, gc))
     return mf * f - mg * g
 
 

@@ -164,6 +164,19 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return eliminate(Ideal(extended, gens), (aux,))
 
 
+def _minimal_monomials(variables, exponents, order) -> tuple[Polynomial, ...]:
+    """The minimal monomials among the exponent tuples, monic and sorted by
+    descending ``order`` key: the reduced basis in that order of the ideal
+    they generate, as Buchberger would return it."""
+    minimal: list[Exponents] = []
+    # a proper divisor has a smaller total degree, so it comes first
+    for e in sorted(set(map(tuple, exponents)), key=sum):
+        if not any(monomial_divides(m, e) for m in minimal):
+            minimal.append(e)
+    minimal.sort(key=order.key(variables), reverse=True)
+    return tuple(Polynomial.monomial(variables, e) for e in minimal)
+
+
 def monomial_ideal(variables, exponents) -> Ideal:
     """The ideal generated by the monomials with the given exponent tuples.
 
@@ -171,15 +184,21 @@ def monomial_ideal(variables, exponents) -> Ideal:
     grevlex key.  That is the reduced grevlex basis Buchberger would
     return, so it is cached as one."""
     variables = tuple(variables)
-    minimal: list[Exponents] = []
-    # a proper divisor has a smaller total degree, so it comes first
-    for e in sorted(set(map(tuple, exponents)), key=sum):
-        if not any(monomial_divides(m, e) for m in minimal):
-            minimal.append(e)
-    minimal.sort(key=GREVLEX.key(variables), reverse=True)
-    result = Ideal(variables, tuple(Polynomial.monomial(variables, e) for e in minimal))
+    result = Ideal(variables, _minimal_monomials(variables, exponents, GREVLEX))
     result._bases[GREVLEX] = result.generators
     return result
+
+
+def monomial_basis(ideal: Ideal, order=GREVLEX) -> tuple[Polynomial, ...]:
+    """The reduced basis in ``order`` of an ideal generated by monomials:
+    its minimal monomials sorted by that order, found with no Buchberger
+    call and cached as ``ideal.groebner(order)``.  A generator with more
+    than one term raises ValueError."""
+    basis = ideal._bases.get(order)
+    if basis is None:
+        basis = _minimal_monomials(ideal.variables, _monomial_exponents(ideal), order)
+        ideal._bases[order] = basis
+    return basis
 
 
 def _monomial_exponents(ideal: Ideal) -> tuple[Exponents, ...]:

@@ -1,9 +1,15 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial carries its variable tuple and stores terms as a map from
-exponent tuples to nonzero ``Fraction`` coefficients.  Instances are treated
-as immutable; every operation returns a fresh object.  Mixing polynomials
-from different variable tuples is a programming error and raises.
+exponent tuples to nonzero coefficients in one canonical form: an ``int``
+when the value is integral, otherwise a ``Fraction`` whose denominator is
+greater than 1.  Most coefficients met in practice are small integers, and
+``int`` arithmetic on them is many times cheaper than ``Fraction``'s; every
+operation that can turn a ``Fraction`` integral turns it back into an
+``int``, and coefficient division goes through ``coeff_div``.  Instances are
+treated as immutable; every operation returns a fresh object.  Mixing
+polynomials from different variable tuples is a programming error and
+raises.
 """
 
 from __future__ import annotations
@@ -15,8 +21,25 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import NotDivisible
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
-_ZERO = Fraction(0)
+
+def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
+    """The exact quotient ``a / b`` of two coefficients, in canonical form;
+    never the float that ``/`` makes of two ints."""
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        q = a / b
+        return q.numerator if q.denominator == 1 else q
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _canonical_terms(terms: dict) -> dict:
+    """Turn the integral ``Fraction`` values of ``terms`` into ``int`` in place."""
+    for exps, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[exps] = c.numerator
+    return terms
 
 
 @dataclass(frozen=True)
@@ -67,12 +90,15 @@ ORDERS = {order.kind: order for order in (LEX, GREVLEX)}
 class Polynomial:
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction]):
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Coefficient]):
         self.variables = tuple(variables)
         width = len(self.variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if not coeff:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -84,9 +110,9 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def _from_clean(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
+    def _from_clean(cls, variables: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> "Polynomial":
         """Wrap terms that are clean by construction: integer exponent tuples
-        of the right width, none negative, no zero coefficient."""
+        of the right width, none negative, canonical nonzero coefficients."""
         p = cls.__new__(cls)
         p.variables = variables
         p.terms = terms
@@ -101,18 +127,18 @@ class Polynomial:
     @classmethod
     def constant(cls, variables, value) -> "Polynomial":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables, name) -> "Polynomial":
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -140,11 +166,13 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, _ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
+            s = terms.get(exps, 0) + c
+            if not s:
                 terms.pop(exps, None)
+            elif type(s) is Fraction and s.denominator == 1:
+                terms[exps] = s.numerator
+            else:
+                terms[exps] = s
         return Polynomial._from_clean(self.variables, terms)
 
     __radd__ = __add__
@@ -162,21 +190,21 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial._from_clean(self.variables, {})
-            return Polynomial._from_clean(self.variables, {e: c * v for e, v in self.terms.items()})
+            terms = {e: other * v for e, v in self.terms.items()}
+            return Polynomial._from_clean(self.variables, _canonical_terms(terms))
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial._from_clean(self.variables, out)
+        return Polynomial._from_clean(self.variables, _canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -201,15 +229,15 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    def leading(self, order=GREVLEX) -> tuple[Exponents, Fraction]:
+    def leading(self, order=GREVLEX) -> tuple[Exponents, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         keyf = order.key(self.variables)
         exps = max(self.terms, key=keyf)
         return exps, self.terms[exps]
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+    def coefficient(self, exps: Exponents) -> Coefficient:
+        return self.terms.get(tuple(exps), 0)
 
     def monic(self, order=GREVLEX) -> "Polynomial":
         if not self.terms:
@@ -217,7 +245,7 @@ class Polynomial:
         _, lc = self.leading(order)
         if lc == 1:
             return self
-        return self * (Fraction(1) / lc)
+        return self * coeff_div(1, lc)
 
     def uses(self, name: str) -> bool:
         idx = self.variables.index(name)
@@ -226,13 +254,13 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         """Partial derivative with respect to one variable."""
         idx = self.variables.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             e = exps[idx]
             if not e:
                 continue
             dropped = tuple(v - 1 if i == idx else v for i, v in enumerate(exps))
-            out[dropped] = out.get(dropped, _ZERO) + c * e
+            out[dropped] = out.get(dropped, 0) + c * e
         return Polynomial(self.variables, out)
 
     # -- ring movement -----------------------------------------------------
@@ -285,7 +313,7 @@ class Polynomial:
             raise ValueError(f"{len(images)} images for {len(self.variables)} variables")
         start = list(shift) if shift is not None else [0] * len(target)
         sparse = [[(j, a) for j, a in enumerate(image) if a] for image in images]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             e = list(start)
             for k, image in zip(exps, sparse):
@@ -296,12 +324,12 @@ class Polynomial:
                 divisor = Polynomial.monomial(target, [max(-s, 0) for s in start])
                 raise NotDivisible(f"{divisor} does not divide the pull-back of {self}")
             key = tuple(e)
-            total = out.get(key, _ZERO) + c
+            total = out.get(key, 0) + c
             if total:
                 out[key] = total
             else:
                 del out[key]
-        return Polynomial._from_clean(target, out)
+        return Polynomial._from_clean(target, _canonical_terms(out))
 
     def restrict(self, target: Iterable[str]) -> "Polynomial":
         """The ring map onto ``target`` that sends every other variable to zero.
@@ -326,7 +354,7 @@ class Polynomial:
         """Embed into a larger ring containing every current variable."""
         target = tuple(target)
         positions = [target.index(name) for name in self.variables]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             e = [0] * len(target)
             for pos, val in zip(positions, exps):
@@ -335,7 +363,7 @@ class Polynomial:
         return Polynomial._from_clean(target, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = _ZERO
+        total = Fraction(0)
         for exps, c in self.terms.items():
             val = c
             for name, e in zip(self.variables, exps):

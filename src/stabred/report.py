@@ -12,7 +12,7 @@ import json
 
 from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
-from .ideal import Ideal
+from .ideal import Ideal, monomial_basis
 from .poly import GREVLEX, MonomialOrder
 from .reduce import ObstructionReport, ReductionNode, iter_leaves
 from .torus import StabilizerReport
@@ -40,12 +40,18 @@ def document(command: str, digest: str, data: dict) -> dict:
 def excluded_document(excluded: Ideal, order: MonomialOrder = GREVLEX) -> list[str]:
     """The removed locus V(excluded) as the list its documents have always
     shown: [] when nothing is removed (the unit ideal), ["1"] when every
-    point is (the zero ideal), and the reduced basis otherwise."""
+    point is (the zero ideal), and the reduced basis otherwise.  Every
+    removed locus the pipeline builds is generated by monomials, and its
+    basis in any order is read off the generators."""
     if excluded.is_zero():
         return ["1"]
-    if excluded.is_unit(order):
+    if all(len(g.terms) == 1 for g in excluded.generators):
+        basis = monomial_basis(excluded, order)
+    else:
+        basis = excluded.groebner(order)
+    if basis[0].is_constant():
         return []
-    return [g.to_string(order) for g in excluded.groebner(order)]
+    return [g.to_string(order) for g in basis]
 
 
 def cdga_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:

@@ -43,6 +43,17 @@ def strings(polys):
     return tuple(p.to_string() for p in polys)
 
 
+def is_canonical(c):
+    """A coefficient in the kernel's one stored form: an ``int``, or a
+    ``Fraction`` that is not integral; never a float, never zero."""
+    if type(c) is int:
+        return c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
+SHIPPED_SCENES = ("a2-hyperbolic", "a2-positive", "darboux-x2y2", "xy", "xy2-x2y")
+
+
 # -- random corpus ----------------------------------------------------------
 
 _VAR_POOL = ("x", "y", "z")
@@ -145,6 +156,14 @@ def rank2_tree_scene_file(label, directory):
     path = directory / f"{label}.json"
     path.write_text(json.dumps(serialize_scene(scene), indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def scene_file(label, directory):
+    """The path of a shipped scene, or of a ``RANK2_TREES`` scene written
+    under ``directory``."""
+    if label in SHIPPED_SCENES:
+        return f"scenes/{label}.json"
+    return rank2_tree_scene_file(label, directory)
 
 
 # -- reference rank -----------------------------------------------------------

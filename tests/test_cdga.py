@@ -234,6 +234,15 @@ def test_fixed_locus_keeps_fixed_directions():
     assert strings(cut.excluded.generators) == ("z",)
 
 
+def test_fixed_locus_keeps_the_minimal_monomials_of_its_exclusion():
+    variables = (GradedVariable("x", (1,)), GradedVariable("z", (0,)), GradedVariable("w", (0,)))
+    ring = ("x", "z", "w")
+    x = GradedCdga(1, variables, excluded=ideal_of(ring, "z", "z*w"))
+    cut = fixed_locus(x, FULL1)
+    assert strings(cut.excluded.generators) == ("z",)
+    assert cut.excluded.groebner() is cut.excluded.generators  # seeded, no Buchberger run
+
+
 def test_fixed_locus_inside_the_removed_locus_keeps_no_point():
     # the full-torus fixed locus of the plane is the origin, which lies on
     # the removed axis x = 0

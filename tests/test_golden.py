@@ -3,12 +3,13 @@ and of the rank-2 trees.
 
 Each entry is the sha256 of the ``--json`` document that ``reduce``,
 ``kirwan`` or ``fixed-locus`` writes for a scene under ``scenes/``, or that
-``reduce`` writes for a scene of ``helpers.RANK2_TREES``.  The rank-2 trees
-reach depth 2, carry exclusions from node to node and have several charts
-per node.  A
-change that is meant to leave every output alone must leave these digests
-alone; a change that alters an output on purpose updates the digest and
-says why.
+``reduce`` writes for a scene of ``helpers.RANK2_TREES``; ``LEX_GOLDEN``
+holds the ``reduce --order lex`` documents of both sets.  Where lex and
+grevlex print every polynomial alike, the two digests agree.  The rank-2
+trees reach depth 2, carry exclusions from node to node and have several
+charts per node.  A change that is meant to leave every output alone must
+leave these digests alone; a change that alters an output on purpose
+updates the digest and says why.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 
 from stabred.cli import main
 
-from helpers import rank2_tree_scene_file
+from helpers import rank2_tree_scene_file, scene_file
 
 GOLDEN = {
     ("reduce", "a2-hyperbolic"): "90cf2d238c9be8bddbda17d127da9a4b427b654f3d5d768b7e30057a54efb859",
@@ -35,6 +36,10 @@ GOLDEN = {
     ("reduce", "xy2-x2y"): "932d769932ca098be28c37dcead0aa3ea3236815a74cc7030b6985cf16bd2fcb",
     ("kirwan", "xy2-x2y"): "cec6e3262cac4734f0ff7068d8042cb8697692e5d2b8d6b184c036daed43745f",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
+    # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
+    # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
+    # a coefficient that is not an integer
+    ("reduce", "r1-014"): "9ba47fe602758ba8cab30ddf2c394ffd1c0ea4fb48e29d5cdefdb6f1e233aaab",
 }
 
 
@@ -62,3 +67,27 @@ def test_rank2_tree_reduce_digest(scene, tmp_path, capsys):
     assert main(["reduce", "--scene", str(path), "--json", str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == RANK2_GOLDEN[scene]
+
+
+# ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
+LEX_GOLDEN = {
+    "a2-hyperbolic": "90cf2d238c9be8bddbda17d127da9a4b427b654f3d5d768b7e30057a54efb859",
+    "a2-positive": "bf484815693437d523606df571f3eb16cd6223b4cb966722063699dbe1307399",
+    "darboux-x2y2": "9a60ee5a0ec209f877023a82dba375c8168ccdf9804046dac879a91bab7a7425",
+    "xy": "4dee2447bd7de3933c1c149aff50411b10e53d1a0fa91df1160b1d0bbe658a9a",
+    "xy2-x2y": "932d769932ca098be28c37dcead0aa3ea3236815a74cc7030b6985cf16bd2fcb",
+    "crit-abcd+ab": "d1026976fada621ba2ab49c94f588d659904b5415d9930dae42d8f5157fff325",
+    "crit-ab+cd-1": "c4d65b86e10e45d3355dc6301007ca1a777f89931c19d5ae560929896812fc97",
+    "crit-a2b2+cd": "01a8813f55749a458c10ad23790ee73d27f34406a9ca6fe63364087c0ff8cd2f",
+    "crit-ab+cd-skew": "47f31dfe77ff643119c71f095b8f938b3052e7ce74ff896fb6bdf4ed236b862b",
+    "hyp-ab-1": "aeade8a461333d70efb22f4f8fd90efea78213d3e9ed6d09cdee2e5a04a81a9f",
+}
+
+
+@pytest.mark.parametrize("scene", list(LEX_GOLDEN))
+def test_lex_reduce_digest(scene, tmp_path, capsys):
+    path = scene_file(scene, tmp_path)
+    target = tmp_path / "doc.json"
+    assert main(["reduce", "--scene", str(path), "--order", "lex", "--json", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == LEX_GOLDEN[scene]

@@ -18,7 +18,8 @@ from stabred import (
     saturate,
 )
 from stabred.groebner import buchberger
-from stabred.poly import GREVLEX, Polynomial
+from stabred.ideal import monomial_basis
+from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
 from helpers import FULL1
 
@@ -63,6 +64,16 @@ def monomial_ideal_pairs(draw):
 def test_monomial_ideal_generators_are_the_buchberger_basis(case):
     ring, gens, _ = case
     assert monomial_ideal(ring, gens).generators == buchberger(_ideal(ring, gens).generators, GREVLEX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals(), st.sampled_from((-3, 1, 2)))
+def test_monomial_basis_is_the_buchberger_basis_in_every_order(case, coeff):
+    ring, gens, v = case
+    for order in (GREVLEX, LEX, ElimOrder(front=(v,))):
+        ideal = Ideal(ring, tuple(Polynomial.monomial(ring, e, coeff) for e in gens))
+        assert monomial_basis(ideal, order) == buchberger(ideal.generators, order)
+        assert ideal.groebner(order) is monomial_basis(ideal, order)  # cached
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
 """Polynomial arithmetic builds its results from terms that are clean by
 construction, skipping the public constructor's checks; every result must
-still be what the checked constructor makes of its terms."""
+still be what the checked constructor makes of its terms.  A clean
+coefficient is in canonical form: an ``int`` when it is integral, otherwise
+a ``Fraction`` with denominator greater than 1."""
 
 from fractions import Fraction
 
@@ -10,8 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabred.groebner import divide
-from stabred.poly import GREVLEX, LEX, Polynomial
+from stabred.groebner import divide, s_polynomial
+from stabred.poly import GREVLEX, LEX, Polynomial, coeff_div
+
+from helpers import is_canonical
 
 RING = ("a", "b", "c")
 # coefficients that cancel often, so sums and products hit zero terms
@@ -23,10 +27,20 @@ def polynomials(max_size=5):
     return st.dictionaries(exponents, COEFFS, max_size=max_size).map(lambda t: Polynomial(RING, t))
 
 
+def nonzero():
+    return polynomials().filter(lambda p: not p.is_zero())
+
+
 def assert_clean(p):
     assert Polynomial(p.variables, p.terms) == p
-    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(is_canonical(c) for c in p.terms.values())
     assert all(type(e) is tuple and len(e) == len(p.variables) for e in p.terms)
+
+
+def as_fractions(p):
+    """The same polynomial with every coefficient a ``Fraction``: the
+    representation the kernel used before integers were kept as ``int``."""
+    return Polynomial._from_clean(p.variables, {e: Fraction(c) for e, c in p.terms.items()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,3 +70,44 @@ def test_division_results_are_clean(f, divisors, order):
     for q, g in zip(quotients, divisors):
         total = total + q * g
     assert total == f
+
+
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS.filter(bool))
+def test_coeff_div_is_exact_and_canonical(a, b):
+    q = coeff_div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.lists(polynomials(3), max_size=3), st.sampled_from((GREVLEX, LEX)))
+def test_division_matches_fraction_typed_inputs(f, divisors, order):
+    quotients, remainder = divide(f, divisors, order)
+    old_quotients, old_remainder = divide(as_fractions(f), [as_fractions(g) for g in divisors], order)
+    assert quotients == old_quotients and remainder == old_remainder
+    assert f.monic(order) == as_fractions(f).monic(order)
+    assert_clean(f.monic(order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero(), nonzero(), st.sampled_from((GREVLEX, LEX)))
+def test_s_polynomial_matches_fraction_typed_inputs(f, g, order):
+    s = s_polynomial(f, g, order)
+    assert s == s_polynomial(as_fractions(f), as_fractions(g), order)
+    assert_clean(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.sampled_from((Fraction(2), Fraction(-6, 3), Fraction(2, 3), Fraction(3, 2))))
+def test_integral_fractions_are_stored_as_ints(p, scalar):
+    assert_clean(Polynomial(RING, {e: Fraction(c) for e, c in p.terms.items()}))
+    assert_clean(Polynomial.constant(RING, scalar))
+    for result in (p * scalar, p * scalar * scalar, p + scalar, p * Polynomial.constant(RING, scalar)):
+        assert_clean(result)

@@ -18,12 +18,21 @@ from stabred import (
     stabilizer_reduce,
     tree_depth,
 )
-from stabred import ideal, reduce
+from stabred import classical_truncation, ideal, reduce
 from stabred.cli import main
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
 
-from helpers import poly, rank2_tree_scene_file, rational_rank, strings
+from helpers import (
+    RANK2_TREES,
+    SHIPPED_SCENES,
+    is_canonical,
+    poly,
+    rank2_tree_scene_file,
+    rational_rank,
+    scene_file,
+    strings,
+)
 from test_blowup import synthetic_pair_scene
 from test_torus import RANK2, SKEW, STEEP, critical
 
@@ -299,3 +308,23 @@ def test_a_non_monomial_exclusion_is_refused_before_reducing():
     x = replace(base, excluded=Ideal(V, (poly("x*y - 1", V),)))
     with pytest.raises(InvalidPresentation, match="x\\*y - 1 is not a monomial"):
         stabilizer_reduce(x)
+
+
+def _tree_polynomials(node):
+    """Every polynomial a reduction tree holds: differentials, truncation
+    bases, removed loci and chart maps."""
+    x = node.cdga
+    yield from (g.differential for g in x.gens1)
+    yield from (coeff for g in x.gens2 for _, coeff in g.differential)
+    yield from classical_truncation(x).groebner()
+    yield from x.excluded.generators
+    for chart, child in node.children:
+        yield from (image for _, image in chart.phi)
+        yield from _tree_polynomials(child)
+
+
+@pytest.mark.parametrize("scene", SHIPPED_SCENES + tuple(RANK2_TREES))
+def test_every_coefficient_of_a_reduction_tree_is_canonical(scene, tmp_path):
+    tree = stabilizer_reduce(load_scene(scene_file(scene, tmp_path)))
+    for p in _tree_polynomials(tree):
+        assert all(is_canonical(c) for c in p.terms.values()), (scene, p.terms)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from stabred import Ideal, load_scene, stabilizer_reduce, validate_presentation
+from stabred import Ideal, ideal, load_scene, stabilizer_reduce, validate_presentation
+from stabred.groebner import buchberger
+from stabred.poly import LEX
 from stabred.report import (
     TOOL_VERSION,
     canonical_json,
@@ -15,7 +17,7 @@ from stabred.report import (
     validation_document,
 )
 
-from helpers import ideal_of
+from helpers import RANK2_TREES, SHIPPED_SCENES, ideal_of, scene_file, strings
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -65,6 +67,34 @@ def test_excluded_document_renders_the_removed_locus():
     assert excluded_document(ideal_of(ring, "x", "x - 1")) == []
     assert excluded_document(Ideal.zero(ring)) == ["1"]  # every point removed
     assert excluded_document(ideal_of(ring, "x*y", "x")) == ["x"]
+
+
+def _removed_loci(node):
+    yield node.cdga.excluded
+    for _, child in node.children:
+        yield from _removed_loci(child)
+
+
+def test_removed_loci_under_lex_need_no_buchberger_call(tmp_path, monkeypatch):
+    # a monomial ideal's reduced basis in any order is its minimal
+    # monomials, so the lex documents of the removed loci are read off the
+    # generators, and they print what Buchberger would have
+    scenes = SHIPPED_SCENES + tuple(RANK2_TREES)
+    trees = [stabilizer_reduce(load_scene(scene_file(scene, tmp_path))) for scene in scenes]
+    inputs = []
+
+    def recording(generators, order):
+        inputs.append(generators)
+        return buchberger(generators, order)
+
+    monkeypatch.setattr(ideal, "buchberger", recording)
+    for tree in trees:
+        for excluded in _removed_loci(tree):
+            shown = excluded_document(excluded, LEX)
+            if shown != ["1"]:
+                expected = buchberger(excluded.generators, LEX)
+                assert shown == ([] if expected[0].is_constant() else list(strings(expected)))
+    assert not [gens for gens in inputs if all(len(g.terms) == 1 for g in gens)]
 
 
 def test_validation_document():
