@@ -4,8 +4,9 @@ saturation by a single polynomial, elimination and intersection.
 Saturation and intersection go through an auxiliary variable and a block
 elimination order; everything reduces to Buchberger bases at desk scale.
 Ideals generated by monomials, which is every removed locus the blow-up
-pipeline builds, have their own constructor and intersection on
-exponents, with no Buchberger call.
+pipeline builds and many truncations, need no Buchberger call: their
+reduced basis in any order is their minimal monomials, and they have their
+own constructor and intersection on exponents.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .poly import ElimOrder, Exponents, GREVLEX, Polynomial, monomial_divides, m
 
 class Ideal:
     """Finitely generated ideal.  Generators keep their given order; zero
-    generators are dropped.  Groebner bases are cached per order."""
+    generators are dropped.  Groebner bases are cached per order; the basis
+    of an ideal generated by monomials is read off its generators."""
 
     __slots__ = ("variables", "generators", "_bases")
 
@@ -43,7 +45,10 @@ class Ideal:
     def groebner(self, order=GREVLEX) -> tuple[Polynomial, ...]:
         basis = self._bases.get(order)
         if basis is None:
-            basis = buchberger(self.generators, order)
+            if all(len(g.terms) == 1 for g in self.generators):
+                basis = _minimal_monomials(self.variables, _monomial_exponents(self), order)
+            else:
+                basis = buchberger(self.generators, order)
             self._bases[order] = basis
         return basis
 
@@ -181,24 +186,9 @@ def monomial_ideal(variables, exponents) -> Ideal:
     """The ideal generated by the monomials with the given exponent tuples.
 
     Only the minimal monomials are kept, monic and sorted by descending
-    grevlex key.  That is the reduced grevlex basis Buchberger would
-    return, so it is cached as one."""
+    grevlex key: the reduced grevlex basis."""
     variables = tuple(variables)
-    result = Ideal(variables, _minimal_monomials(variables, exponents, GREVLEX))
-    result._bases[GREVLEX] = result.generators
-    return result
-
-
-def monomial_basis(ideal: Ideal, order=GREVLEX) -> tuple[Polynomial, ...]:
-    """The reduced basis in ``order`` of an ideal generated by monomials:
-    its minimal monomials sorted by that order, found with no Buchberger
-    call and cached as ``ideal.groebner(order)``.  A generator with more
-    than one term raises ValueError."""
-    basis = ideal._bases.get(order)
-    if basis is None:
-        basis = _minimal_monomials(ideal.variables, _monomial_exponents(ideal), order)
-        ideal._bases[order] = basis
-    return basis
+    return Ideal(variables, _minimal_monomials(variables, exponents, GREVLEX))
 
 
 def _monomial_exponents(ideal: Ideal) -> tuple[Exponents, ...]:

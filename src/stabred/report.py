@@ -2,17 +2,20 @@
 
 Documents are plain dicts rendered with sorted keys; polynomial payloads
 are canonical strings under the declared order, so mathematically equal
-inputs produce byte-identical output.
+inputs produce byte-identical output.  ``canonical_json`` writes the bytes
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` would: the stdlib has
+no C encoder for ``indent``, so ``json.dumps`` with it runs the
+pure-Python one, and a small writer of its own is cheaper.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
-from .ideal import Ideal, monomial_basis
+from .ideal import Ideal
 from .poly import GREVLEX, MonomialOrder
 from .reduce import ObstructionReport, ReductionNode, iter_leaves
 from .torus import StabilizerReport
@@ -25,7 +28,59 @@ def input_digest(raw: bytes) -> str:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document as ``json.dumps(doc, sort_keys=True, indent=2)`` prints
+    it, plus a newline, byte for byte: keys sorted, two-space indentation,
+    ``",\n"`` between items, ``": "`` after a key, ``{}`` and ``[]`` for
+    empty containers, and strings escaped to ASCII by the C encoder of
+    ``json``.  Values are dicts with ``str`` keys, lists, strings, ints,
+    bools and None; any other type, a float or a tuple among them, raises
+    TypeError."""
+    pieces = []
+    _write(doc, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(value, newline: str, pieces: list[str]) -> None:
+    """Append the pieces of ``value`` written at the indentation that
+    ``newline`` ends with."""
+    kind = type(value)
+    if kind is str:
+        pieces.append(_quote(value))
+    elif kind is int:
+        pieces.append(str(value))
+    elif kind is bool:
+        pieces.append("true" if value else "false")
+    elif value is None:
+        pieces.append("null")
+    elif kind is dict:
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append(opener)
+            pieces.append(_quote(key))
+            pieces.append(": ")
+            _write(value[key], inner, pieces)
+            opener = "," + inner
+        pieces.append(newline + "}")
+    elif kind is list:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            pieces.append(opener)
+            _write(item, inner, pieces)
+            opener = "," + inner
+        pieces.append(newline + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not a canonical JSON type")
 
 
 def document(command: str, digest: str, data: dict) -> dict:
@@ -40,15 +95,10 @@ def document(command: str, digest: str, data: dict) -> dict:
 def excluded_document(excluded: Ideal, order: MonomialOrder = GREVLEX) -> list[str]:
     """The removed locus V(excluded) as the list its documents have always
     shown: [] when nothing is removed (the unit ideal), ["1"] when every
-    point is (the zero ideal), and the reduced basis otherwise.  Every
-    removed locus the pipeline builds is generated by monomials, and its
-    basis in any order is read off the generators."""
+    point is (the zero ideal), and the reduced basis otherwise."""
     if excluded.is_zero():
         return ["1"]
-    if all(len(g.terms) == 1 for g in excluded.generators):
-        basis = monomial_basis(excluded, order)
-    else:
-        basis = excluded.groebner(order)
+    basis = excluded.groebner(order)
     if basis[0].is_constant():
         return []
     return [g.to_string(order) for g in basis]

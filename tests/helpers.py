@@ -1,10 +1,13 @@
 """Shared test helpers: parsing shorthand, the random scene corpus, and
 linear-algebra oracles used to cross-check the kernel."""
 
+import functools
+import importlib.util
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from stabred import (
     GradedCdga,
@@ -22,10 +25,14 @@ from stabred import (
     serialize_scene,
     validate_presentation,
 )
+import stabred.ideal
 from stabred.poly import Polynomial
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200
+
+BENCH_SCENES = Path(__file__).resolve().parent.parent / "bench" / "scenes.py"
+BENCH_SEED = 20260815
 
 FULL1 = SubtorusBasis.full(1)
 
@@ -41,6 +48,15 @@ def ideal_of(variables, *texts):
 
 def strings(polys):
     return tuple(p.to_string() for p in polys)
+
+
+def refuse_buchberger(monkeypatch):
+    """Make every Buchberger run an ``Ideal`` asks for fail the test."""
+
+    def refused(generators, order=None):
+        raise AssertionError(f"buchberger called on {strings(generators)}")
+
+    monkeypatch.setattr(stabred.ideal, "buchberger", refused)
 
 
 def is_canonical(c):
@@ -298,3 +314,13 @@ def oracle_member(f, generators, bounds=ORACLE_BOUNDS):
         if _linear_solvable(columns, target):
             return True
     return False
+
+
+@functools.cache
+def bench_workload(name):
+    """The scene documents of the benchmark workload ``name``, by label, as
+    ``bench/scenes.py`` draws them with the benchmark's seed."""
+    spec = importlib.util.spec_from_file_location("bench_scenes", BENCH_SCENES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.WORKLOADS[name](BENCH_SEED))

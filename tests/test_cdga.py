@@ -24,7 +24,7 @@ from stabred.cdga import homogeneous_weight, is_fixed_weight, pairing, require_v
 from stabred.poly import Polynomial
 from stabred.report import cdga_document
 
-from helpers import FULL1, ideal_of, poly, strings
+from helpers import FULL1, ideal_of, poly, refuse_buchberger, strings
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -234,13 +234,14 @@ def test_fixed_locus_keeps_fixed_directions():
     assert strings(cut.excluded.generators) == ("z",)
 
 
-def test_fixed_locus_keeps_the_minimal_monomials_of_its_exclusion():
+def test_fixed_locus_keeps_the_minimal_monomials_of_its_exclusion(monkeypatch):
+    refuse_buchberger(monkeypatch)
     variables = (GradedVariable("x", (1,)), GradedVariable("z", (0,)), GradedVariable("w", (0,)))
     ring = ("x", "z", "w")
     x = GradedCdga(1, variables, excluded=ideal_of(ring, "z", "z*w"))
     cut = fixed_locus(x, FULL1)
     assert strings(cut.excluded.generators) == ("z",)
-    assert cut.excluded.groebner() is cut.excluded.generators  # seeded, no Buchberger run
+    assert cut.excluded.groebner() == cut.excluded.generators
 
 
 def test_fixed_locus_inside_the_removed_locus_keeps_no_point():

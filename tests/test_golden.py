@@ -1,9 +1,9 @@
 """Frozen digests of the canonical JSON documents of the shipped scenes
 and of the rank-2 trees.
 
-Each entry is the sha256 of the ``--json`` document that ``reduce``,
-``kirwan`` or ``fixed-locus`` writes for a scene under ``scenes/``, or that
-``reduce`` writes for a scene of ``helpers.RANK2_TREES``; ``LEX_GOLDEN``
+Each entry is the sha256 of the ``--json`` document that a command writes
+for a scene under ``scenes/`` (every command on the five shipped scenes),
+or that ``reduce`` writes for a scene of ``helpers.RANK2_TREES``; ``LEX_GOLDEN``
 holds the ``reduce --order lex`` documents of both sets.  Where lex and
 grevlex print every polynomial alike, the two digests agree.  The rank-2
 trees reach depth 2, carry exclusions from node to node and have several
@@ -36,6 +36,31 @@ GOLDEN = {
     ("reduce", "xy2-x2y"): "932d769932ca098be28c37dcead0aa3ea3236815a74cc7030b6985cf16bd2fcb",
     ("kirwan", "xy2-x2y"): "cec6e3262cac4734f0ff7068d8042cb8697692e5d2b8d6b184c036daed43745f",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
+    ("validate", "a2-hyperbolic"): "c10937a51fc800185701d628470c3238503de2dc73ff77476a7a227a40442b0f",
+    ("validate", "a2-positive"): "0e965dd7a3ce72412e63a4ab983ff1fad54f99aab78400cc6cfeea41dd3d3c4b",
+    ("validate", "darboux-x2y2"): "6b6ce3c43766808f0fb5c1253426f8e16ce667a7e8eaba7c9a6562fadc1964b6",
+    ("validate", "xy"): "d0ba6df0bbd921eb4f631084568244b322e76f30ae3f4ab726b7325771a80419",
+    ("validate", "xy2-x2y"): "4dccc9f20cec32baa84c43e07b39ebdd9066dd911a09f4d59be30b46a88614ad",
+    ("pi0", "a2-hyperbolic"): "75eb1e4d2699c1458169b49a63470366fbdcd0374c815e02ba8e32370e194676",
+    ("pi0", "a2-positive"): "11f82c75b9d7dea17d2d25ad5b18fe6ebe5cafabb2cec44edeb9793e2cf6e66c",
+    ("pi0", "darboux-x2y2"): "8de8169c69d225fce3d51fde4752b52aaab2a2edc6e204c5c0ef31566f758513",
+    ("pi0", "xy"): "24ed495e67f88af25825921f89706eb22e9d965b753f93e2b463c1c6ed5f8ac6",
+    ("pi0", "xy2-x2y"): "0b4ec28bc37ebc08f8b3f15c9dd3f034e2f02b5f26e90697b757b180f2b566ce",
+    ("rees", "a2-hyperbolic"): "b8b7de17207f37dc874f8fa82e10173c6971cf5b5be69ca20a8a05ec762f6b94",
+    ("rees", "a2-positive"): "8a585e7f97ec2a206136664d59f64a8c739181d65db5274d1d356b43e7edbdaf",
+    ("rees", "darboux-x2y2"): "7ccada079d04027fb6ea993ffda770380dee5edd1dd402a56bf7839016abf898",
+    ("rees", "xy"): "bb81dae140b9d5070a0bf9e4e2b6fae721137964f800c789fa0260ad23f393cf",
+    ("rees", "xy2-x2y"): "dbd0cfb9bb1241e1966d56e7ca23d3e7efc41eee23d01f4697898ea8217d3c5f",
+    ("blowup", "a2-hyperbolic"): "5561100dafaf88e72f5df9f563f0445b32e8776c83ea158cbd6347e2b173771e",
+    ("blowup", "a2-positive"): "aca471805c685007aaa5d73e2c43396ffb67aeccb5f4bfd2d06a3a631bb9e1a5",
+    ("blowup", "darboux-x2y2"): "bec10bd310e4216cbd6c360c1c75f4cf080e694b3ca3a74d754863e5a5f0e8e9",
+    ("blowup", "xy"): "1da87bad072ee7c9c87872a9a88c9bcc0cda1f70680f007b29dc312e49702049",
+    ("blowup", "xy2-x2y"): "ee12d94d10a5470ba7151131786f9e0226f6d0a09f560110bc5f2c59b615e231",
+    ("report", "a2-hyperbolic"): "4b8e4747c6c8347d9c52cebe303297336e6970fe4c6c0ad523aa423dfc835d78",
+    ("report", "a2-positive"): "c3540e7b2f30b28693adc9c8a4cd10c73bb1a0d6ddd8880f5d92118d77d91989",
+    ("report", "darboux-x2y2"): "d6a7985bae19d0124e596e0c479866089fd32c8946c9e1ef351f639026e53dd5",
+    ("report", "xy"): "cebf962011707a43e7306ca8b01d8270c16ed27ea044b6472fa5e11cc719ead5",
+    ("report", "xy2-x2y"): "50727c0af88bb9ba2fb0d41bd3f8511e57f98efb6232137233a5b82dbf0754df",
     # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
     # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
     # a coefficient that is not an integer

@@ -18,7 +18,6 @@ from stabred import (
     saturate,
 )
 from stabred.groebner import buchberger
-from stabred.ideal import monomial_basis
 from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
 from helpers import FULL1
@@ -70,10 +69,10 @@ def test_monomial_ideal_generators_are_the_buchberger_basis(case):
 @given(monomial_ideals(), st.sampled_from((-3, 1, 2)))
 def test_monomial_basis_is_the_buchberger_basis_in_every_order(case, coeff):
     ring, gens, v = case
-    for order in (GREVLEX, LEX, ElimOrder(front=(v,))):
+    for order in (GREVLEX, LEX, ElimOrder(front=(v,)), ElimOrder(front=ring[:2])):
         ideal = Ideal(ring, tuple(Polynomial.monomial(ring, e, coeff) for e in gens))
-        assert monomial_basis(ideal, order) == buchberger(ideal.generators, order)
-        assert ideal.groebner(order) is monomial_basis(ideal, order)  # cached
+        assert ideal.groebner(order) == buchberger(ideal.generators, order)
+        assert ideal.groebner(order) is ideal.groebner(order)  # cached
 
 
 @settings(max_examples=150, deadline=None)

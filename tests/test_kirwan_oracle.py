@@ -3,8 +3,6 @@
 ``rank2-trees`` workloads, read from ``bench/scenes.py``."""
 
 import functools
-import importlib.util
-from pathlib import Path
 
 import pytest
 
@@ -19,20 +17,15 @@ from stabred import (
     witness_subtori,
 )
 
-from helpers import kirwan_exclusion_by_saturation
+from helpers import bench_workload, kirwan_exclusion_by_saturation
 
-BENCH_SCENES = Path(__file__).resolve().parent.parent / "bench" / "scenes.py"
-BENCH_SEED = 20260815
 REDUCING = ("crit-abcd+ab", "crit-ab+cd-1", "crit-a2b2+cd", "crit-ab+cd-skew", "hyp-ab-1")
 FAILING = ("crit-abcd", "hyp-ab+cd-1", "hyp-ab+cd")
 
 
 @functools.cache
 def workload(name):
-    spec = importlib.util.spec_from_file_location("bench_scenes", BENCH_SCENES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {label: parse_scene(data).cdga for label, data in module.WORKLOADS[name](BENCH_SEED)}
+    return {label: parse_scene(data).cdga for label, data in bench_workload(name).items()}
 
 
 def check_tree(node):

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -26,6 +27,7 @@ from stabred.reduce import _delta2_generic_rank
 from helpers import (
     RANK2_TREES,
     SHIPPED_SCENES,
+    bench_workload,
     is_canonical,
     poly,
     rank2_tree_scene_file,
@@ -301,6 +303,32 @@ def test_each_groebner_basis_is_computed_once_per_run(tmp_path, monkeypatch, cap
         capsys.readouterr()
         assert inputs, label
         assert len(set(inputs)) == len(inputs), label
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+def test_no_monomial_ideal_reaches_buchberger(order, tmp_path, monkeypatch, capsys):
+    # the reduced basis of an ideal generated by monomials is its minimal
+    # monomials in every order, so Ideal.groebner reads it off: truncations
+    # spanned by partials such as b, a, d, c of a*b+c*d-1 and every removed
+    # locus, in the node records and the cross-checks alike
+    monomial_inputs = []
+    buchberger = ideal.buchberger
+
+    def recording(generators, order):
+        if all(len(g.terms) == 1 for g in generators):
+            monomial_inputs.append(strings(generators))
+        return buchberger(generators, order)
+
+    monkeypatch.setattr(ideal, "buchberger", recording)
+    codes = []
+    for label, data in bench_workload("rank2-trees").items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["reduce", "--scene", str(path), "--order", order, "--json", str(tmp_path / "doc.json")]
+        codes.append(main(argv))
+    capsys.readouterr()
+    assert codes == [0] * 5 + [3] * 3  # three trees still fail strict decrease
+    assert not monomial_inputs, f"{len(monomial_inputs)} calls, such as {monomial_inputs[0]}"
 
 
 def test_a_non_monomial_exclusion_is_refused_before_reducing():
