@@ -209,17 +209,22 @@ class Chart:
     parent_id: str
 
     @property
+    def images(self) -> tuple[Exponents, ...]:
+        """The exponents of the chart map's monomials, one per parent variable."""
+        return tuple(next(iter(p.terms)) for _, p in self.phi)
+
+    @property
     def fully_unstable(self) -> bool:
         """Whether the chart has removed every point."""
         return self.cdga.excluded.is_zero()
 
 
-def _chart_exponents(source, ring, xi, center, slopes, strict=False) -> tuple[Exponents, ...]:
+def _chart_exponents(source, ring, center, slopes) -> tuple[Exponents, ...]:
     """Exponent image in ``ring`` of each ``source`` variable under the chart map.
 
-    The map is monomial: the center goes to xi, every other moving variable
-    m to xi*u_m, each fixed variable to itself.  ``strict`` drops the xi
-    factor, which is the map x_c -> 1, x_m -> u_m of a strict transform.
+    The map is monomial: the center goes to xi, the first variable of
+    ``ring``, every other moving variable m to xi*u_m, each fixed variable
+    to itself.
     """
     position = {name: i for i, name in enumerate(ring)}
     slope_of = dict(slopes)
@@ -227,24 +232,23 @@ def _chart_exponents(source, ring, xi, center, slopes, strict=False) -> tuple[Ex
     for v in source:
         e = [0] * len(ring)
         if v == center or v in slope_of:
-            e[position[xi]] = 0 if strict else 1
-            if v in slope_of:
-                e[position[slope_of[v]]] = 1
-        else:
-            e[position[v]] = 1
+            e[0] = 1
+        if v != center:
+            e[position[slope_of.get(v, v)]] = 1
         images.append(tuple(e))
     return tuple(images)
 
 
-def _strict_transform(ideal: Ideal, ring, strict_images) -> Ideal:
+def _strict_transform(ideal: Ideal, ring, images) -> Ideal:
     """The strict transform in a chart of an ideal generated by monomials.
 
-    Each generator pulls back along x_c -> 1, x_m -> u_m.  The total
-    pull-back of a monomial is a power of xi times that image, so this is
-    the saturation of the total pull-back by xi, with no Groebner basis.
+    The total pull-back of a monomial along the chart map ``images`` is a
+    power of xi, the first variable of ``ring``, times a monomial in the
+    other chart variables.  Zeroing the xi exponent is the saturation by
+    xi, the map x_c -> 1, x_m -> u_m, with no Groebner basis.
     """
-    pulled = (g.pull_back(ring, strict_images) for g in ideal.generators)
-    return monomial_ideal(ring, (e for g in pulled for e in g.terms))
+    pulled = (g.pull_back(ring, images) for g in ideal.generators)
+    return monomial_ideal(ring, ((0,) + e[1:] for g in pulled for e in g.terms))
 
 
 def _power(ring, name, k) -> Exponents:
@@ -298,8 +302,7 @@ def blowup_charts(
             if v.name in split.fixed:
                 ring_vars.append(v)
         ring = tuple(v.name for v in ring_vars)
-        images = _chart_exponents(x.var_names, ring, xi_name, center, slopes)
-        strict = _chart_exponents(x.var_names, ring, xi_name, center, slopes, strict=True)
+        images = _chart_exponents(x.var_names, ring, center, slopes)
 
         def pull_back(p: Polynomial, xi_power: int = 0) -> Polynomial:
             return p.pull_back(ring, images, _power(ring, xi_name, xi_power))
@@ -326,7 +329,7 @@ def blowup_charts(
             )
             gens2.append(Generator2(g.name, weight, diff))
 
-        excluded = _strict_transform(x.excluded, ring, strict)
+        excluded = _strict_transform(x.excluded, ring, images)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
         charts.append(
             Chart(
@@ -362,11 +365,7 @@ def kirwan_charts(
     unstable_locus = saturation_ideal(x, subtorus)
     charts = []
     for chart in blowup_charts(x, subtorus, parent_id):
-        ring = chart.cdga.var_names
-        strict = _chart_exponents(
-            x.var_names, ring, chart.exceptional.name, chart.center_var, chart.slopes, strict=True
-        )
-        unstable = _strict_transform(unstable_locus, ring, strict)
+        unstable = _strict_transform(unstable_locus, chart.cdga.var_names, chart.images)
         # blowup_charts already strict-transformed the parent exclusions
         excluded = monomial_intersection(unstable, chart.cdga.excluded)
         charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
@@ -385,7 +384,7 @@ def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
     """
     ring = chart.cdga.var_names
     xi = chart.exceptional.name
-    images = _chart_exponents(parent.var_names, ring, xi, chart.center_var, chart.slopes)
+    images = chart.images
     weights = [v.weight for v in parent.ring_vars]
     recipe = []
     for g in classical_truncation(parent).groebner():
@@ -403,8 +402,7 @@ def chart_truncation_via_lambda(lam: LambdaMatrix, moving: tuple[str, ...], char
     Any valid matrix for the same differentials induces the same ideal.
     """
     ring = chart.cdga.var_names
-    source = tuple(v for v, _ in chart.phi)
-    images = _chart_exponents(source, ring, chart.exceptional.name, chart.center_var, chart.slopes)
+    images = chart.images
     slope_of = dict(chart.slopes)
     out = []
     for row in lam.entries:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidPresentation
 from .ideal import Ideal, monomial_ideal
-from .intlinalg import integer_kernel
+from .intlinalg import hermite_rows
 from .poly import Polynomial
 
 Weight = tuple[int, ...]
@@ -76,10 +76,8 @@ class SubtorusBasis:
         for v in self.vectors:
             if len(v) != self.ambient_rank:
                 raise ValueError(f"subtorus vector {v} does not have length {self.ambient_rank}")
-        # independent exactly when the kernel has the complementary rank
-        if self.vectors and (
-            len(integer_kernel(self.vectors, self.ambient_rank)) != self.ambient_rank - self.rank
-        ):
+        # independent exactly when the Hermite form keeps every vector
+        if len(hermite_rows(self.vectors)) != self.rank:
             raise ValueError("subtorus basis vectors are linearly dependent")
 
     @property
@@ -310,8 +308,9 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
     moving generators are dropped, and terms of degree-2 differentials
     through moving degree-1 generators are deleted.  The excluded ideal is
     cut the same way, so the removed points are those of the fixed locus
-    that the parent removed; its minimal monomials are kept, with their
-    grevlex basis seeded, as ``monomial_ideal`` does.
+    that the parent removed; ``monomial_ideal`` keeps its minimal
+    monomials, from which ``groebner()`` reads the reduced basis in any
+    order with no Buchberger call.
     """
     require_valid(x)
     if subtorus.ambient_rank != x.torus_rank:

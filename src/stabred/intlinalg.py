@@ -1,95 +1,58 @@
-"""Integer kernels and Hermite forms for small weight matrices.
+"""Hermite forms and integer kernels for small weight matrices.
 
-The integer kernel answers every exact question about weights: a set of
-weight vectors is independent when its kernel has the complementary rank,
-and the variables a kernel fixes are those whose weights lie in the
-rational span of the set.
+The row Hermite form answers every exact question about weights: its
+length is the rank of the vectors, so a set of weight vectors is
+independent when the form keeps them all, and the integer kernel is read
+off the form of an augmented lattice.  The form is unique, so equal
+lattices produce equal tuples at every torus rank (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, section 2.4).
 """
 
 from __future__ import annotations
 
 
+def hermite_rows(vectors) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the lattice the vectors span.
+
+    Rows are in echelon form with positive pivots, and every entry above a
+    pivot lies in [0, pivot).  Each pivot reduces the rows above it as soon
+    as it is placed; it is zero in every earlier column, so the earlier
+    pivots and their reductions stay as they were.
+    """
+    rows = [list(map(int, v)) for v in vectors]
+    out: list[list[int]] = []
+    for col in range(len(rows[0]) if rows else 0):
+        # Euclid across the rows still live at this column
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            base = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not base:
+                    q = r[col] // base[col]
+                    r[:] = [a - q * b for a, b in zip(r, base)]
+            live = [r for r in live if r[col]]
+        if not live:
+            continue
+        pivot = live[0]
+        rows.remove(pivot)
+        if pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        for k, r in enumerate(out):
+            q = r[col] // pivot[col]
+            if q:
+                out[k] = [a - q * b for a, b in zip(r, pivot)]
+        out.append(pivot)
+    return tuple(tuple(r) for r in out)
+
+
 def integer_kernel(rows, width: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {h in Z^width : row . h = 0 for every row}, saturated and in
-    Hermite normal form so equal kernels produce equal tuples."""
+    Hermite normal form so equal kernels produce equal tuples.
+
+    The vectors (A h, h) form a lattice with basis (A e_j, e_j).  Its
+    Hermite rows that vanish on the first ``len(rows)`` entries span the
+    vectors with A h = 0, and their tails are the kernel's Hermite form.
+    """
     rows = [list(map(int, row)) for row in rows]
-    n = width
-    # column reduction by unimodular moves; U tracks them
-    a = [row[:] for row in rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-    col = 0
-    for r in range(len(a)):
-        if col >= n:
-            break
-        # clear row r across columns col..n-1 down to a single entry
-        while True:
-            nonzero = [j for j in range(col, n) if a[r][j]]
-            if not nonzero:
-                break
-            j0 = min(nonzero, key=lambda j: (abs(a[r][j]), j))
-            if j0 != col:
-                for row in a:
-                    row[col], row[j0] = row[j0], row[col]
-                for row in u:
-                    row[col], row[j0] = row[j0], row[col]
-            done = True
-            for j in range(col + 1, n):
-                if a[r][j]:
-                    q = a[r][j] // a[r][col]
-                    for row in a:
-                        row[j] -= q * row[col]
-                    for row in u:
-                        row[j] -= q * row[col]
-                    if a[r][j]:
-                        done = False
-            if done:
-                break
-        if a[r][col]:
-            col += 1
-    kernel = []
-    for j in range(col, n):
-        if all(a[r][j] == 0 for r in range(len(a))):
-            kernel.append(tuple(u[i][j] for i in range(n)))
-    return hermite_rows(kernel)
-
-
-def hermite_rows(vectors) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form of the lattice the vectors span."""
-    rows = [list(map(int, v)) for v in vectors if any(v)]
-    if not rows:
-        return ()
-    width = len(rows[0])
-    out = []
-    col = 0
-    while rows and col < width:
-        rows = [r for r in rows if any(r)]
-        candidates = [r for r in rows if r[col]]
-        if not candidates:
-            col += 1
-            continue
-        while True:
-            candidates = [r for r in rows if r[col]]
-            if len(candidates) <= 1:
-                break
-            candidates.sort(key=lambda r: abs(r[col]))
-            base = candidates[0]
-            for r in candidates[1:]:
-                q = r[col] // base[col]
-                for i in range(width):
-                    r[i] -= q * base[i]
-        pivot_rows = [r for r in rows if r[col]]
-        if pivot_rows:
-            pivot = pivot_rows[0]
-            rows.remove(pivot)
-            if pivot[col] < 0:
-                pivot = [-x for x in pivot]
-            out.append(pivot)
-        col += 1
-    # reduce entries above each pivot
-    for i in range(len(out) - 1, -1, -1):
-        pcol = next(j for j in range(width) if out[i][j])
-        for k in range(i):
-            q = out[k][pcol] // out[i][pcol]
-            if q:
-                out[k] = [a - q * b for a, b in zip(out[k], out[i])]
-    return tuple(tuple(r) for r in out)
+    lattice = [[row[j] for row in rows] + [int(i == j) for i in range(width)] for j in range(width)]
+    return tuple(r[len(rows):] for r in hermite_rows(lattice) if not any(r[: len(rows)]))

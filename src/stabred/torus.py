@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
 from .ideal import Ideal, monomial_ideal, saturate
-from .intlinalg import integer_kernel
+from .intlinalg import hermite_rows, integer_kernel
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,12 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     A point lies on the locus of a rank-k flat exactly when its stabilizer
     contains the flat's kernel, so the first rank with a nonempty flat gives
     the maximal stabilizer dimension, and its nonempty flats are the
-    maximal strata.  The strata list every flat tested.
+    maximal strata.  The strata list every flat tested.  The ranks run up
+    to the rank of the weights, the length of their Hermite form.
     """
     truncation = classical_truncation(x)
     strata: list[Stratum] = []
-    for rank in range(x.torus_rank - _kernel(x, x.var_names).rank + 1):
+    for rank in range(len(hermite_rows(v.weight for v in x.ring_vars)) + 1):
         dim = x.torus_rank - rank
         level = [
             Stratum(flat, dim, _support_nonempty(x, truncation, flat))

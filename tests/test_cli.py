@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from stabred import cli, errors
 from stabred.cli import build_parser, main
 
 SCENES = "scenes"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -133,6 +135,25 @@ def test_fixed_locus_output(capsys):
     assert code == 0
     assert "ring: (empty)" in out
     assert "gens1: w" in out
+
+
+def test_fixed_locus_prints_the_hermite_form_of_a_rank_4_kernel(tmp_path, capsys):
+    # the kernel of (-3, 1, 3, 2) has rank 3; its first row is reduced
+    # above the pivot of the third
+    scene = tmp_path / "rank4.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 4,
+        "variables": [
+            {"name": "x", "weight": [-3, 1, 3, 2]},
+            {"name": "y", "weight": [3, -1, -3, -2]},
+            {"name": "z", "weight": [0, 0, 0, 0]},
+        ],
+        "gens1": [{"name": "w", "weight": [0, 0, 0, 0], "differential": "x*y - 1"}],
+        "gens2": [],
+    }))
+    code, out, err = run(capsys, "fixed-locus", "--scene", str(scene))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "subtorus: [[1, 0, 1, 0], [0, 1, 1, -2], [0, 0, 2, -3]]"
 
 
 def test_blowup_and_chart_filter(capsys):
@@ -383,8 +404,42 @@ def test_rees_output(capsys):
     assert "(0,1)  x*y*v_x" in out
 
 
+def readme_transcripts():
+    """Each ``$ stabred ...`` line of the README's fenced blocks, with the
+    lines printed under it up to a blank line or the next command."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    transcripts = []
+    for block in readme.split("```")[1::2]:
+        for chunk in re.split(r"\n(?=\$ )|\n\s*\n", block):
+            lines = chunk.strip("\n").splitlines()
+            if lines and lines[0].startswith("$ stabred "):
+                transcripts.append((lines[0][2:], lines[1:]))
+    return transcripts
+
+
+TRANSCRIPTS = readme_transcripts()
+
+
+def test_readme_has_the_quick_start_and_rees_transcripts():
+    commands = [command for command, _ in TRANSCRIPTS]
+    assert commands == [
+        "stabred blowup --scene scenes/xy2-x2y.json",
+        "stabred reduce --scene scenes/a2-hyperbolic.json",
+        "stabred report --scene scenes/darboux-x2y2.json",
+        "stabred rees --scene scenes/xy2-x2y.json",
+    ]
+
+
+@pytest.mark.parametrize("command, expected", TRANSCRIPTS, ids=[command for command, _ in TRANSCRIPTS])
+def test_readme_transcript(command, expected, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
+
+
 def test_readme_lists_every_flag_of_every_command():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     shared = readme.split("Shared flags:", 1)[1].split("\n\n", 2)[1]
     documented = sorted(re.findall(r"^\* `(--[a-z-]+)", shared, re.M))
     actions = build_parser()._actions

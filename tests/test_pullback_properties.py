@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabred import GradedCdga, GradedVariable, NotDivisible, blowup_charts, exact_divide
-from stabred.blowup import _chart_exponents
 from stabred.poly import Polynomial
 
 from helpers import FULL1, poly
@@ -33,11 +32,12 @@ def charts_and_polynomials(draw):
     return x, chart, Polynomial(x.var_names, terms)
 
 
-def images(x, chart, strict=False):
-    ring = chart.cdga.var_names
-    return _chart_exponents(
-        x.var_names, ring, chart.exceptional.name, chart.center_var, chart.slopes, strict
-    )
+def images(chart, strict=False):
+    """The chart map's exponents, read off ``Chart.phi``; ``strict`` zeroes
+    the exponent of xi, the first chart variable, which gives the map
+    x_c -> 1, x_m -> u_m of a strict transform."""
+    assert chart.cdga.var_names[0] == chart.exceptional.name
+    return tuple((0,) + e[1:] if strict else e for e in chart.images)
 
 
 def xi_power(chart, k):
@@ -71,7 +71,7 @@ def test_pull_back_matches_substitute_along_phi(case, k):
         return image * xi if k > 0 else image
 
     expected = outcome(oracle)
-    got = outcome(lambda: p.pull_back(ring, images(x, chart), xi_power(chart, k)))
+    got = outcome(lambda: p.pull_back(ring, images(chart), xi_power(chart, k)))
     assert got == expected
     if got is not NotDivisible:
         assert_clean(got)
@@ -84,7 +84,7 @@ def test_strict_pull_back_matches_the_substitution_into_slopes(case):
     ring = chart.cdga.var_names
     strict = {chart.center_var: Polynomial.constant(ring, 1)}
     strict.update((m, Polynomial.variable(ring, u)) for m, u in chart.slopes)
-    got = p.pull_back(ring, images(x, chart, strict=True))
+    got = p.pull_back(ring, images(chart, strict=True))
     assert got == p.substitute(strict, ring)
     assert_clean(got)
 
@@ -94,7 +94,7 @@ def test_strict_pull_back_sums_colliding_terms_and_drops_zero_sums():
     chart = blowup_charts(x, FULL1)[0]
     assert chart.center_var == "x"
     ring = chart.cdga.var_names
-    strict = images(x, chart, strict=True)
+    strict = images(chart, strict=True)
     assert poly("x*y - y", x.var_names).pull_back(ring, strict).is_zero()
     assert poly("x^2*y + 2*x*y - p", x.var_names).pull_back(ring, strict) == poly("3*u_y - p", ring)
 
@@ -103,8 +103,8 @@ def test_a_term_without_the_exceptional_factor_is_not_divisible():
     x = GradedCdga(1, (GradedVariable("x", (1,)), GradedVariable("y", (-1,)), GradedVariable("p", (0,))))
     chart = blowup_charts(x, FULL1)[0]
     ring = chart.cdga.var_names
-    assert poly("x*y + x*p", x.var_names).pull_back(ring, images(x, chart), xi_power(chart, -1)) == poly(
+    assert poly("x*y + x*p", x.var_names).pull_back(ring, images(chart), xi_power(chart, -1)) == poly(
         "xi*u_y + p", ring
     )
     with pytest.raises(NotDivisible, match=r"xi does not divide the pull-back of x\*y \+ p"):
-        poly("x*y + p", x.var_names).pull_back(ring, images(x, chart), xi_power(chart, -1))
+        poly("x*y + p", x.var_names).pull_back(ring, images(chart), xi_power(chart, -1))
