@@ -148,8 +148,9 @@ class ValidationReport:
         return not self.violations
 
 
-def monomial_weight(exps, weights) -> Weight:
-    rank = len(weights[0]) if weights else 0
+def monomial_weight(exps, weights, rank: int) -> Weight:
+    """The weight of a monomial, a vector of length ``rank``; each weight
+    must have that length."""
     total = [0] * rank
     for e, w in zip(exps, weights):
         if e:
@@ -165,9 +166,7 @@ def homogeneous_weight(p: Polynomial, weights, rank: int):
         return True, None
     seen = None
     for exps in p.terms:
-        w = monomial_weight(exps, weights) if weights else (0,) * rank
-        if len(w) != rank:
-            w = tuple(w) + (0,) * (rank - len(w))
+        w = monomial_weight(exps, weights, rank)
         if seen is None:
             seen = w
         elif seen != w:
@@ -347,6 +346,9 @@ def from_invariant_function(variables: tuple[GradedVariable, ...], torus_rank: i
     names = tuple(v.name for v in variables)
     if f.variables != names:
         raise ValueError("function does not live in the declared ring")
+    for v in variables:
+        if len(v.weight) != torus_rank:
+            raise ValueError(f"variable {v.name!r} has weight of length {len(v.weight)}, expected {torus_rank}")
     weights = [v.weight for v in variables]
     ok, w = homogeneous_weight(f, weights, torus_rank)
     if not ok or (w is not None and any(w)):

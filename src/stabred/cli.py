@@ -65,10 +65,10 @@ def _parse_subtorus(text: str, rank: int) -> SubtorusBasis:
 
 
 def _resolve_subtorus(x: GradedCdga, args) -> SubtorusBasis:
-    if args.subtorus:
+    if args.subtorus is not None:
         return _parse_subtorus(args.subtorus, x.torus_rank)
     strata = stabilizer_stratification(x)
-    return witness_subtori(x, strata)[0]
+    return witness_subtori(strata)[0]
 
 
 def _emit(args, command: str, digest: str, data: dict, lines: list[str]) -> None:

@@ -52,18 +52,19 @@ class Ideal:
             self._bases[order] = basis
         return basis
 
-    def contains(self, f: Polynomial, order=GREVLEX) -> bool:
+    def contains(self, f: Polynomial) -> bool:
+        """Membership, by the normal form modulo the grevlex basis."""
         if f.is_zero():
             return True
-        return normal_form(f, self.groebner(order), order).is_zero()
+        return normal_form(f, self.groebner(), GREVLEX).is_zero()
 
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_unit(self, order=GREVLEX) -> bool:
+    def is_unit(self) -> bool:
         if _has_constant(self):
             return True
-        return bool(self.generators) and self.groebner(order)[0].is_constant()
+        return bool(self.generators) and self.groebner()[0].is_constant()
 
     def __eq__(self, other):
         """Same ring and same generator list; use ideal_equal for the
@@ -85,16 +86,14 @@ def _has_constant(ideal: Ideal) -> bool:
     return any(g.is_constant() for g in ideal.generators)
 
 
-def ideal_equal(a: Ideal, b: Ideal, order=GREVLEX) -> bool:
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Mutual containment, generator by generator; equal generator lists
     need no basis."""
     if a.variables != b.variables:
         raise ValueError("ideals live in different rings")
     if a.generators == b.generators:
         return True
-    return all(b.contains(g, order) for g in a.generators) and all(
-        a.contains(g, order) for g in b.generators
-    )
+    return all(map(b.contains, a.generators)) and all(map(a.contains, b.generators))
 
 
 def fresh_name(base: str, taken) -> str:

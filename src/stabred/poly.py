@@ -148,12 +148,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def total_degree(self) -> int:
-        # -1 flags the zero polynomial
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -265,37 +259,6 @@ class Polynomial:
 
     # -- ring movement -----------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "Polynomial"], target: Iterable[str]) -> "Polynomial":
-        """Apply the ring map sending each variable to ``images[name]``.
-
-        Variables without an image must exist in ``target`` and map to
-        themselves.  All image polynomials must live in the target ring.
-        """
-        target = tuple(target)
-        base: dict[str, Polynomial] = {}
-        for i, name in enumerate(self.variables):
-            if name in images:
-                img = images[name]
-                if img.variables != target:
-                    raise ValueError(f"image of {name!r} is not in the target ring")
-                base[name] = img
-            else:
-                base[name] = Polynomial.variable(target, name)
-        result = Polynomial.zero(target)
-        powers: dict[tuple[str, int], Polynomial] = {}
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for name, e in zip(self.variables, exps):
-                if not e:
-                    continue
-                cached = powers.get((name, e))
-                if cached is None:
-                    cached = base[name] ** e
-                    powers[(name, e)] = cached
-                term = term * cached
-            result = result + term
-        return result
-
     def pull_back(
         self, target: Iterable[str], images: Sequence[Exponents], shift: Exponents | None = None
     ) -> "Polynomial":
@@ -361,16 +324,6 @@ class Polynomial:
                 e[pos] = val
             out[tuple(e)] = c
         return Polynomial._from_clean(target, out)
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            val = c
-            for name, e in zip(self.variables, exps):
-                if e:
-                    val *= Fraction(point[name]) ** e
-            total += val
-        return total
 
     # -- printing ----------------------------------------------------------
 

@@ -115,7 +115,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
         return ReductionNode(node_id, x, report, (), leaf)
 
     parent_dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
-    subtori = witness_subtori(x, report)
+    subtori = witness_subtori(report)
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):

@@ -18,6 +18,7 @@ from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_p
 from .ideal import Ideal
 from .poly import GREVLEX, MonomialOrder
 from .reduce import ObstructionReport, ReductionNode, iter_leaves
+from .scene import presentation_document, variable_document
 from .torus import StabilizerReport
 
 TOOL_VERSION = "0.1.0"
@@ -105,23 +106,7 @@ def excluded_document(excluded: Ideal, order: MonomialOrder = GREVLEX) -> list[s
 
 
 def cdga_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:
-    return {
-        "torus_rank": x.torus_rank,
-        "variables": [{"name": v.name, "weight": list(v.weight)} for v in x.ring_vars],
-        "gens1": [
-            {"name": g.name, "weight": list(g.weight), "differential": g.differential.to_string(order)}
-            for g in x.gens1
-        ],
-        "gens2": [
-            {
-                "name": g.name,
-                "weight": list(g.weight),
-                "differential": {t: c.to_string(order) for t, c in g.differential},
-            }
-            for g in x.gens2
-        ],
-        "excluded": excluded_document(x.excluded, order),
-    }
+    return {**presentation_document(x, order), "excluded": excluded_document(x.excluded, order)}
 
 
 def validation_document(report: ValidationReport) -> dict:
@@ -159,12 +144,7 @@ def rees_document(rp: ReesPresentation, order: MonomialOrder = GREVLEX) -> dict:
         "t_inv": rp.t_inv,
         "ring": list(rp.ring),
         "homog_vars": [
-            {
-                "name": v.name,
-                "weight": list(v.weight),
-                "homogeneous_degree": v.homogeneous_degree,
-                "source": v.source,
-            }
+            {**variable_document(v), "homogeneous_degree": v.homogeneous_degree, "source": v.source}
             for v in rp.homog_vars
         ],
         "relations": [
@@ -184,7 +164,7 @@ def chart_document(chart: Chart, order: MonomialOrder = GREVLEX) -> dict:
         "name": chart.name,
         "center": chart.center_var,
         "parent": chart.parent_id,
-        "exceptional": {"name": chart.exceptional.name, "weight": list(chart.exceptional.weight)},
+        "exceptional": variable_document(chart.exceptional),
         "slopes": {m: u for m, u in chart.slopes},
         "phi": {v: p.to_string(order) for v, p in chart.phi},
         "subtorus": subtorus_document(chart.subtorus),
@@ -224,7 +204,7 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
         checks["validation"] &= validate_presentation(node.cdga).ok
         record = {
             "id": node.id,
-            "ring": [{"name": v.name, "weight": list(v.weight)} for v in node.cdga.ring_vars],
+            "ring": [variable_document(v) for v in node.cdga.ring_vars],
             "truncation": [
                 g.to_string(order) for g in classical_truncation(node.cdga).groebner(order)
             ],

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
 from .parsing import VAR, parse_polynomial
-from .poly import GREVLEX, ORDERS
+from .poly import GREVLEX, ORDERS, MonomialOrder
 
 
 @dataclass(frozen=True)
@@ -203,29 +203,37 @@ def load_scene(path: str) -> GradedCdga:
     return read_scene(path)[0].cdga
 
 
+def variable_document(v) -> dict:
+    """The name and weight of a variable or generator, as the format
+    writes them."""
+    return {"name": v.name, "weight": list(v.weight)}
+
+
+def presentation_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict:
+    """The scene fields of a presentation, differentials printed in
+    ``order``: the one writer of the format, shared by scene files and
+    report documents."""
+    return {
+        "torus_rank": x.torus_rank,
+        "variables": [variable_document(v) for v in x.ring_vars],
+        "gens1": [
+            {**variable_document(g), "differential": g.differential.to_string(order)}
+            for g in x.gens1
+        ],
+        "gens2": [
+            {**variable_document(g), "differential": {t: c.to_string(order) for t, c in g.differential}}
+            for g in x.gens2
+        ],
+    }
+
+
 def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> dict:
     """Scene data for a presentation; inverse of parse_scene up to option
     defaults.  Only fresh presentations serialize: removed points have no
     scene field and must travel through report documents instead."""
     if not cdga.excluded.is_unit():
         raise ValueError("a presentation with removed points cannot be written as a scene")
-    mono = ORDERS[options.order] if options else GREVLEX
-    data = {
-        "torus_rank": cdga.torus_rank,
-        "variables": [{"name": v.name, "weight": list(v.weight)} for v in cdga.ring_vars],
-        "gens1": [
-            {"name": g.name, "weight": list(g.weight), "differential": g.differential.to_string(mono)}
-            for g in cdga.gens1
-        ],
-        "gens2": [
-            {
-                "name": g.name,
-                "weight": list(g.weight),
-                "differential": {t: c.to_string(mono) for t, c in g.differential},
-            }
-            for g in cdga.gens2
-        ],
-    }
+    data = presentation_document(cdga, ORDERS[options.order] if options else GREVLEX)
     if options is not None:
         data["options"] = asdict(options)
     return data

@@ -29,9 +29,14 @@ class Stratum:
 
 @dataclass(frozen=True)
 class StabilizerReport:
+    """The flats tested, the maximal stabilizer dimension, and the maximal
+    flats with their kernels: ``witnesses[i]`` is the subtorus fixing
+    ``maximal_support[i]`` pointwise."""
+
     strata: tuple[Stratum, ...]
     max_dim: int
     maximal_support: tuple[tuple[str, ...], ...]
+    witnesses: tuple[SubtorusBasis, ...]
 
 
 def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -> bool:
@@ -49,26 +54,23 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     return any(not saturate(base, g).is_unit() for g in candidates if not g.is_zero())
 
 
-def _kernel(x: GradedCdga, names: tuple[str, ...]) -> SubtorusBasis:
-    """The subtorus fixing the named variables: the saturated integer
-    kernel of their weights, in Hermite form."""
-    return SubtorusBasis(x.torus_rank, integer_kernel([x.weight_of(n) for n in names], x.torus_rank))
-
-
-def _flats(x: GradedCdga, rank: int) -> list[tuple[str, ...]]:
-    """The flats of the given rank, in the order their first independent
-    spanning subset appears among the combinations of the variables.
+def _flats(x: GradedCdga, rank: int) -> list[tuple[tuple[str, ...], SubtorusBasis]]:
+    """The flats of the given rank, each with its kernel, in the order
+    their first independent spanning subset appears among the combinations
+    of the variables.
 
     A subset is independent when its kernel has corank ``rank``, and its
-    flat is every variable that kernel fixes.
+    flat is every variable that kernel fixes: the saturated integer kernel
+    of the subset's weights, in Hermite form, is the flat's too.
     """
-    flats: list[tuple[str, ...]] = []
+    flats: list[tuple[tuple[str, ...], SubtorusBasis]] = []
     for basis in itertools.combinations(x.var_names, rank):
-        if any(set(basis) <= set(f) for f in flats):
+        if any(set(basis) <= set(f) for f, _ in flats):
             continue
-        kernel = _kernel(x, basis)
-        if kernel.rank == x.torus_rank - rank:
-            flats.append(weight_split(x, kernel).fixed)
+        kernel = integer_kernel([x.weight_of(n) for n in basis], x.torus_rank)
+        if len(kernel) == x.torus_rank - rank:
+            subtorus = SubtorusBasis(x.torus_rank, kernel)
+            flats.append((weight_split(x, subtorus).fixed, subtorus))
     return flats
 
 
@@ -86,19 +88,21 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     for rank in range(len(hermite_rows(v.weight for v in x.ring_vars)) + 1):
         dim = x.torus_rank - rank
         level = [
-            Stratum(flat, dim, _support_nonempty(x, truncation, flat))
-            for flat in _flats(x, rank)
+            (Stratum(flat, dim, _support_nonempty(x, truncation, flat)), kernel)
+            for flat, kernel in _flats(x, rank)
         ]
-        strata.extend(level)
-        maximal = tuple(s.support for s in level if s.nonempty)
+        strata.extend(s for s, _ in level)
+        maximal = [(s.support, kernel) for s, kernel in level if s.nonempty]
         if maximal:
-            return StabilizerReport(tuple(strata), dim, maximal)
-    return StabilizerReport(tuple(strata), 0, ())
+            supports, kernels = zip(*maximal)
+            return StabilizerReport(tuple(strata), dim, supports, kernels)
+    return StabilizerReport(tuple(strata), 0, (), ())
 
 
-def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
+def witness_subtori(report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
     """The subtori stabilizing the maximal strata pointwise: the kernel of
-    each maximal flat, in the order of the flats.
+    each maximal flat, in the order of the flats, as the stratification
+    found them.
 
     Distinct flats have distinct kernels, since a flat is every variable
     its kernel fixes, so there is one witness per maximal flat.
@@ -107,7 +111,7 @@ def witness_subtori(x: GradedCdga, report: StabilizerReport) -> tuple[SubtorusBa
         raise NoPositiveDimensionalStabilizer(
             "every surviving stratum has a finite stabilizer"
         )
-    return tuple(_kernel(x, flat) for flat in report.maximal_support)
+    return report.witnesses
 
 
 def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:

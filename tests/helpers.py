@@ -212,6 +212,53 @@ def rational_rank(rows) -> int:
     return rank
 
 
+# -- reference ring maps -----------------------------------------------------
+
+
+def substitute(p, images, target):
+    """Apply the ring map sending each variable of ``p`` to ``images[name]``,
+    by multiplying out powers of the images: the general ring map that
+    ``Polynomial.pull_back`` specialises to monomial images.
+
+    Variables without an image must exist in ``target`` and map to
+    themselves.  All image polynomials must live in the target ring.
+    """
+    target = tuple(target)
+    base = {}
+    for name in p.variables:
+        if name in images:
+            if images[name].variables != target:
+                raise ValueError(f"image of {name!r} is not in the target ring")
+            base[name] = images[name]
+        else:
+            base[name] = Polynomial.variable(target, name)
+    result = Polynomial.zero(target)
+    for exps, c in p.terms.items():
+        term = Polynomial.constant(target, c)
+        for name, e in zip(p.variables, exps):
+            if e:
+                term = term * base[name] ** e
+        result = result + term
+    return result
+
+
+def evaluate(p, point):
+    """The value of ``p`` at ``point``, a map from each variable to a rational."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        value = Fraction(c)
+        for name, e in zip(p.variables, exps):
+            if e:
+                value *= Fraction(point[name]) ** e
+        total += value
+    return total
+
+
+def total_degree(p):
+    """The largest total degree of a term of ``p``; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 # -- Kirwan chart exclusion by saturation ------------------------------------
 
 
@@ -225,7 +272,7 @@ def kirwan_exclusion_by_saturation(parent, chart):
     xi = Polynomial.variable(ring, chart.exceptional.name)
 
     def strict_transform(ideal):
-        return saturate(Ideal(ring, tuple(p.substitute(images, ring) for p in ideal.generators)), xi)
+        return saturate(Ideal(ring, tuple(substitute(p, images, ring) for p in ideal.generators)), xi)
 
     unstable = strict_transform(saturation_ideal(parent, chart.subtorus))
     return intersect(unstable, strict_transform(parent.excluded))

@@ -44,6 +44,7 @@ from helpers import (
     oracle_member,
     poly,
     strings,
+    total_degree,
 )
 
 
@@ -201,7 +202,7 @@ def _generator_pool():
     pool = list(monomials)
     by_degree = {}
     for m in monomials:
-        by_degree.setdefault(m.total_degree(), []).append(m)
+        by_degree.setdefault(total_degree(m), []).append(m)
     for _, group in sorted(by_degree.items()):
         for a, b in itertools.combinations(group, 2):
             pool.append(a - b)

@@ -33,7 +33,7 @@ from stabred import (
 from stabred.cdga import homogeneous_weight
 from stabred.poly import GREVLEX, LEX, Polynomial
 
-from helpers import FULL1, ideal_of, poly, strings
+from helpers import FULL1, ideal_of, poly, strings, substitute
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -180,7 +180,7 @@ def test_rees_setting_t_to_one_recovers_the_differentials():
     for v in rp.homog_vars:
         if v.source is not None:
             images[v.name] = Polynomial.variable(rp.ring, v.source)
-    collapsed = [r.element.substitute(images, rp.ring) for r in rp.relations]
+    collapsed = [substitute(r.element, images, rp.ring) for r in rp.relations]
     assert collapsed[0].is_zero() and collapsed[1].is_zero()
     for g, value in zip(x.gens1, collapsed[2:4]):
         assert value == g.differential.extend(rp.ring)
@@ -197,7 +197,7 @@ def test_rees_center_at_t_zero():
     images = {name: Polynomial.variable(rp.ring, name) for name in rp.ring}
     images["t_inv"] = Polynomial.zero(rp.ring)
     frozen = [
-        r.element.substitute(images, rp.ring)
+        substitute(r.element, images, rp.ring)
         for r in rp.relations
         if r.homogeneous_degree == 0
     ]
@@ -310,7 +310,7 @@ def test_chart_excluded_is_the_strict_transform():
     # which is the saturation by xi of the total pull-back
     for chart in charts:
         ring = chart.cdga.var_names
-        total = Ideal(ring, tuple(g.substitute(dict(chart.phi), ring) for g in x.excluded.generators))
+        total = Ideal(ring, tuple(substitute(g, dict(chart.phi), ring) for g in x.excluded.generators))
         xi = Polynomial.variable(ring, chart.exceptional.name)
         assert chart.cdga.excluded.generators == saturate(total, xi).groebner()
 
@@ -439,7 +439,7 @@ def test_chart_truncation_localizes_correctly_outside_the_exceptional():
             images = dict(chart.phi)
             pulled = Ideal(
                 ring,
-                tuple(g.substitute(images, ring) for g in parent_truncation.generators),
+                tuple(substitute(g, images, ring) for g in parent_truncation.generators),
             )
             chart_side = classical_truncation(chart.cdga)
             lhs = Ideal(ring, saturate(chart_side, xi).generators + unit_slice.generators)

@@ -156,6 +156,9 @@ def test_homogeneous_weight():
     assert not ok
     ok, w = homogeneous_weight(Polynomial.zero(V), weights, 1)
     assert ok and w is None
+    # a constant has the zero weight of the torus rank, with or without variables
+    assert homogeneous_weight(poly("3", V), weights, 1) == (True, (0,))
+    assert homogeneous_weight(Polynomial.constant((), 3), (), 2) == (True, (0, 0))
 
 
 def test_weight_split():
@@ -310,6 +313,13 @@ def test_from_invariant_function_names_avoid_collisions():
 def test_from_invariant_function_requires_invariance():
     with pytest.raises(ValueError, match="invariant"):
         from_invariant_function(HYPERBOLIC, 1, poly("x^2*y", V))
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 5)], ids=["short", "long"])
+def test_from_invariant_function_refuses_weights_of_the_wrong_length(weight):
+    variables = (GradedVariable("x", weight), GradedVariable("y", (-1, 0)))
+    with pytest.raises(ValueError, match="weight of length"):
+        from_invariant_function(variables, 2, poly("x*y", V))
 
 
 def test_tangent_complex_ranks():

@@ -204,6 +204,14 @@ def test_subtorus_flag_malformed(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", cli.FLAG_COMMANDS["--subtorus"])
+def test_an_empty_subtorus_is_a_domain_failure(command, capsys):
+    # the empty value is given, so it is parsed, not replaced by a witness
+    code, out, err = run(capsys, command, "--scene", f"{SCENES}/xy2-x2y.json", "--subtorus", "")
+    assert (code, out) == (1, "")
+    assert err == "error: bad subtorus component ''\n"
+
+
 def test_reduce_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert code == 0

@@ -20,7 +20,7 @@ from stabred import (
 from stabred.groebner import buchberger
 from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
-from helpers import FULL1
+from helpers import FULL1, substitute
 
 NAMES = ("a", "b", "c", "d")
 
@@ -42,7 +42,7 @@ def test_saturating_a_monomial_ideal_by_a_variable_sets_it_to_one(case):
     ring, gens, v = case
     ideal = Ideal(ring, tuple(Polynomial.monomial(ring, e) for e in gens))
     one = {v: Polynomial.constant(ring, 1)}
-    substituted = Ideal(ring, tuple(g.substitute(one, ring) for g in ideal.generators))
+    substituted = Ideal(ring, tuple(substitute(g, one, ring) for g in ideal.generators))
     assert ideal_equal(saturate(ideal, Polynomial.variable(ring, v)), substituted)
 
 
@@ -100,6 +100,6 @@ def charted_exclusions(draw):
 def test_strict_pull_back_is_the_saturation_of_the_total_pull_back(case):
     x, chart = case
     ring = chart.cdga.var_names
-    total = Ideal(ring, tuple(g.substitute(dict(chart.phi), ring) for g in x.excluded.generators))
+    total = Ideal(ring, tuple(substitute(g, dict(chart.phi), ring) for g in x.excluded.generators))
     xi = Polynomial.variable(ring, chart.exceptional.name)
     assert chart.cdga.excluded.generators == saturate(total, xi).groebner()

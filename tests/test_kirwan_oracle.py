@@ -59,7 +59,7 @@ def test_root_chart_exclusions_match_the_saturation_route_where_reduction_fails(
     with pytest.raises(StrictDecreaseViolation):
         stabilizer_reduce(x)
     met = 0
-    for h in witness_subtori(x, stabilizer_stratification(x)):
+    for h in witness_subtori(stabilizer_stratification(x)):
         for chart in kirwan_charts(x, h):
             assert ideal_equal(chart.cdga.excluded, kirwan_exclusion_by_saturation(x, chart)), chart.name
             met += 1

@@ -28,6 +28,7 @@ from helpers import (
     RANK2_TREES,
     SHIPPED_SCENES,
     bench_workload,
+    evaluate,
     is_canonical,
     poly,
     rank2_tree_scene_file,
@@ -275,7 +276,7 @@ def test_generic_rank_matches_evaluation_on_random_matrices():
             rows[2] = [p * a + q * b for a, b in zip(rows[0], rows[1])]
         exact = _delta2_generic_rank(_coefficient_scene(rows, ring))
         points = [{"a": Fraction(rng.randint(-50, 50)), "b": Fraction(rng.randint(-50, 50))} for _ in range(4)]
-        sampled = max(rational_rank([[c.evaluate(pt) for c in row] for row in rows]) for pt in points)
+        sampled = max(rational_rank([[evaluate(c, pt) for c in row] for row in rows]) for pt in points)
         assert exact == sampled
 
 

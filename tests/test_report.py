@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 from stabred import Ideal, ideal, load_scene, stabilizer_reduce, validate_presentation
 from stabred.groebner import buchberger
@@ -18,6 +20,14 @@ from stabred.report import (
 )
 
 from helpers import RANK2_TREES, SHIPPED_SCENES, ideal_of, scene_file, strings
+
+
+def test_pyproject_version_is_the_tool_version():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert version == TOOL_VERSION
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():

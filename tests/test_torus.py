@@ -96,7 +96,7 @@ def test_stratification_respects_excluded_ideal():
     assert report.max_dim == 0
     assert report.maximal_support == (("x", "y"),)
     with pytest.raises(NoPositiveDimensionalStabilizer):
-        witness_subtori(x, report)
+        witness_subtori(report)
 
 
 def test_flats_of_one_rank_keep_their_first_seen_order():
@@ -109,7 +109,28 @@ def test_flats_of_one_rank_keep_their_first_seen_order():
     assert [s.support for s in report.strata] == [(), ("a", "b"), ("c", "d")]
     assert report.max_dim == 1
     assert report.maximal_support == (("a", "b"), ("c", "d"))
-    assert [h.vectors for h in witness_subtori(x, report)] == [((0, 1),), ((1, 0),)]
+    assert [h.vectors for h in witness_subtori(report)] == [((0, 1),), ((1, 0),)]
+
+
+def test_witness_subtori_returns_the_kernels_the_stratification_built(monkeypatch):
+    import stabred.torus as torus
+
+    built = []
+
+    def recording(*args):
+        built.append(SubtorusBasis(*args))
+        return built[-1]
+
+    def refused(rows, width):
+        raise AssertionError("integer_kernel called after the stratification")
+
+    names = tuple(v.name for v in RANK2)
+    monkeypatch.setattr(torus, "SubtorusBasis", recording)
+    report = stabilizer_stratification(GradedCdga(2, RANK2, excluded=ideal_of(names, "a", "b", "c", "d")))
+    monkeypatch.setattr(torus, "integer_kernel", refused)
+    witnesses = witness_subtori(report)
+    assert [h.vectors for h in witnesses] == [((0, 1),), ((1, 0),)]
+    assert all(any(h is b for b in built) for h in witnesses)
 
 
 def test_unit_excluded_kills_every_stratum():
@@ -136,10 +157,7 @@ def test_five_hyperbolic_pairs_test_one_root_flat():
 
 
 def test_witness_subtorus_is_full_lattice_at_the_origin():
-    (witness,) = witness_subtori(
-        load_scene("scenes/xy.json"),
-        stabilizer_stratification(load_scene("scenes/xy.json")),
-    )
+    (witness,) = witness_subtori(stabilizer_stratification(load_scene("scenes/xy.json")))
     assert witness.vectors == ((1,),)
 
 
@@ -153,7 +171,7 @@ def test_witness_subtorus_canonical_kernel():
     report = stabilizer_stratification(x)
     assert report.max_dim == 1
     assert report.maximal_support == (("x",),)
-    (witness,) = witness_subtori(x, report)
+    (witness,) = witness_subtori(report)
     assert witness.vectors == ((1, -1),)
 
 
@@ -170,7 +188,7 @@ def test_proportional_weights_give_one_flat_and_one_witness():
     report = stabilizer_stratification(x)
     assert report.max_dim == 1
     assert report.maximal_support == (("x", "y"),)
-    witnesses = witness_subtori(x, report)
+    witnesses = witness_subtori(report)
     assert len(witnesses) == 1
     assert witnesses[0].vectors == ((1, -1),)
 
@@ -251,7 +269,14 @@ def _check_flats_against_closure(y, report):
     rank it stops at, or up to the rank of all the weights."""
     top = rational_rank([v.weight for v in y.ring_vars])
     closure = [_closure_flats(y, rank) for rank in range(top + 1)]
-    assert [_flats(y, rank) for rank in range(top + 1)] == closure
+    levels = [_flats(y, rank) for rank in range(top + 1)]
+    assert [[flat for flat, _ in level] for level in levels] == closure
+    weights = {v.name: v.weight for v in y.ring_vars}
+    for flat, kernel in (pair for level in levels for pair in level):
+        assert kernel.vectors == integer_kernel([weights[n] for n in flat], y.torus_rank), flat
+    assert len(report.witnesses) == len(report.maximal_support)
+    for support, witness in zip(report.maximal_support, report.witnesses):
+        assert witness.vectors == integer_kernel([weights[n] for n in support], y.torus_rank), support
     stop = y.torus_rank - report.max_dim if report.maximal_support else top
     assert [s.support for s in report.strata] == [f for level in closure[: stop + 1] for f in level]
 
@@ -301,7 +326,7 @@ def _check_against_support_walk(y, report):
                 kernel = integer_kernel([weights[n] for n in s], y.torus_rank)
                 if kernel not in kernels:
                     kernels.append(kernel)
-        assert [h.vectors for h in witness_subtori(y, report)] == kernels
+        assert [h.vectors for h in witness_subtori(report)] == kernels
 
 
 def _check_against_oracles(y, report):
@@ -341,7 +366,7 @@ def test_stratum_tests_match_the_full_ring_oracle_at_roots_that_fail_to_reduce()
     hyperbola = GradedCdga(2, RANK2, (Generator1("w1", (0, 0), poly("a*b + c*d - 1", ring)),))
     for x, witnesses in ((rank2_critical("a*b*c*d"), 1), (hyperbola, 2)):
         report = stabilizer_stratification(x)
-        assert len(witness_subtori(x, report)) == witnesses
+        assert len(witness_subtori(report)) == witnesses
         _check_against_oracles(x, report)
 
 
@@ -373,7 +398,7 @@ def _check_saturation_against_enumeration(tree, cap):
         if node.leaf_report is not None:
             continue
         y = node.cdga
-        for h in witness_subtori(y, node.stabilizer):
+        for h in witness_subtori(node.stabilizer):
             squarefree = tuple(
                 Polynomial.monomial(y.var_names, tuple(int(n in m) for n in y.var_names))
                 for m in _minimal_invariant_monomials(y, h, cap)
