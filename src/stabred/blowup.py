@@ -142,9 +142,7 @@ def rees_presentation(
     """
     moving = _center_split(x, subtorus).moving
 
-    taken = set(x.var_names)
-    taken.update(g.name for g in x.gens1)
-    taken.update(g.name for g in x.gens2)
+    taken = set(x.names)
     t_name = fresh_name("t_inv", taken)
     taken.add(t_name)
     v_names = []
@@ -167,28 +165,27 @@ def rees_presentation(
     for m in moving:
         relations.append(ReesRelation(0, 0, var(t_name) * var(v_of[m]) - var(m)))
 
-    moving_polys = [Polynomial.variable(x.var_names, m) for m in moving]
-    moving_gens1 = [g for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)]
-    lam = lambda_matrix([g.differential for g in moving_gens1], moving_polys, order)
-    for row in lam.entries:
+    def homogenized(row) -> Polynomial:
+        """A row of quotients by the moving variables, each times its coordinate."""
         element = Polynomial.zero(ring)
         for coeff, m in zip(row, moving):
             element = element + coeff.extend(ring) * var(v_of[m])
-        relations.append(ReesRelation(0, 1, element))
+        return element
+
+    # _center_split has checked that every moving coefficient lies in the
+    # ideal of the moving variables, so each division leaves no remainder
+    moving_polys = [Polynomial.variable(x.var_names, m) for m in moving]
+    moving_gens1 = [g for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)]
+    lam = lambda_matrix([g.differential for g in moving_gens1], moving_polys, order)
+    relations += [ReesRelation(0, 1, homogenized(row)) for row in lam.entries]
 
     for g in x.gens2:
         if is_fixed_weight(g.weight, subtorus):
             continue
+        lam = lambda_matrix([coeff for _, coeff in g.differential], moving_polys, order)
         element = Polynomial.zero(ring)
-        for target, coeff in g.differential:
-            quotients, remainder = divide(coeff, moving_polys, order)
-            if not remainder.is_zero():
-                # unreachable once the dagger condition holds
-                raise DaggerViolation(
-                    f"coefficient of {g.name!r} on {target!r} is not supported on the moving locus"
-                )
-            for beta, m in zip(quotients, moving):
-                element = element + beta.extend(ring) * var(v_of[m]) * var(target)
+        for (target, _), row in zip(g.differential, lam.entries):
+            element = element + homogenized(row) * var(target)
         relations.append(ReesRelation(1, 1, element))
 
     return ReesPresentation(x, subtorus, t_name, tuple(homog_vars), tuple(relations), ring)
@@ -274,15 +271,12 @@ def blowup_charts(
     if not split.moving:
         raise NoCenter("the subtorus moves no ring variable")
 
-    taken = set(x.var_names)
-    taken.update(g.name for g in x.gens1)
-    taken.update(g.name for g in x.gens2)
     moving1 = {g.name for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)}
 
     charts = []
     for center in sorted(split.moving):
         w_center = x.weight_of(center)
-        local = set(taken)
+        local = set(x.names)
         xi_name = fresh_name("xi", local)
         local.add(xi_name)
         slopes = []

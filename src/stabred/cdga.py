@@ -119,6 +119,11 @@ class GradedCdga:
     def var_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.ring_vars)
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every generator's name: ring variables, then degree 1, then degree 2."""
+        return self.var_names + tuple(g.name for g in self.gens1 + self.gens2)
+
     def weight_of(self, name: str) -> Weight:
         for v in self.ring_vars:
             if v.name == name:
@@ -186,9 +191,8 @@ def validate_presentation(x: GradedCdga) -> ValidationReport:
         problems.append(Violation("torus_rank", "", "torus rank must be nonnegative"))
         return ValidationReport(tuple(problems))
 
-    names = [v.name for v in x.ring_vars] + [g.name for g in x.gens1] + [g.name for g in x.gens2]
     seen = set()
-    for name in names:
+    for name in x.names:
         if not name:
             problems.append(Violation("name", name, "empty generator name"))
         if name in seen:

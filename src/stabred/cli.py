@@ -74,7 +74,7 @@ def _resolve_subtorus(x: GradedCdga, args) -> SubtorusBasis:
 def _emit(args, command: str, digest: str, data: dict, lines: list[str]) -> None:
     for line in lines:
         print(line)
-    if args.json_path:
+    if args.json_path is not None:
         doc = rpt.document(command, digest, data)
         with open(args.json_path, "w", encoding="utf-8") as handle:
             handle.write(rpt.canonical_json(doc))
@@ -192,7 +192,7 @@ def run_command(args) -> int:
                 flags.append("fully unstable")
             lines.append(f"  {record['id']}: excluded ({removed})  [{', '.join(flags)}]")
         _emit(args, "reduce", digest, data, lines)
-        return 0
+        return 0 if ok else 3
 
     if args.command == "report":
         data = rpt.leaves_document(tree)

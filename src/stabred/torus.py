@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
 from .ideal import Ideal, monomial_ideal, saturate
-from .intlinalg import hermite_rows, integer_kernel
+from .intlinalg import integer_kernel
 
 
 @dataclass(frozen=True)
@@ -54,24 +54,32 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     return any(not saturate(base, g).is_unit() for g in candidates if not g.is_zero())
 
 
-def _flats(x: GradedCdga, rank: int) -> list[tuple[tuple[str, ...], SubtorusBasis]]:
-    """The flats of the given rank, each with its kernel, in the order
-    their first independent spanning subset appears among the combinations
-    of the variables.
+def _closure(x: GradedCdga, basis: tuple[str, ...]):
+    """The flat the basis spans, the basis, and the flat's kernel: the
+    saturated integer kernel of the basis' weights, in Hermite form, which
+    fixes exactly the variables of the flat."""
+    kernel = integer_kernel([x.weight_of(n) for n in basis], x.torus_rank)
+    flat = tuple(v.name for v in x.ring_vars if all(pairing(v.weight, h) == 0 for h in kernel))
+    return flat, basis, kernel
 
-    A subset is independent when its kernel has corank ``rank``, and its
-    flat is every variable that kernel fixes: the saturated integer kernel
-    of the subset's weights, in Hermite form, is the flat's too.
+
+def _covers(x: GradedCdga, level):
+    """The flats one rank above ``level``, in the order of their least bases.
+
+    The covers of a flat F partition the variables off F (Oxley, *Matroid
+    Theory*, section 1.7), so each variable off F and off every cover of F
+    found so far spans a new one with F's least basis.  A flat's least basis
+    extends that of the earliest flat one rank lower inside it, so the walk
+    meets each flat first at its least basis.
     """
-    flats: list[tuple[tuple[str, ...], SubtorusBasis]] = []
-    for basis in itertools.combinations(x.var_names, rank):
-        if any(set(basis) <= set(f) for f, _ in flats):
-            continue
-        kernel = integer_kernel([x.weight_of(n) for n in basis], x.torus_rank)
-        if len(kernel) == x.torus_rank - rank:
-            subtorus = SubtorusBasis(x.torus_rank, kernel)
-            flats.append((weight_split(x, subtorus).fixed, subtorus))
-    return flats
+    covers = []
+    for flat, basis, _ in level:
+        seen = set(flat).union(*(g for g, _, _ in covers if set(flat) <= set(g)))
+        for v in x.var_names:
+            if v not in seen:
+                covers.append(_closure(x, basis + (v,)))
+                seen.update(covers[-1][0])
+    return covers
 
 
 def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
@@ -80,37 +88,29 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     A point lies on the locus of a rank-k flat exactly when its stabilizer
     contains the flat's kernel, so the first rank with a nonempty flat gives
     the maximal stabilizer dimension, and its nonempty flats are the
-    maximal strata.  The strata list every flat tested.  The ranks run up
-    to the rank of the weights, the length of their Hermite form.
+    maximal strata.  The strata list every flat tested, from the flat of no
+    variable up by covers to the flat of every variable, which has none.
     """
     truncation = classical_truncation(x)
     strata: list[Stratum] = []
-    for rank in range(len(hermite_rows(v.weight for v in x.ring_vars)) + 1):
-        dim = x.torus_rank - rank
-        level = [
-            (Stratum(flat, dim, _support_nonempty(x, truncation, flat)), kernel)
-            for flat, kernel in _flats(x, rank)
-        ]
-        strata.extend(s for s, _ in level)
-        maximal = [(s.support, kernel) for s, kernel in level if s.nonempty]
+    level = [_closure(x, ())]
+    while level:
+        tested = [(Stratum(f, len(k), _support_nonempty(x, truncation, f)), k) for f, _, k in level]
+        strata.extend(s for s, _ in tested)
+        maximal = [(s.support, SubtorusBasis(x.torus_rank, k)) for s, k in tested if s.nonempty]
         if maximal:
             supports, kernels = zip(*maximal)
-            return StabilizerReport(tuple(strata), dim, supports, kernels)
+            return StabilizerReport(tuple(strata), kernels[0].rank, supports, kernels)
+        level = _covers(x, level)
     return StabilizerReport(tuple(strata), 0, (), ())
 
 
 def witness_subtori(report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
-    """The subtori stabilizing the maximal strata pointwise: the kernel of
-    each maximal flat, in the order of the flats, as the stratification
-    found them.
-
-    Distinct flats have distinct kernels, since a flat is every variable
-    its kernel fixes, so there is one witness per maximal flat.
-    """
+    """The subtori stabilizing the maximal strata pointwise: the kernels of
+    the maximal flats as the stratification built them, one per flat, since
+    a flat is every variable its kernel fixes."""
     if report.max_dim <= 0:
-        raise NoPositiveDimensionalStabilizer(
-            "every surviving stratum has a finite stabilizer"
-        )
+        raise NoPositiveDimensionalStabilizer("every surviving stratum has a finite stabilizer")
     return report.witnesses
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -390,6 +393,38 @@ def test_json_written_even_for_validation_failure(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["data"]["ok"] is False
     assert doc["input_digest"] == hashlib.sha256(bad.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_an_empty_json_path_is_a_domain_failure(command, capsys):
+    code, out, err = run(capsys, command, "--scene", f"{SCENES}/xy.json", "--json", "")
+    assert code == 1
+    assert out != ""
+    assert err.startswith("error: [Errno 2]")
+
+
+def test_a_failed_invariant_check_exits_three_after_writing_the_report(tmp_path, monkeypatch, capsys):
+    from stabred import report
+
+    monkeypatch.setattr(report, "crosscheck_truncation", lambda chart, parent: False)
+    target = tmp_path / "reduce.json"
+    code, out, err = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json", "--json", str(target))
+    assert code == 3
+    assert out.splitlines()[1] == "checks: FAILED (crosscheck)"
+    assert err == ""
+    checks = json.loads(target.read_text())["data"]["invariant_checks"]
+    assert checks == {"crosscheck": False, "strict_decrease": True, "validation": True}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_runs_without_site_packages(command):
+    # -S leaves site-packages off the path, so only the standard library
+    # and the package under src can be imported
+    env = {**os.environ, "PYTHONPATH": "src"}
+    argv = [sys.executable, "-S", "-m", "stabred.cli", command, "--scene", f"{SCENES}/xy2-x2y.json"]
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout
 
 
 def test_no_ansi_codes_when_not_a_tty(capsys):

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,7 @@ from stabred import (
 )
 from stabred.cdga import pairing, weight_split
 from stabred.intlinalg import integer_kernel
-from stabred.torus import _flats
+from stabred.torus import _closure, _covers
 
 from helpers import FULL1, build_corpus, ideal_of, poly, rational_rank, strings
 
@@ -131,6 +132,38 @@ def test_witness_subtori_returns_the_kernels_the_stratification_built(monkeypatc
     witnesses = witness_subtori(report)
     assert [h.vectors for h in witnesses] == [((0, 1),), ((1, 0),)]
     assert all(any(h is b for b in built) for h in witnesses)
+
+
+def counted_stratification(x):
+    """The stratification of ``x``, with how many times it took an integer
+    kernel and built a ``SubtorusBasis``."""
+    import stabred.torus as torus
+
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    with mock.patch.object(torus, "integer_kernel", counting("kernel", integer_kernel)), \
+            mock.patch.object(torus, "SubtorusBasis", counting("subtorus", SubtorusBasis)):
+        report = torus.stabilizer_stratification(x)
+    return report, calls
+
+
+def test_the_walk_takes_one_kernel_per_flat_and_builds_only_the_witnesses():
+    # only the points off every coordinate hyperplane survive, so the walk
+    # tests the origin, both lines and the plane; a scan over the pairs of
+    # variables would also take the kernel of the dependent pair (a, b)
+    names = tuple(v.name for v in RANK2)
+    report, calls = counted_stratification(GradedCdga(2, RANK2, excluded=ideal_of(names, "a*b*c*d")))
+    assert [s.support for s in report.strata] == [(), ("a", "b"), ("c", "d"), names]
+    assert [s.nonempty for s in report.strata] == [False, False, False, True]
+    assert report.max_dim == 0
+    assert calls == {"kernel": 4, "subtorus": 1}
 
 
 def test_unit_excluded_kills_every_stratum():
@@ -269,11 +302,14 @@ def _check_flats_against_closure(y, report):
     rank it stops at, or up to the rank of all the weights."""
     top = rational_rank([v.weight for v in y.ring_vars])
     closure = [_closure_flats(y, rank) for rank in range(top + 1)]
-    levels = [_flats(y, rank) for rank in range(top + 1)]
-    assert [[flat for flat, _ in level] for level in levels] == closure
+    levels = [[_closure(y, ())]]
+    while levels[-1]:
+        levels.append(_covers(y, levels[-1]))
+    assert [[flat for flat, _, _ in level] for level in levels[:-1]] == closure
     weights = {v.name: v.weight for v in y.ring_vars}
-    for flat, kernel in (pair for level in levels for pair in level):
-        assert kernel.vectors == integer_kernel([weights[n] for n in flat], y.torus_rank), flat
+    for flat, basis, kernel in (triple for level in levels for triple in level):
+        assert rational_rank([weights[n] for n in basis]) == len(basis), basis
+        assert kernel == integer_kernel([weights[n] for n in flat], y.torus_rank), flat
     assert len(report.witnesses) == len(report.maximal_support)
     for support, witness in zip(report.maximal_support, report.witnesses):
         assert witness.vectors == integer_kernel([weights[n] for n in support], y.torus_rank), support
