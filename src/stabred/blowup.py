@@ -86,8 +86,6 @@ def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
     """The fixed and moving names of a valid presentation whose moving
     degree-2 data vanishes on the center of ``subtorus``."""
     require_valid(x)
-    if subtorus.ambient_rank != x.torus_rank:
-        raise ValueError("subtorus does not match the torus rank")
     if not dagger_check(x, subtorus):
         raise DaggerViolation(
             "a moving degree-2 differential does not vanish on the center"

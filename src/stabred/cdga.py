@@ -297,11 +297,12 @@ class WeightSplit:
 
 
 def weight_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
-    """Partition the ring variables by whether the subtorus fixes them."""
-    fixed, moving = [], []
-    for v in x.ring_vars:
-        (fixed if is_fixed_weight(v.weight, subtorus) else moving).append(v.name)
-    return WeightSplit(tuple(fixed), tuple(moving))
+    """Partition the ring variables by whether the subtorus fixes them; the
+    one place that refuses a subtorus of another torus rank."""
+    if subtorus.ambient_rank != x.torus_rank:
+        raise ValueError("subtorus does not match the torus rank")
+    fixed = tuple(v.name for v in x.ring_vars if is_fixed_weight(v.weight, subtorus))
+    return WeightSplit(fixed, tuple(n for n in x.var_names if n not in fixed))
 
 
 def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
@@ -316,8 +317,6 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
     order with no Buchberger call.
     """
     require_valid(x)
-    if subtorus.ambient_rank != x.torus_rank:
-        raise ValueError("subtorus does not match the torus rank")
     split = weight_split(x, subtorus)
     ring = split.fixed
     variables = tuple(v for v in x.ring_vars if v.name in ring)

@@ -11,7 +11,6 @@ centers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
@@ -119,28 +118,30 @@ def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
 
     By Hilbert-Mumford a point is unstable exactly when 0 is not in the
     convex hull of the pairings of its moving variables with the subtorus,
-    that is, when no monomial in those variables is invariant.  Every
-    invariant monomial is a product of positive circuits: sets of at most
-    ``rank + 1`` moving variables whose pairings have a one-dimensional
-    kernel spanned by a vector of one sign with no zero entry.  The
-    squarefree monomials of the positive circuits generate the radical of
-    the invariant-monomial ideal, so they cut out the same points, with no
-    degree bound.  For a one-parameter subtorus the circuits are the pairs
-    of one positive and one negative variable.
+    that is, when no monomial in those variables is invariant.  The
+    squarefree monomials of the positive circuits, the minimal sets of moving
+    variables with a positive relation among their pairings p_n, generate the
+    radical of the invariant-monomial ideal, so they cut out the same points,
+    with no degree bound.  For a one-parameter subtorus the circuits are the
+    pairs of one positive and one negative variable.
+
+    The circuits are the supports of the extreme rays of the pointed cone
+    {y >= 0 : sum y_n p_n = 0}: extreme rays are its elements of minimal
+    support, and a proper subset of a circuit is independent.  Fourier-
+    Motzkin elimination (double description, Motzkin et al. 1953) cuts the
+    cone one subtorus coordinate at a time: rays (support -> image) that
+    vanish there stay, each positive ray joins each negative one, and the
+    candidates of minimal support are the new extreme rays.
     """
-    names = x.var_names
-    weights = {v.name: v.weight for v in x.ring_vars}
-    pairings = {
-        n: tuple(pairing(weights[n], h) for h in subtorus.vectors)
+    rays = {
+        frozenset((n,)): tuple(pairing(x.weight_of(n), h) for h in subtorus.vectors)
         for n in weight_split(x, subtorus).moving
     }
-    exponents = []
-    for size in range(1, subtorus.rank + 2):
-        for circuit in itertools.combinations(pairings, size):
-            rows = list(zip(*(pairings[n] for n in circuit)))
-            kernel = integer_kernel(rows, size)
-            # the Hermite form makes the first entry positive, so a kernel
-            # of one sign with no zero entry is all positive
-            if len(kernel) == 1 and all(c > 0 for c in kernel[0]):
-                exponents.append(tuple(int(n in circuit) for n in names))
-    return monomial_ideal(names, exponents)
+    for k in range(subtorus.rank):
+        cut = {s: u for s, u in rays.items() if u[k] == 0}
+        for s, u in rays.items():
+            for t, v in rays.items():
+                if u[k] > 0 > v[k]:
+                    cut[s | t] = tuple(u[k] * b - v[k] * a for a, b in zip(u, v))
+        rays = {s: u for s, u in cut.items() if not any(t < s for t in cut)}
+    return monomial_ideal(x.var_names, (tuple(int(n in s) for n in x.var_names) for s in rays))

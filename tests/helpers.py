@@ -19,6 +19,7 @@ from stabred import (
     dagger_check,
     from_invariant_function,
     intersect,
+    monomial_ideal,
     parse_polynomial,
     saturate,
     saturation_ideal,
@@ -26,6 +27,8 @@ from stabred import (
     validate_presentation,
 )
 import stabred.ideal
+from stabred.cdga import pairing, weight_split
+from stabred.intlinalg import integer_kernel
 from stabred.poly import Polynomial
 
 CORPUS_SEED = 20260815
@@ -257,6 +260,32 @@ def evaluate(p, point):
 def total_degree(p):
     """The largest total degree of a term of ``p``; -1 for the zero polynomial."""
     return max((sum(e) for e in p.terms), default=-1)
+
+
+# -- positive circuits by a subset scan -------------------------------------
+
+
+def positive_circuits_by_subsets(x, subtorus):
+    """The unstable locus of ``x`` for ``subtorus`` by the subset scan that
+    ``saturation_ideal`` replaced: every set of at most ``rank + 1`` moving
+    variables whose pairings have a one-dimensional integer kernel spanned by
+    a vector of one sign with no zero entry is a positive circuit."""
+    names = x.var_names
+    weights = {v.name: v.weight for v in x.ring_vars}
+    pairings = {
+        n: tuple(pairing(weights[n], h) for h in subtorus.vectors)
+        for n in weight_split(x, subtorus).moving
+    }
+    exponents = []
+    for size in range(1, subtorus.rank + 2):
+        for circuit in itertools.combinations(pairings, size):
+            rows = list(zip(*(pairings[n] for n in circuit)))
+            kernel = integer_kernel(rows, size)
+            # the Hermite form makes the first entry positive, so a kernel
+            # of one sign with no zero entry is all positive
+            if len(kernel) == 1 and all(c > 0 for c in kernel[0]):
+                exponents.append(tuple(int(n in circuit) for n in names))
+    return monomial_ideal(names, exponents)
 
 
 # -- Kirwan chart exclusion by saturation ------------------------------------

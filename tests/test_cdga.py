@@ -11,10 +11,13 @@ from stabred import (
     Ideal,
     InvalidPresentation,
     SubtorusBasis,
+    blowup_charts,
     classical_truncation,
+    dagger_check,
     fixed_locus,
     from_invariant_function,
     load_scene,
+    saturation_ideal,
     stabilizer_stratification,
     tangent_complex_ranks,
     validate_presentation,
@@ -168,6 +171,17 @@ def test_weight_split():
     trivial = SubtorusBasis(1, ())
     split = weight_split(x, trivial)
     assert split.fixed == ("x", "y") and split.moving == ()
+
+
+@pytest.mark.parametrize(
+    "routine", [weight_split, saturation_ideal, dagger_check, fixed_locus, blowup_charts]
+)
+def test_a_subtorus_of_another_torus_rank_is_refused(routine):
+    # a rank-1 subtorus would pair with the first coordinate alone and take
+    # a*b for invariant, which it is not on the rank-2 torus
+    x = GradedCdga(2, (GradedVariable("a", (1, 5)), GradedVariable("b", (-1, 3))))
+    with pytest.raises(ValueError, match="subtorus does not match the torus rank"):
+        routine(x, FULL1)
 
 
 def test_subtorus_basis_validation():

@@ -3,13 +3,13 @@ and of the rank-2 trees.
 
 Each entry is the sha256 of the ``--json`` document that a command writes
 for a scene under ``scenes/`` (every command on the five shipped scenes),
-or that ``reduce`` writes for a scene of ``helpers.RANK2_TREES``; ``LEX_GOLDEN``
-holds the ``reduce --order lex`` documents of both sets.  Where lex and
-grevlex print every polynomial alike, the two digests agree.  The rank-2
-trees reach depth 2, carry exclusions from node to node and have several
-charts per node.  A change that is meant to leave every output alone must
-leave these digests alone; a change that alters an output on purpose
-updates the digest and says why.
+or that ``reduce`` and ``kirwan`` write for a scene of
+``helpers.RANK2_TREES``; ``LEX_GOLDEN`` holds the ``reduce --order lex``
+documents of both sets.  Where lex and grevlex print every polynomial
+alike, the two digests agree.  The rank-2 trees reach depth 2, carry
+exclusions from node to node and have several charts per node.  A change
+that is meant to leave every output alone must leave these digests alone;
+a change that alters an output on purpose updates the digest and says why.
 """
 
 import hashlib
@@ -92,6 +92,26 @@ def test_rank2_tree_reduce_digest(scene, tmp_path, capsys):
     assert main(["reduce", "--scene", str(path), "--json", str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == RANK2_GOLDEN[scene]
+
+
+# ``kirwan`` of the rank-2 trees: the rank-2 saturation ideals of the root
+# witnesses, printed under ``saturation``
+KIRWAN_RANK2_GOLDEN = {
+    "crit-abcd+ab": "4233c59809a50ef806f36735592f0b83b221f68593b3b9fc033911e677abb052",
+    "crit-ab+cd-1": "1f292cd10e4be3aa1e059599fc359ba0b2316c5650c2f1e1756b5451f87a8865",
+    "crit-a2b2+cd": "d2fdd32b887275c4537df6741d34b0317aab2d56de9767fd94bc4051a260f8bd",
+    "crit-ab+cd-skew": "88230b95f17050d5d6c3d1fc869cf5f5d1e45d9a0000320618bfe2031b820483",
+    "hyp-ab-1": "510fb5fa320bc9a50e1fcd85baa00387d9f77c43be48e1b2809ee759ddb899a4",
+}
+
+
+@pytest.mark.parametrize("scene", list(KIRWAN_RANK2_GOLDEN))
+def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
+    path = rank2_tree_scene_file(scene, tmp_path)
+    target = tmp_path / "doc.json"
+    assert main(["kirwan", "--scene", str(path), "--json", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == KIRWAN_RANK2_GOLDEN[scene]
 
 
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees

@@ -26,6 +26,7 @@ from stabred import (
     tree_depth,
     witness_subtori,
 )
+from stabred import torus
 from stabred.cdga import pairing, weight_split
 from stabred.intlinalg import integer_kernel
 from stabred.torus import _closure, _covers
@@ -276,6 +277,23 @@ def test_saturation_ideal_is_squarefree():
 def test_saturation_ideal_no_invariants():
     x = GradedCdga(2, (GradedVariable("x", (1, 0)), GradedVariable("y", (-1, -1))))
     assert saturation_ideal(x, SubtorusBasis.full(2)).is_zero()
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_saturation_ideal_takes_no_integer_kernel(rank, monkeypatch):
+    # the full torus of the weights of p_0*q_0*...*p_{r-1}*q_{r-1}, whose
+    # positive circuits are the r pairs
+    def refused(*args):
+        raise AssertionError("saturation_ideal took an integer kernel")
+
+    monkeypatch.setattr(torus, "integer_kernel", refused)
+    ring = tuple(
+        GradedVariable(f"{name}{i}", tuple(sign * (a == i) for a in range(rank)))
+        for i in range(rank)
+        for name, sign in (("p", 1), ("q", -1))
+    )
+    J = saturation_ideal(GradedCdga(rank, ring), SubtorusBasis.full(rank))
+    assert strings(J.generators) == tuple(f"p{i}*q{i}" for i in range(rank))
 
 
 # -- flats against the rank closure and the per-support walk in the full ring ---
