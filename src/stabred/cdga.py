@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidPresentation
-from .ideal import Ideal, monomial_ideal
+from .ideal import Ideal, fresh_name, monomial_ideal
 from .intlinalg import hermite_rows
 from .poly import Polynomial
 
@@ -359,16 +359,12 @@ def from_invariant_function(variables: tuple[GradedVariable, ...], torus_rank: i
     taken = set(names)
     gens1 = []
     for v in variables:
-        gname = f"w_{v.name}"
-        while gname in taken:
-            gname += "_"
+        gname = fresh_name(f"w_{v.name}", taken)
         taken.add(gname)
         gens1.append(Generator1(gname, tuple(-a for a in v.weight), f.partial(v.name)))
     gens2 = []
     for a in range(torus_rank):
-        ename = f"e_{a + 1}"
-        while ename in taken:
-            ename += "_"
+        ename = fresh_name(f"e_{a + 1}", taken)
         taken.add(ename)
         diff = []
         for v, g in zip(variables, gens1):

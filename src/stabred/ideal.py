@@ -87,13 +87,11 @@ def _has_constant(ideal: Ideal) -> bool:
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Mutual containment, generator by generator; equal generator lists
-    need no basis."""
+    """Equal reduced grevlex bases, which are unique to each ideal; equal
+    generator lists need no basis."""
     if a.variables != b.variables:
         raise ValueError("ideals live in different rings")
-    if a.generators == b.generators:
-        return True
-    return all(map(b.contains, a.generators)) and all(map(a.contains, b.generators))
+    return a.generators == b.generators or a.groebner() == b.groebner()
 
 
 def fresh_name(base: str, taken) -> str:

@@ -19,24 +19,16 @@ from .poly import GREVLEX, ORDERS, MonomialOrder
 
 @dataclass(frozen=True)
 class SceneOptions:
-    """The run setting and its default: the monomial order for printing.  A
-    scene's ``options`` and the ``--order`` flag override it; the value is
-    checked here, wherever it came from."""
+    """The one run setting and its default: the monomial order for
+    printing.  A scene's ``options`` and the ``--order`` flag override it;
+    the value is checked here, wherever it came from.  The reduction itself
+    takes no setting: the presentation alone fixes it."""
 
     order: str = GREVLEX.kind
 
     def __post_init__(self):
         if not isinstance(self.order, str) or self.order not in ORDERS:
             raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
-
-
-# Settings that no longer steer anything: "seed" once seeded random rank
-# probes, "degree_cap" once bounded the invariant-monomial search and
-# "depth_fuse" once bounded the reduction's depth, which the strict drop of
-# the stabilizer dimension on every edge now bounds by the torus rank.
-# Older scene files keep them, so each is still checked to be an integer,
-# then dropped.
-RETIRED_OPTIONS = ("seed", "degree_cap", "depth_fuse")
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,9 @@ def _expect_int(value, where: str) -> int:
 
 
 def parse_scene(data) -> Scene:
-    """Build a validated scene from decoded JSON data."""
+    """Build a validated scene from decoded JSON data.  ``options`` may
+    hold only the fields of ``SceneOptions``; any other name is a
+    ``SchemaError``, like an unknown field anywhere else."""
     top = _expect_object(data, "scene")
     _expect_fields(top, "scene", ("torus_rank", "variables", "gens1", "gens2"), ("options",))
 
@@ -148,11 +142,8 @@ def parse_scene(data) -> Scene:
         )
 
     given = _expect_object(top.get("options", {}), "options")
-    known = tuple(f.name for f in fields(SceneOptions))
-    _expect_fields(given, "options", (), known + RETIRED_OPTIONS)
-    options = SceneOptions(**{key: given[key] for key in known if key in given})
-    for key in RETIRED_OPTIONS:
-        _expect_int(given.get(key, 0), f"options.{key}")
+    _expect_fields(given, "options", (), tuple(f.name for f in fields(SceneOptions)))
+    options = SceneOptions(**given)
 
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
     require_valid(cdga)

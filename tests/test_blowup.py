@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import stabred.ideal
 from stabred import (
     DaggerViolation,
     GradedCdga,
@@ -28,12 +29,13 @@ from stabred import (
     rees_presentation,
     saturate,
     saturation_ideal,
+    stabilizer_reduce,
     validate_presentation,
 )
 from stabred.cdga import homogeneous_weight
 from stabred.poly import GREVLEX, LEX, Polynomial
 
-from helpers import FULL1, ideal_of, poly, strings, substitute
+from helpers import FULL1, RANK2_TREES, ideal_of, poly, rank2_tree_scene_file, strings, substitute
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -418,6 +420,26 @@ def test_crosscheck_fails_on_a_moving_differential_left_undivided():
     undivided = replace(chart.cdga, gens1=(replace(w1, differential=w1.differential * xi), w2))
     assert crosscheck_truncation(chart, parent)
     assert not crosscheck_truncation(replace(chart, cdga=undivided), parent)
+
+
+@pytest.mark.parametrize("label", tuple(RANK2_TREES))
+def test_crosscheck_takes_no_normal_form(label, tmp_path, monkeypatch):
+    # both sides are compared by their reduced grevlex bases, which are
+    # unique to each ideal, so no membership test runs
+    tree = stabilizer_reduce(load_scene(rank2_tree_scene_file(label, tmp_path)))
+
+    def refused(*args):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr(stabred.ideal, "normal_form", refused)
+    edges, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        for chart, child in node.children:
+            assert crosscheck_truncation(chart, node.cdga), child.id
+            edges += 1
+            stack.append(child)
+    assert edges
 
 
 def test_chart_truncation_ignores_gens2():

@@ -322,6 +322,15 @@ def test_from_invariant_function_names_avoid_collisions():
     assert len(set(names)) == 2
     assert not set(names) & {"x", "w_x"}
     assert validate_presentation(built).ok
+    # a colliding name takes the first free numeric suffix, as every other
+    # fresh name does (ideal.fresh_name)
+    assert names == ("w_x0", "w_w_x")
+    assert tuple(g.name for g in built.gens2) == ("e_1",)
+    variables = (GradedVariable("x", (1,)), GradedVariable("e_1", (-1,)))
+    built = from_invariant_function(variables, 1, poly("x*e_1", ("x", "e_1")))
+    assert tuple(g.name for g in built.gens1) == ("w_x", "w_e_1")
+    assert tuple(g.name for g in built.gens2) == ("e_10",)
+    assert validate_presentation(built).ok
 
 
 def test_from_invariant_function_requires_invariance():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stabred import cli, errors
+from stabred import cdga, cli, errors
 from stabred.cli import build_parser, main
 
 SCENES = "scenes"
@@ -27,6 +27,15 @@ def test_validate_ok(capsys):
     assert code == 0
     assert out.strip() == "ok"
     assert err == ""
+
+
+def test_validate_checks_the_presentation_once(monkeypatch, capsys):
+    # parsing already validated the scene; the command reuses that verdict
+    calls = []
+    checked = cdga.validate_presentation
+    monkeypatch.setattr(cdga, "validate_presentation", lambda x: calls.append(x) or checked(x))
+    code, out, _ = run(capsys, "validate", "--scene", f"{SCENES}/xy2-x2y.json")
+    assert (code, out.strip(), len(calls)) == (0, "ok", 1)
 
 
 def test_validate_lists_violations(tmp_path, capsys):
@@ -234,67 +243,40 @@ def test_report_lists_leaf_data(capsys):
         assert "dagger True" in line
 
 
-def test_seed_flag_is_accepted_and_ignored(tmp_path, capsys):
-    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
-    scene = f"{SCENES}/darboux-x2y2.json"
-    code, out, _ = run(capsys, "report", "--scene", scene, "--json", str(plain))
-    assert code == 0
-    code, seeded_out, _ = run(
-        capsys, "report", "--scene", scene, "--json", str(seeded), "--seed", "99"
-    )
-    assert code == 0
-    assert seeded_out == out
-    assert seeded.read_bytes() == plain.read_bytes()
-    assert main(["report", "--scene", scene, "--seed", "x"]) == 2
-
-
-def test_degree_cap_flag_is_accepted_and_ignored(tmp_path, capsys):
-    plain, capped = tmp_path / "plain.json", tmp_path / "capped.json"
-    scene = f"{SCENES}/xy.json"
-    code, out, _ = run(capsys, "reduce", "--scene", scene, "--json", str(plain))
-    assert code == 0
-    code, capped_out, _ = run(
-        capsys, "reduce", "--scene", scene, "--json", str(capped), "--degree-cap", "1"
-    )
-    assert code == 0
-    assert capped_out == out
-    assert capped.read_bytes() == plain.read_bytes()
-    assert main(["reduce", "--scene", scene, "--degree-cap", "x"]) == 2
-
-
-def test_depth_fuse_flag_is_accepted_and_ignored(tmp_path, capsys):
-    # the tree is depth 1, past a fuse of 0; the drop of max_dim on every
-    # edge bounds the depth, so no value, in range or not, changes a run
-    plain, fused = tmp_path / "plain.json", tmp_path / "fused.json"
-    scene = f"{SCENES}/a2-hyperbolic.json"
-    code, out, _ = run(capsys, "reduce", "--scene", scene, "--json", str(plain))
-    assert code == 0
-    for depth in ("0", "-1"):
-        code, fused_out, err = run(
-            capsys, "reduce", "--scene", scene, "--json", str(fused), "--depth-fuse", depth
-        )
-        assert (code, err) == (0, "")
-        assert fused_out == out
-        assert fused.read_bytes() == plain.read_bytes()
-    assert main(["reduce", "--scene", scene, "--depth-fuse", "x"]) == 2
+@pytest.mark.parametrize("name", ["seed", "degree-cap", "depth-fuse"])
+@pytest.mark.parametrize("command", ["reduce", "report"])
+def test_retired_flags_are_refused(command, name, capsys):
+    # the reduction takes no seed, degree bound or depth bound, so the
+    # flags that once set them are unknown flags like any other
+    code, out, err = run(capsys, command, "--scene", f"{SCENES}/xy.json", f"--{name}", "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --{name} 1" in err
 
 
 def test_scene_depth_fuse_option_and_flag_override(tmp_path, capsys):
-    # the retired setting is ignored from the scene, and so is the flag
-    source = f"{SCENES}/a2-hyperbolic.json"
-    _, plain, _ = run(capsys, "reduce", "--scene", source)
-    data = json.loads(open(source).read())
+    # the retired setting is refused from the scene, and the flag that once
+    # overrode it is refused too, whatever the value
+    data = json.loads(Path(f"{SCENES}/a2-hyperbolic.json").read_text())
     scene = tmp_path / "fused.json"
-    for depth in (0, -1):
+    for depth in (0, -1, "deep"):
         data["options"] = {"depth_fuse": depth}
         scene.write_text(json.dumps(data))
-        assert run(capsys, "reduce", "--scene", str(scene)) == (0, plain, "")
-        assert run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8") == (0, plain, "")
-    data["options"] = {"depth_fuse": "deep"}
+        refused = (1, "", "error: options has an unknown field 'depth_fuse'\n")
+        assert run(capsys, "reduce", "--scene", str(scene)) == refused
+        code, out, err = run(capsys, "reduce", "--scene", str(scene), "--depth-fuse", "8")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --depth-fuse 8" in err
+
+
+@pytest.mark.parametrize("name", ["seed", "degree_cap", "depth_fuse"])
+def test_retired_scene_options_are_refused(name, tmp_path, capsys):
+    data = json.loads(Path(f"{SCENES}/a2-hyperbolic.json").read_text())
+    data["options"] = {name: 1}
+    scene = tmp_path / "retired.json"
     scene.write_text(json.dumps(data))
     code, out, err = run(capsys, "reduce", "--scene", str(scene))
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "options.depth_fuse must be an integer" in err
+    assert err == f"error: options has an unknown field '{name}'\n"
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from stabred import (
     read_scene,
     serialize_scene,
 )
-from stabred.scene import RETIRED_OPTIONS, SceneOptions, parse_scene_text
+from stabred.scene import SceneOptions, parse_scene_text
 from stabred.poly import GREVLEX, LEX, ORDERS
 
 from helpers import build_corpus, ideal_of
@@ -59,21 +59,15 @@ def test_options_parsed_and_defaulted():
     assert parse_scene(minimal_scene()).options.order == GREVLEX.kind
 
 
-def test_seed_option_is_accepted_and_ignored():
+@pytest.mark.parametrize("name", ["seed", "degree_cap", "depth_fuse"])
+def test_retired_options_are_refused(name):
+    # the reduction takes no seed, degree bound or depth bound, so the scene
+    # options that once set them are unknown fields, whatever their value
     data = minimal_scene()
-    data["options"] = {"seed": 99}
-    assert parse_scene(data).options == SceneOptions()
-    data["options"] = {"seed": "99"}
-    with pytest.raises(SchemaError, match="options.seed"):
-        parse_scene(data)
-
-
-def test_degree_cap_option_is_accepted_and_ignored():
-    # the unstable locus is exact, so no cap is read and none is out of range
-    data = minimal_scene()
-    for cap in (1, 12):
-        data["options"] = {"degree_cap": cap, "order": "lex"}
-        assert parse_scene(data).options == SceneOptions(order="lex")
+    for value in (-1, 0, 8, "99"):
+        data["options"] = {"order": "lex", name: value}
+        with pytest.raises(SchemaError, match=f"^options has an unknown field '{name}'$"):
+            parse_scene(data)
 
 
 def test_gens2_targets_normalized_to_declaration_order():
@@ -106,7 +100,10 @@ def test_gens2_targets_normalized_to_declaration_order():
         (lambda d: d.update(torus_rank="one"), "torus_rank"),
         (lambda d: d.update(options={"order": "degrevlex"}), "order"),
         (lambda d: d.update(options={"degree_cap": "big"}), "degree_cap"),
-        (lambda d: d.update(options={"depth_fuse": 1.5}), "options.depth_fuse"),
+        pytest.param(
+            lambda d: d.update(options={"depth_fuse": 1.5}), "depth_fuse",
+            id="<lambda>-options.depth_fuse",
+        ),
         (lambda d: d.update(options={"mystery": 1}), "mystery"),
     ],
 )
@@ -118,14 +115,12 @@ def test_schema_violations(mutate, fragment):
 
 
 def test_option_ranges_include_their_bounds():
-    # a retired setting takes any integer, the fuse's old bound 0 and values
-    # below it included: every edge lowers max_dim, so the depth is at most
-    # the torus rank and no fuse is read
+    # every value in an option's range is accepted, its first and last
+    # included; the one option is the printing order
     data = minimal_scene()
-    for key in RETIRED_OPTIONS:
-        for value in (-1, 0, 8):
-            data["options"] = {key: value}
-            assert parse_scene(data).options == SceneOptions()
+    for order in ORDERS:
+        data["options"] = {"order": order}
+        assert parse_scene(data).options == SceneOptions(order=order)
 
 
 @pytest.mark.parametrize("name", ["x-1", "x y", "1x", "\u00e9", "x\u0663", "x\n"])
