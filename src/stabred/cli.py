@@ -206,7 +206,7 @@ def run_command(args) -> int:
         _emit(args, "report", digest, data, lines)
         return 0
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    raise InternalError(f"unhandled command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (InternalError, AssertionError) as err:
+    except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
 

@@ -6,6 +6,13 @@ leading-term and chain criteria.  Pending pairs wait in a heap keyed by
 the order key of their lcm, ties broken by index, so each pair's lcm and
 key are computed once.  Output bases are reduced and monic, so for a
 fixed order they are canonical for the ideal.
+
+Order bookkeeping is done once per fact.  A polynomial's terms never
+change after construction, so ``Polynomial.leading`` keeps its answer on
+the polynomial and division and S-polynomials read their leads from it
+instead of rescanning every basis element.  A division keys each monomial
+once, when it first enters the running dividend, and S-polynomials are
+built straight from the two term maps.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import NotDivisible
-from .poly import GREVLEX, Polynomial, coeff_div, monomial_divides, monomial_lcm
+from .poly import GREVLEX, Polynomial, canonical_terms, coeff_div, monomial_divides, monomial_lcm
 
 
 def divide(f: Polynomial, divisors, order=GREVLEX):
@@ -23,21 +30,19 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
     The divisor list is scanned first-match at each step, so the quotients
     are a deterministic function of the list order.
     """
-    keyf = order.key(f.variables)
     leads = []
     for g in divisors:
         if g.variables != f.variables:
             raise ValueError(f"variable mismatch: {f.variables} vs {g.variables}")
-        if g.is_zero():
-            leads.append(None)
-        else:
-            exps = max(g.terms, key=keyf)
-            leads.append((exps, g.terms[exps]))
+        leads.append(g.leading(order) if g.terms else None)
     quotients = [dict() for _ in divisors]
     remainder: dict = {}
     work = dict(f.terms)
+    # each monomial is keyed when it first enters ``work``
+    keyf = order.key(f.variables)
+    keys = {exps: keyf(exps) for exps in work}
     while work:
-        exps = max(work, key=keyf)
+        exps = max(work, key=keys.__getitem__)
         coeff = work[exps]
         for j, lead in enumerate(leads):
             if lead is None or not monomial_divides(lead[0], exps):
@@ -52,7 +57,10 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
                 val = work.get(te, 0) - scale * gc
                 if not val:
                     work.pop(te, None)
-                elif type(val) is Fraction and val.denominator == 1:
+                    continue
+                if te not in keys:
+                    keys[te] = keyf(te)
+                if type(val) is Fraction and val.denominator == 1:
                     work[te] = val.numerator
                 else:
                     work[te] = val
@@ -83,12 +91,27 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
+    """``f / lt(f)`` minus ``g / lt(g)``, both multiplied up to the lcm of
+    the leading monomials, built from the two term maps."""
+    if f.variables != g.variables:
+        raise ValueError(f"variable mismatch: {f.variables} vs {g.variables}")
     fe, fc = f.leading(order)
     ge, gc = g.leading(order)
     lcm = monomial_lcm(fe, ge)
-    mf = Polynomial.monomial(f.variables, tuple(a - b for a, b in zip(lcm, fe)), coeff_div(1, fc))
-    mg = Polynomial.monomial(g.variables, tuple(a - b for a, b in zip(lcm, ge)), coeff_div(1, gc))
-    return mf * f - mg * g
+    fs = tuple(a - b for a, b in zip(lcm, fe))
+    scale = coeff_div(1, fc)
+    # a shift is injective on monomials, so f's terms land on distinct keys
+    out = {tuple(a + b for a, b in zip(e, fs)): scale * c for e, c in f.terms.items()}
+    gs = tuple(a - b for a, b in zip(lcm, ge))
+    scale = coeff_div(1, gc)
+    for e, c in g.terms.items():
+        te = tuple(a + b for a, b in zip(e, gs))
+        val = out.get(te, 0) - scale * c
+        if val:
+            out[te] = val
+        else:
+            out.pop(te, None)
+    return Polynomial._from_clean(f.variables, canonical_terms(out))
 
 
 def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:

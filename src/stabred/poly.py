@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotDivisible
@@ -34,7 +35,7 @@ def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
     return Fraction(a, b) if r else q
 
 
-def _canonical_terms(terms: dict) -> dict:
+def canonical_terms(terms: dict) -> dict:
     """Turn the integral ``Fraction`` values of ``terms`` into ``int`` in place."""
     for exps, c in terms.items():
         if type(c) is Fraction and c.denominator == 1:
@@ -53,7 +54,12 @@ class MonomialOrder:
         """Sort key on exponent tuples; a larger key means a larger monomial."""
         if self.kind == "lex":
             return tuple
-        return lambda exps: (sum(exps), tuple(-e for e in reversed(exps)))
+        return _grevlex_key
+
+
+def _grevlex_key(exps: Exponents) -> tuple:
+    """The total degree, then the exponents negated from the last variable."""
+    return (sum(exps), *map(neg, reversed(exps)))
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,18 @@ class ElimOrder:
     front: tuple[str, ...]
 
     def key(self, variables: tuple[str, ...]) -> Callable[[Exponents], tuple]:
+        """The grevlex keys of the front block and of the rest, joined into
+        one flat tuple; the blocks have fixed widths in one ring, so it sorts
+        as the pair of keys would."""
         front = set(self.front)
-        fi = tuple(i for i, v in enumerate(variables) if v in front)
-        ri = tuple(i for i, v in enumerate(variables) if v not in front)
+        backwards = range(len(variables) - 1, -1, -1)
+        fi = [i for i in backwards if variables[i] in front]
+        ri = [i for i in backwards if variables[i] not in front]
 
         def key_fn(exps):
-            fe = tuple(exps[i] for i in fi)
-            re_ = tuple(exps[i] for i in ri)
-            return (
-                sum(fe),
-                tuple(-x for x in reversed(fe)),
-                sum(re_),
-                tuple(-x for x in reversed(re_)),
-            )
+            f = [-exps[i] for i in fi]
+            r = [-exps[i] for i in ri]
+            return (-sum(f), *f, -sum(r), *r)
 
         return key_fn
 
@@ -88,7 +93,16 @@ ORDERS = {order.kind: order for order in (LEX, GREVLEX)}
 
 
 class Polynomial:
-    __slots__ = ("variables", "terms")
+    """A polynomial in a fixed tuple of variables.
+
+    ``terms`` is never mutated after construction, so everything derived
+    from it stays valid for the life of the object.  ``leading`` relies on
+    this: it keeps its last answer in ``_lead``, tagged with the order asked
+    for, and answers a repeated question about that order without a scan.
+    Construction leaves ``_lead`` unset.
+    """
+
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Coefficient]):
         self.variables = tuple(variables)
@@ -187,7 +201,7 @@ class Polynomial:
             if not other:
                 return Polynomial._from_clean(self.variables, {})
             terms = {e: other * v for e, v in self.terms.items()}
-            return Polynomial._from_clean(self.variables, _canonical_terms(terms))
+            return Polynomial._from_clean(self.variables, canonical_terms(terms))
         self._check(other)
         out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
@@ -198,7 +212,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial._from_clean(self.variables, _canonical_terms(out))
+        return Polynomial._from_clean(self.variables, canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -224,11 +238,15 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def leading(self, order=GREVLEX) -> tuple[Exponents, Coefficient]:
+        cached = getattr(self, "_lead", None)
+        if cached is not None and cached[0] == order:
+            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        keyf = order.key(self.variables)
-        exps = max(self.terms, key=keyf)
-        return exps, self.terms[exps]
+        exps = max(self.terms, key=order.key(self.variables))
+        lead = exps, self.terms[exps]
+        self._lead = order, lead
+        return lead
 
     def coefficient(self, exps: Exponents) -> Coefficient:
         return self.terms.get(tuple(exps), 0)
@@ -236,10 +254,13 @@ class Polynomial:
     def monic(self, order=GREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        _, lc = self.leading(order)
+        exps, lc = self.leading(order)
         if lc == 1:
             return self
-        return self * coeff_div(1, lc)
+        result = self * coeff_div(1, lc)
+        # scaling keeps the leading monomial
+        result._lead = order, (exps, 1)
+        return result
 
     def uses(self, name: str) -> bool:
         idx = self.variables.index(name)
@@ -292,7 +313,7 @@ class Polynomial:
                 out[key] = total
             else:
                 del out[key]
-        return Polynomial._from_clean(target, _canonical_terms(out))
+        return Polynomial._from_clean(target, canonical_terms(out))
 
     def restrict(self, target: Iterable[str]) -> "Polynomial":
         """The ring map onto ``target`` that sends every other variable to zero.

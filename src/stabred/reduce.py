@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .blowup import Chart, dagger_check, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import StrictDecreaseViolation
+from .errors import InternalError, StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
 from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
@@ -124,8 +124,8 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
                 f"subtorus {[list(v) for v in h.vectors]}, parent maximal flats "
                 f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"
             )
-            if parent_dagger:
-                assert dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)), (
+            if parent_dagger and not dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)):
+                raise InternalError(
                     f"blow-up chart of {node_id!r} lost the degree-2 vanishing property ({where})"
                 )
             suffix = f"s{i}.{chart.center_var}" if multi else chart.center_var

@@ -45,12 +45,20 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     Work in the ring of the flat alone: restricting every polynomial to it
     sets the other variables to zero, and saturating by a candidate
     excluded generator keeps the points where that generator is nonzero.
-    A generator that uses a variable off the flat restricts to zero and
-    keeps no point, so it is skipped.
+    A generator each of whose terms uses a variable off the flat restricts
+    to zero and keeps no point, so it is skipped on its exponents, and the
+    truncation is restricted only once some candidate survives.
     """
-    base = Ideal(flat, tuple(g.restrict(flat) for g in truncation.generators))
-    candidates = (g.restrict(flat) for g in x.excluded.generators)
-    return any(not saturate(base, g).is_unit() for g in candidates if not g.is_zero())
+    off = [i for i, name in enumerate(x.excluded.variables) if name not in flat]
+    base = None
+    for g in x.excluded.generators:
+        if all(any(exps[i] for i in off) for exps in g.terms):
+            continue
+        if base is None:
+            base = Ideal(flat, tuple(t.restrict(flat) for t in truncation.generators))
+        if not saturate(base, g.restrict(flat)).is_unit():
+            return True
+    return False
 
 
 def _closure(x: GradedCdga, basis: tuple[str, ...]):

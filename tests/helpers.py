@@ -29,7 +29,7 @@ from stabred import (
 import stabred.ideal
 from stabred.cdga import pairing, weight_split
 from stabred.intlinalg import integer_kernel
-from stabred.poly import Polynomial
+from stabred.poly import ElimOrder, Polynomial
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200
@@ -213,6 +213,37 @@ def rational_rank(rows) -> int:
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+# -- reference order keys ----------------------------------------------------
+
+
+def reference_key(order, variables):
+    """The sort key of ``order`` as the kernel computed it before its keys
+    became flat tuples: a larger key means a larger monomial."""
+    if isinstance(order, ElimOrder):
+        return _reference_elim_key(order, variables)
+    if order.kind == "lex":
+        return tuple
+    return lambda exps: (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _reference_elim_key(self, variables):
+    front = set(self.front)
+    fi = tuple(i for i, v in enumerate(variables) if v in front)
+    ri = tuple(i for i, v in enumerate(variables) if v not in front)
+
+    def key_fn(exps):
+        fe = tuple(exps[i] for i in fi)
+        re_ = tuple(exps[i] for i in ri)
+        return (
+            sum(fe),
+            tuple(-x for x in reversed(fe)),
+            sum(re_),
+            tuple(-x for x in reversed(re_)),
+        )
+
+    return key_fn
 
 
 # -- reference ring maps -----------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -383,6 +384,16 @@ def test_an_empty_json_path_is_a_domain_failure(command, capsys):
     assert code == 1
     assert out != ""
     assert err.startswith("error: [Errno 2]")
+
+
+def test_no_invariant_of_the_package_is_a_bare_assert():
+    # ``python -O`` strips assert statements, so a breach they guard would
+    # exit 0; every invariant raises InternalError, exit 3, instead
+    found = []
+    for path in sorted((ROOT / "src" / "stabred").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_a_failed_invariant_check_exits_three_after_writing_the_report(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
-from stabred import groebner
+from stabred import groebner, ideal
+from stabred.cli import main
 from stabred.groebner import buchberger, divide, normal_form, s_polynomial
-from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
+from stabred.poly import GREVLEX, LEX, ElimOrder, MonomialOrder, Polynomial
 
-from helpers import poly, strings
+from helpers import poly, rank2_tree_scene_file, strings
 from test_poly import random_poly
 
 V = ("x", "y")
@@ -151,3 +153,49 @@ def test_s_pair_sequence_is_pinned(case, monkeypatch):
     monkeypatch.setattr(groebner, "s_polynomial", recording)
     groebner.buchberger(tuple(poly(t, variables) for t in texts), order)
     assert seen == expected
+
+
+def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monkeypatch, capsys):
+    # One ``reduce`` of the critical locus of a*b*c*d + a*b, the rank2-trees
+    # scene where Buchberger weighs most.  The algorithm is pinned at the
+    # counts of the kernel that rescanned every lead and every remaining
+    # term with the order key, which took 2409 key evaluations; finding
+    # each lead once and keying each monomial once per division must at
+    # least halve that.
+    scene = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "normal_form":
+                counts["zero"] += result.is_zero()
+            return result
+
+        return counted
+
+    def counting_keys(key):
+        def counted_key(order, variables):
+            keyf = key(order, variables)
+
+            def counted(exps):
+                counts["keys"] += 1
+                return keyf(exps)
+
+            return counted
+
+        return counted_key
+
+    # ``Ideal.groebner`` is the one caller of ``buchberger``, which calls
+    # ``s_polynomial`` and ``normal_form`` as module globals
+    monkeypatch.setattr(ideal, "buchberger", counting("buchberger", groebner.buchberger))
+    for name in ("s_polynomial", "normal_form"):
+        monkeypatch.setattr(groebner, name, counting(name, getattr(groebner, name)))
+    for order in (MonomialOrder, ElimOrder):
+        monkeypatch.setattr(order, "key", counting_keys(order.key))
+    assert main(["reduce", "--scene", str(scene)]) == 0
+    capsys.readouterr()
+    work = (counts["buchberger"], counts["s_polynomial"], counts["normal_form"], counts["zero"])
+    assert work == (23, 97, 154, 72)
+    assert 2 * counts["keys"] < 2409, counts["keys"]

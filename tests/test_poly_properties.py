@@ -2,7 +2,9 @@
 construction, skipping the public constructor's checks; every result must
 still be what the checked constructor makes of its terms.  A clean
 coefficient is in canonical form: an ``int`` when it is integral, otherwise
-a ``Fraction`` with denominator greater than 1."""
+a ``Fraction`` with denominator greater than 1.  The leads ``leading``
+keeps on a polynomial, and the flat order keys, are checked against the
+nested keys of ``helpers.reference_key``."""
 
 from fractions import Fraction
 
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabred.groebner import divide, s_polynomial
-from stabred.poly import GREVLEX, LEX, Polynomial, coeff_div
+from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial, coeff_div
 
-from helpers import is_canonical
+from helpers import is_canonical, reference_key
 
 RING = ("a", "b", "c")
 # coefficients that cancel often, so sums and products hit zero terms
@@ -111,3 +113,50 @@ def test_integral_fractions_are_stored_as_ints(p, scalar):
     assert_clean(Polynomial.constant(RING, scalar))
     for result in (p * scalar, p * scalar * scalar, p + scalar, p * Polynomial.constant(RING, scalar)):
         assert_clean(result)
+
+
+def orders(variables):
+    """Lex, grevlex, and elimination orders whose fronts are any subsets of
+    ``variables``, in any order."""
+    fronts = st.lists(st.sampled_from(variables), unique=True) if variables else st.just([])
+    return st.one_of(st.just(LEX), st.just(GREVLEX), fronts.map(lambda f: ElimOrder(tuple(f))))
+
+
+PULL_TARGET = ("u", "v")
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), polynomials(), st.data())
+def test_the_cached_lead_is_never_stale(p, q, data):
+    # one object answers ``leading`` for interleaved orders, and each answer
+    # is a fresh ``max`` under the key the kernel used before it cached
+    images = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=3))
+    kept = data.draw(st.lists(st.sampled_from(RING), unique=True))
+    built = [p + q, p * q, p.pull_back(PULL_TARGET, images), p.restrict(kept), p.extend(RING + ("d",))]
+    # ``monic`` hands its result the lead it already knows
+    built += [f.monic(data.draw(orders(f.variables))) for f in built]
+    for f in built:
+        if f.is_zero():
+            continue
+        for order in data.draw(st.lists(orders(f.variables), min_size=1, max_size=6)):
+            exps = max(f.terms, key=reference_key(order, f.variables))
+            assert f.leading(order) == (exps, f.terms[exps])
+
+
+@pytest.mark.parametrize("front_size", ("one", "several"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_order_keys_sort_as_the_reference_keys(front_size, data):
+    # the flat keys order exponent tuples exactly as the nested ones did,
+    # wherever the front variables sit in the ring
+    width = data.draw(st.integers(1 if front_size == "one" else 2, 5))
+    ring = tuple(f"v{i}" for i in range(width))
+    size = 1 if front_size == "one" else data.draw(st.integers(2, width))
+    front = tuple(data.draw(st.permutations(ring))[:size])
+    exponents = data.draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in ring)), min_size=2, max_size=8))
+    for order in (ElimOrder(front), GREVLEX):
+        key, reference = order.key(ring), reference_key(order, ring)
+        assert sorted(exponents, key=key) == sorted(exponents, key=reference)
+        for a in exponents:
+            for b in exponents:
+                assert (key(a) < key(b)) == (reference(a) < reference(b))

@@ -11,6 +11,7 @@ from stabred import (
     Generator1,
     Generator2,
     Ideal,
+    InternalError,
     InvalidPresentation,
     StrictDecreaseViolation,
     iter_leaves,
@@ -181,6 +182,23 @@ def test_a_chart_that_keeps_max_dim_is_refused_before_descending(monkeypatch):
         "stabilizer dimension failed to drop from 1 at 'root' to 1 at 'root/x' ("
     )
     assert stratified == [x, x]
+
+
+def test_a_chart_that_loses_the_degree_2_vanishing_property_exits_three(monkeypatch, capsys):
+    # the check holds on the root ring (x, y) and fails on every chart; the
+    # breach raises InternalError, which ``python -O`` cannot strip
+    checked = reduce.dagger_check
+    monkeypatch.setattr(
+        reduce, "dagger_check", lambda x, h: x.var_names == ("x", "y") and checked(x, h)
+    )
+    message = "blow-up chart of 'root' lost the degree-2 vanishing property (subtorus [[1]]"
+    with pytest.raises(InternalError) as caught:
+        stabilizer_reduce(load_scene("scenes/a2-hyperbolic.json"))
+    assert str(caught.value).startswith(message)
+
+    code = main(["reduce", "--scene", "scenes/a2-hyperbolic.json"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"internal error: {message}")
 
 
 def test_reduction_is_deterministic():
