@@ -10,7 +10,7 @@ classical data alone and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cdga import (
     GradedCdga,
@@ -42,8 +42,7 @@ from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
 from .torus import saturation_ideal
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(NamedTuple):
     """Rows express each input polynomial against the ordered divisor list."""
 
     entries: tuple[tuple[Polynomial, ...], ...]
@@ -93,23 +92,20 @@ def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
     return weight_split(x, subtorus)
 
 
-@dataclass(frozen=True)
-class ReesVariable:
+class ReesVariable(NamedTuple):
     name: str
     weight: Weight
     homogeneous_degree: int
     source: str | None = None
 
 
-@dataclass(frozen=True)
-class ReesRelation:
+class ReesRelation(NamedTuple):
     homological_degree: int
     homogeneous_degree: int
     element: Polynomial
 
 
-@dataclass(frozen=True)
-class ReesPresentation:
+class ReesPresentation(NamedTuple):
     """Presentation of the extended Rees algebra of the center inclusion.
 
     Relation elements live in the ring extended by ``t_inv``, the
@@ -189,8 +185,7 @@ def rees_presentation(
     return ReesPresentation(x, subtorus, t_name, tuple(homog_vars), tuple(relations), ring)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """One affine piece of the blow-up, where a chosen moving variable's
     homogeneous coordinate is inverted."""
 
@@ -360,7 +355,7 @@ def kirwan_charts(
         unstable = _strict_transform(unstable_locus, chart.cdga.var_names, chart.images)
         # blowup_charts already strict-transformed the parent exclusions
         excluded = monomial_intersection(unstable, chart.cdga.excluded)
-        charts.append(replace(chart, cdga=replace(chart.cdga, excluded=excluded)))
+        charts.append(chart._replace(cdga=chart.cdga._replace(excluded=excluded)))
     return tuple(charts)
 
 

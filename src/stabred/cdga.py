@@ -23,7 +23,7 @@ monomial ideals is generated by the minimal pairwise lcms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidPresentation
 from .ideal import Ideal, fresh_name, monomial_ideal
@@ -33,14 +33,12 @@ from .poly import Polynomial
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GradedVariable:
+class GradedVariable(NamedTuple):
     name: str
     weight: Weight
 
 
-@dataclass(frozen=True)
-class Generator1:
+class Generator1(NamedTuple):
     """Degree-1 generator; its differential is a polynomial in the ring variables."""
 
     name: str
@@ -48,8 +46,7 @@ class Generator1:
     differential: Polynomial
 
 
-@dataclass(frozen=True)
-class Generator2:
+class Generator2(NamedTuple):
     """Degree-2 generator; its differential assigns a ring coefficient to
     each degree-1 generator it hits, in declaration order."""
 
@@ -64,21 +61,33 @@ class Generator2:
         return None
 
 
-@dataclass(frozen=True)
-class SubtorusBasis:
-    """Integer vectors spanning a subtorus of the rank-``ambient_rank`` torus."""
-
+class _SubtorusFields(NamedTuple):
     ambient_rank: int
     vectors: tuple[Weight, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(tuple(int(x) for x in v) for v in self.vectors))
-        for v in self.vectors:
-            if len(v) != self.ambient_rank:
-                raise ValueError(f"subtorus vector {v} does not have length {self.ambient_rank}")
+
+class SubtorusBasis(_SubtorusFields):
+    """Integer vectors spanning a subtorus of the rank-``ambient_rank`` torus.
+
+    Every way of building one, ``_make`` and ``_replace`` too, turns the
+    vectors into tuples of ints and checks their lengths and independence.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_rank: int, vectors):
+        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        for v in vectors:
+            if len(v) != ambient_rank:
+                raise ValueError(f"subtorus vector {v} does not have length {ambient_rank}")
         # independent exactly when the Hermite form keeps every vector
-        if len(hermite_rows(self.vectors)) != self.rank:
+        if len(hermite_rows(vectors)) != len(vectors):
             raise ValueError("subtorus basis vectors are linearly dependent")
+        return tuple.__new__(cls, (ambient_rank, vectors))
+
+    @classmethod
+    def _make(cls, iterable) -> "SubtorusBasis":
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -101,19 +110,33 @@ def is_fixed_weight(weight: Weight, subtorus: SubtorusBasis) -> bool:
     return all(pairing(weight, v) == 0 for v in subtorus.vectors)
 
 
-@dataclass(frozen=True)
-class GradedCdga:
+class _GradedCdgaFields(NamedTuple):
     torus_rank: int
     ring_vars: tuple[GradedVariable, ...]
     gens1: tuple[Generator1, ...] = ()
     gens2: tuple[Generator2, ...] = ()
     excluded: Ideal | None = None
-    # classical_truncation's ideal, built on first use; never compared or printed
-    _truncation: Ideal | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.excluded is None:
-            object.__setattr__(self, "excluded", Ideal.unit(self.var_names))
+
+class GradedCdga(_GradedCdgaFields):
+    """A presentation; ``excluded`` defaults to the unit ideal, which
+    removes nothing, however the presentation is built.
+
+    The class has no ``__slots__``: ``classical_truncation`` keeps its ideal
+    in the instance's ``__dict__``, so it is never compared or printed, and
+    a presentation built by ``_replace`` starts without it.
+    """
+
+    _truncation: Ideal | None = None
+
+    def __new__(cls, torus_rank: int, ring_vars, gens1=(), gens2=(), excluded=None):
+        if excluded is None:
+            excluded = Ideal.unit(v.name for v in ring_vars)
+        return tuple.__new__(cls, (torus_rank, ring_vars, gens1, gens2, excluded))
+
+    @classmethod
+    def _make(cls, iterable) -> "GradedCdga":
+        return cls(*iterable)
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -137,15 +160,13 @@ class GradedCdga:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     subject: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -286,12 +307,11 @@ def classical_truncation(x: GradedCdga) -> Ideal:
     """
     if x._truncation is None:
         gens = tuple(g.differential for g in x.gens1 if not g.differential.is_zero())
-        object.__setattr__(x, "_truncation", Ideal(x.var_names, gens))
+        x._truncation = Ideal(x.var_names, gens)
     return x._truncation
 
 
-@dataclass(frozen=True)
-class WeightSplit:
+class WeightSplit(NamedTuple):
     fixed: tuple[str, ...]
     moving: tuple[str, ...]
 
@@ -374,8 +394,7 @@ def from_invariant_function(variables: tuple[GradedVariable, ...], torus_rank: i
     return GradedCdga(torus_rank, tuple(variables), tuple(gens1), tuple(gens2))
 
 
-@dataclass(frozen=True)
-class TangentRanks:
+class TangentRanks(NamedTuple):
     torus_rank: int
     ring_rank: int
     gens1_rank: int

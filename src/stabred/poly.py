@@ -14,10 +14,9 @@ raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotDivisible
 
@@ -43,8 +42,7 @@ def canonical_terms(terms: dict) -> dict:
     return terms
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A term order, ``lex`` or ``grevlex``, on the declared order of the
     ring's variables; ``ORDERS`` holds the two by name."""
 
@@ -62,12 +60,27 @@ def _grevlex_key(exps: Exponents) -> tuple:
     return (sum(exps), *map(neg, reversed(exps)))
 
 
-@dataclass(frozen=True)
-class ElimOrder:
-    """Block order that eliminates ``front``: any monomial touching a front
-    variable outranks every monomial free of them, grevlex inside blocks."""
-
+class _ElimOrderFields(NamedTuple):
     front: tuple[str, ...]
+
+
+class ElimOrder(_ElimOrderFields):
+    """Block order that eliminates ``front``: any monomial touching a front
+    variable outranks every monomial free of them, grevlex inside blocks.
+
+    ``front`` is kept as a tuple of names however it is given, so no
+    elimination order equals a ``MonomialOrder``, whose one field is a name;
+    orders of both kinds key the leads that ``Polynomial.leading`` keeps and
+    the bases that ``Ideal.groebner`` keeps."""
+
+    __slots__ = ()
+
+    def __new__(cls, front):
+        return tuple.__new__(cls, (tuple(front),))
+
+    @classmethod
+    def _make(cls, iterable) -> "ElimOrder":
+        return cls(*iterable)
 
     def key(self, variables: tuple[str, ...]) -> Callable[[Exponents], tuple]:
         """The grevlex keys of the front block and of the rest, joined into

@@ -12,7 +12,7 @@ obstruction-theory reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blowup import Chart, dagger_check, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
@@ -22,8 +22,7 @@ from .poly import Polynomial
 from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     vdim: int
     e_ranks: tuple[int, int] | None
     quasi_smooth: bool
@@ -88,8 +87,7 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
     )
 
 
-@dataclass(frozen=True)
-class ReductionNode:
+class ReductionNode(NamedTuple):
     id: str
     cdga: GradedCdga
     stabilizer: StabilizerReport

@@ -9,7 +9,7 @@ than ignored so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
@@ -17,22 +17,29 @@ from .parsing import VAR, parse_polynomial
 from .poly import GREVLEX, ORDERS, MonomialOrder
 
 
-@dataclass(frozen=True)
-class SceneOptions:
-    """The one run setting and its default: the monomial order for
-    printing.  A scene's ``options`` and the ``--order`` flag override it;
-    the value is checked here, wherever it came from.  The reduction itself
-    takes no setting: the presentation alone fixes it."""
-
+class _SceneOptionsFields(NamedTuple):
     order: str = GREVLEX.kind
 
-    def __post_init__(self):
-        if not isinstance(self.order, str) or self.order not in ORDERS:
+
+class SceneOptions(_SceneOptionsFields):
+    """The one run setting and its default: the monomial order for
+    printing.  A scene's ``options`` and the ``--order`` flag override it;
+    the value is checked here, wherever it came from, ``_replace`` too.
+    The reduction itself takes no setting: the presentation alone fixes it."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: str = GREVLEX.kind):
+        if not isinstance(order, str) or order not in ORDERS:
             raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
+        return tuple.__new__(cls, (order,))
+
+    @classmethod
+    def _make(cls, iterable) -> "SceneOptions":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     cdga: GradedCdga
     options: SceneOptions
 
@@ -142,7 +149,7 @@ def parse_scene(data) -> Scene:
         )
 
     given = _expect_object(top.get("options", {}), "options")
-    _expect_fields(given, "options", (), tuple(f.name for f in fields(SceneOptions)))
+    _expect_fields(given, "options", (), SceneOptions._fields)
     options = SceneOptions(**given)
 
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
@@ -226,5 +233,5 @@ def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> di
         raise ValueError("a presentation with removed points cannot be written as a scene")
     data = presentation_document(cdga, ORDERS[options.order] if options else GREVLEX)
     if options is not None:
-        data["options"] = asdict(options)
+        data["options"] = options._asdict()
     return data

@@ -11,7 +11,7 @@ centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
@@ -19,15 +19,13 @@ from .ideal import Ideal, monomial_ideal, saturate
 from .intlinalg import integer_kernel
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     support: tuple[str, ...]
     stabilizer_dim: int
     nonempty: bool
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     """The flats tested, the maximal stabilizer dimension, and the maximal
     flats with their kernels: ``witnesses[i]`` is the subtorus fixing
     ``maximal_support[i]`` pointwise."""

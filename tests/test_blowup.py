@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -417,9 +416,9 @@ def test_crosscheck_fails_on_a_moving_differential_left_undivided():
     chart = blowup_charts(parent, FULL1)[0]
     xi = Polynomial.variable(chart.cdga.var_names, chart.exceptional.name)
     w1, w2 = chart.cdga.gens1
-    undivided = replace(chart.cdga, gens1=(replace(w1, differential=w1.differential * xi), w2))
+    undivided = chart.cdga._replace(gens1=(w1._replace(differential=w1.differential * xi), w2))
     assert crosscheck_truncation(chart, parent)
-    assert not crosscheck_truncation(replace(chart, cdga=undivided), parent)
+    assert not crosscheck_truncation(chart._replace(cdga=undivided), parent)
 
 
 @pytest.mark.parametrize("label", tuple(RANK2_TREES))

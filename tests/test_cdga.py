@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,6 +192,18 @@ def test_subtorus_basis_validation():
         SubtorusBasis(2, ((1,),))  # wrong length
 
 
+def test_every_way_of_building_a_subtorus_basis_checks_it():
+    h = SubtorusBasis(1, ((2,),))
+    assert h._replace(vectors=[[3]]).vectors == ((3,),)
+    assert SubtorusBasis._make((2, [[1, 1]])) == SubtorusBasis(2, ((1, 1),))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        h._replace(vectors=((1,), (2,)))
+    with pytest.raises(ValueError, match="does not have length"):
+        h._replace(ambient_rank=2)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SubtorusBasis._make((1, ((1,), (2,))))
+
+
 # -- truncation and fixed locus ----------------------------------------------
 
 def test_classical_truncation():
@@ -207,7 +218,19 @@ def test_classical_truncation_is_built_once_per_presentation():
     assert classical_truncation(x) is truncation
     assert truncation.groebner() is classical_truncation(x).groebner()
     # a new presentation, even an equal one, builds its own
-    assert classical_truncation(replace(x)) is not truncation
+    assert classical_truncation(x._replace()) is not truncation
+
+
+def test_every_way_of_building_a_presentation_defaults_the_exclusion():
+    x = darboux()
+    assert x.excluded == Ideal.unit(V)
+    assert x._replace(excluded=None).excluded == Ideal.unit(V)
+    assert GradedCdga._make(x[:2]).excluded == Ideal.unit(V)
+    # the cached truncation is no field: equality and repr ignore it
+    y = x._replace()
+    classical_truncation(x)
+    assert x == y and repr(x) == repr(y)
+    assert "_truncation" not in repr(x)
 
 
 def test_truncation_ignores_gens2():

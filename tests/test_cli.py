@@ -420,6 +420,15 @@ def test_every_command_runs_without_site_packages(command):
     assert done.stdout
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # records are NamedTuples, so start-up generates and compiles no methods;
+    # importing dataclasses would also import inspect
+    env = {**os.environ, "PYTHONPATH": "src"}
+    code = "import sys, stabred.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 def test_no_ansi_codes_when_not_a_tty(capsys):
     _, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert "\x1b[" not in out

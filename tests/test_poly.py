@@ -83,6 +83,18 @@ def test_elimination_order_front_block_dominates():
     assert exps == (1, 0)
 
 
+def test_orders_of_two_kinds_never_share_a_cached_lead():
+    # a front given as one string is the names in it, never the name of a
+    # MonomialOrder, so a lead kept for one kind is not read for the other
+    names = ("l", "e", "x")
+    order = ElimOrder("lex")
+    assert order == ElimOrder(names) == ElimOrder._make([list(names)])
+    assert order != LEX
+    p = poly("l - e^2", names)
+    assert p.leading(order)[0] == (0, 2, 0)
+    assert p.leading(LEX)[0] == (1, 0, 0)
+
+
 def test_substitute_and_extend():
     target = ("xi", "u")
     images = {

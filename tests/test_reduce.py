@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -167,7 +166,7 @@ def test_a_chart_that_keeps_max_dim_is_refused_before_descending(monkeypatch):
     stratified = []
 
     def unchanged_charts(x, *args, **kwargs):
-        return tuple(replace(chart, cdga=x) for chart in kirwan_charts(x, *args, **kwargs))
+        return tuple(chart._replace(cdga=x) for chart in kirwan_charts(x, *args, **kwargs))
 
     def recording(x):
         stratified.append(x)
@@ -236,7 +235,7 @@ def test_obstruction_report_without_dagger_omits_ranks():
 def test_obstruction_report_fully_unstable_override():
     base = load_scene("scenes/a2-hyperbolic.json")
     # the zero ideal removes every point
-    x = replace(base, excluded=Ideal.zero(base.var_names))
+    x = base._replace(excluded=Ideal.zero(base.var_names))
     report = obstruction_report(x)
     assert report.fully_unstable
     assert report.e_ranks is None
@@ -352,7 +351,7 @@ def test_no_monomial_ideal_reaches_buchberger(order, tmp_path, monkeypatch, caps
 
 def test_a_non_monomial_exclusion_is_refused_before_reducing():
     base = load_scene("scenes/a2-hyperbolic.json")
-    x = replace(base, excluded=Ideal(V, (poly("x*y - 1", V),)))
+    x = base._replace(excluded=Ideal(V, (poly("x*y - 1", V),)))
     with pytest.raises(InvalidPresentation, match="x\\*y - 1 is not a monomial"):
         stabilizer_reduce(x)
 

@@ -123,6 +123,16 @@ def test_option_ranges_include_their_bounds():
         assert parse_scene(data).options == SceneOptions(order=order)
 
 
+def test_every_way_of_building_options_checks_the_order():
+    assert SceneOptions()._replace(order="lex") == SceneOptions(order="lex")
+    with pytest.raises(SchemaError, match="options.order must be"):
+        SceneOptions(order="plex")
+    with pytest.raises(SchemaError, match="options.order must be"):
+        SceneOptions()._replace(order="plex")
+    with pytest.raises(SchemaError, match="options.order must be"):
+        SceneOptions._make(("plex",))
+
+
 @pytest.mark.parametrize("name", ["x-1", "x y", "1x", "\u00e9", "x\u0663", "x\n"])
 def test_names_outside_the_grammar_are_schema_errors(name):
     for field in ("variables", "gens1"):
