@@ -23,6 +23,7 @@ monomial ideals is generated by the minimal pairwise lcms.
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import InvalidPresentation
@@ -94,7 +95,9 @@ class SubtorusBasis(_SubtorusFields):
         return len(self.vectors)
 
     @classmethod
+    @cache
     def full(cls, ambient_rank: int) -> "SubtorusBasis":
+        """The whole torus of that rank; one shared instance per rank."""
         vectors = tuple(
             tuple(1 if i == j else 0 for j in range(ambient_rank))
             for i in range(ambient_rank)
@@ -122,12 +125,12 @@ class GradedCdga(_GradedCdgaFields):
     """A presentation; ``excluded`` defaults to the unit ideal, which
     removes nothing, however the presentation is built.
 
-    The class has no ``__slots__``: ``classical_truncation`` keeps its ideal
-    in the instance's ``__dict__``, so it is never compared or printed, and
-    a presentation built by ``_replace`` starts without it.
+    The class has no ``__slots__``: the facts derived from the fields (the
+    ring names, the validation report and the classical truncation) are
+    built on first use and kept in the instance's ``__dict__``, so they are
+    never compared or printed, and a presentation built by ``_replace``
+    starts without them.
     """
-
-    _truncation: Ideal | None = None
 
     def __new__(cls, torus_rank: int, ring_vars, gens1=(), gens2=(), excluded=None):
         if excluded is None:
@@ -138,9 +141,18 @@ class GradedCdga(_GradedCdgaFields):
     def _make(cls, iterable) -> "GradedCdga":
         return cls(*iterable)
 
-    @property
+    @cached_property
     def var_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.ring_vars)
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        return _check_presentation(self)
+
+    @cached_property
+    def _truncation(self) -> Ideal:
+        gens = tuple(g.differential for g in self.gens1 if not g.differential.is_zero())
+        return Ideal(self.var_names, gens)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -204,8 +216,13 @@ def validate_presentation(x: GradedCdga) -> ValidationReport:
     """Check weight gradings, the vanishing of the composite differential
     and that the excluded ideal is generated by monomials.
 
-    Violations are returned as data; nothing raises here.
+    Violations are returned as data; nothing raises here.  Each presentation
+    is checked once, on first use, and keeps its report.
     """
+    return x._validation
+
+
+def _check_presentation(x: GradedCdga) -> ValidationReport:
     problems: list[Violation] = []
     k = x.torus_rank
     if k < 0:
@@ -305,9 +322,6 @@ def classical_truncation(x: GradedCdga) -> Ideal:
     The ideal is built once and kept on the presentation, so every caller
     shares its cached Groebner bases.
     """
-    if x._truncation is None:
-        gens = tuple(g.differential for g in x.gens1 if not g.differential.is_zero())
-        x._truncation = Ideal(x.var_names, gens)
     return x._truncation
 
 

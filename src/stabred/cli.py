@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import report as rpt
 from .blowup import blowup_charts, kirwan_charts, rees_presentation
@@ -30,7 +31,10 @@ FLAG_COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="stabred", description=__doc__)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scene", required=True, help="path to the scene JSON file")
@@ -73,9 +77,11 @@ def _emit(args, command: str, digest: str, data: dict, lines: list[str]) -> None
     for line in lines:
         print(line)
     if args.json_path is not None:
-        doc = rpt.document(command, digest, data)
+        # rendered before the file is opened, so a failed rendering leaves
+        # an existing file as it was
+        text = rpt.canonical_json(rpt.document(command, digest, data))
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(rpt.canonical_json(doc))
+            handle.write(text)
 
 
 def _chart_lines(charts, order) -> list[str]:

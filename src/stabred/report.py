@@ -191,10 +191,10 @@ def obstruction_document(report: ObstructionReport) -> dict:
 def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> dict:
     """Flat node records in preorder plus tree-wide invariant results.
 
-    The invariant checks recompute validity, the classical cross-check
-    along every edge, and the strict decrease of stabilizer dimension;
-    they are emitted with the document so a regression is visible in the
-    output itself.
+    The invariant checks take the validation report of each node's own
+    presentation, recompute the classical cross-check along every edge,
+    and the strict decrease of stabilizer dimension; they are emitted with
+    the document so a regression is visible in the output itself.
     """
     nodes = []
     checks = {"validation": True, "crosscheck": True, "strict_decrease": True}

@@ -185,6 +185,7 @@ def test_a_subtorus_of_another_torus_rank_is_refused(routine):
 
 def test_subtorus_basis_validation():
     assert SubtorusBasis.full(2).vectors == ((1, 0), (0, 1))
+    assert SubtorusBasis.full(2) is SubtorusBasis.full(2)
     assert SubtorusBasis(1, ((2,),)).rank == 1
     with pytest.raises(ValueError):
         SubtorusBasis(1, ((1,), (2,)))  # dependent vectors
@@ -219,6 +220,10 @@ def test_classical_truncation_is_built_once_per_presentation():
     assert truncation.groebner() is classical_truncation(x).groebner()
     # a new presentation, even an equal one, builds its own
     assert classical_truncation(x._replace()) is not truncation
+    # the ring names and the validation report are kept the same way
+    assert x.var_names is x.var_names
+    assert validate_presentation(x) is validate_presentation(x)
+    assert validate_presentation(x._replace()) is not validate_presentation(x)
 
 
 def test_every_way_of_building_a_presentation_defaults_the_exclusion():

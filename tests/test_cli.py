@@ -409,6 +409,71 @@ def test_a_failed_invariant_check_exits_three_after_writing_the_report(tmp_path,
     assert checks == {"crosscheck": False, "strict_decrease": True, "validation": True}
 
 
+def test_a_chart_made_invalid_fails_the_validation_check(tmp_path, monkeypatch, capsys):
+    # every chart's first degree-1 generator gets a weight its differential
+    # does not have; the report checks each node's own presentation, so the
+    # verdict kept by the valid chart it was copied from does not carry over
+    from stabred import reduce
+
+    charts = reduce.kirwan_charts
+
+    def shifted(x, *args, **kwargs):
+        out = []
+        for chart in charts(x, *args, **kwargs):
+            assert cdga.validate_presentation(chart.cdga).ok
+            first, *rest = chart.cdga.gens1
+            moved = first._replace(weight=tuple(w + 1 for w in first.weight))
+            out.append(chart._replace(cdga=chart.cdga._replace(gens1=(moved, *rest))))
+        return tuple(out)
+
+    monkeypatch.setattr(reduce, "kirwan_charts", shifted)
+    target = tmp_path / "reduce.json"
+    code, out, err = run(capsys, "reduce", "--scene", f"{SCENES}/xy2-x2y.json", "--json", str(target))
+    assert (code, err) == (3, "")
+    assert out.splitlines()[1] == "checks: FAILED (validation)"
+    assert json.loads(target.read_text())["data"]["invariant_checks"]["validation"] is False
+
+
+def test_a_failed_rendering_leaves_an_existing_json_file_as_it_was(tmp_path, monkeypatch, capsys):
+    from stabred import report
+
+    def broken(doc):
+        raise errors.InternalError("rendering failed")
+
+    target = tmp_path / "reduce.json"
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(report, "canonical_json", broken)
+    code, _, err = run(capsys, "reduce", "--scene", f"{SCENES}/xy.json", "--json", str(target))
+    assert (code, err) == (3, "internal error: rendering failed\n")
+    assert target.read_bytes() == b"old bytes\n"
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys):
+    # each call of a row prints and writes what the same call prints and
+    # writes in a process of its own
+    assert build_parser() is build_parser()
+
+    def calls(directory):
+        directory.mkdir()
+        return (
+            ["reduce", "--order", "lex", "--scene", f"{SCENES}/darboux-x2y2.json", "--json", str(directory / "a.json")],
+            ["reduce", "--chart", "x", "--scene", f"{SCENES}/xy.json"],
+            ["reduce", "--scene", f"{SCENES}/a2-hyperbolic.json", "--json", str(directory / "b.json")],
+        )
+
+    in_row = [run(capsys, *argv) for argv in calls(tmp_path / "row")]
+    assert [code for code, _, _ in in_row] == [0, 2, 0]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    for argv, expected in zip(calls(tmp_path / "alone"), in_row):
+        done = subprocess.run(
+            [sys.executable, "-m", "stabred.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected
+    for name in ("a.json", "b.json"):
+        assert (tmp_path / "row" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_every_command_runs_without_site_packages(command):
     # -S leaves site-packages off the path, so only the standard library

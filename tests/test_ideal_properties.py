@@ -1,4 +1,8 @@
-"""Properties of ideal operations on small random inputs."""
+"""Properties of ideal operations on small random inputs.  Elimination and
+saturation by a polynomial are compared with sympy's lex Groebner route,
+an implementation that shares no code with the kernel."""
+
+import itertools
 
 import pytest
 
@@ -11,6 +15,7 @@ from stabred import (
     GradedVariable,
     Ideal,
     blowup_charts,
+    eliminate,
     ideal_equal,
     intersect,
     monomial_ideal,
@@ -21,6 +26,7 @@ from stabred.groebner import buchberger
 from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
 from helpers import FULL1, substitute
+from test_kernel_oracle import basis_terms, sympy_eliminated_basis, sympy_polys
 
 NAMES = ("a", "b", "c", "d")
 
@@ -103,3 +109,48 @@ def test_strict_pull_back_is_the_saturation_of_the_total_pull_back(case):
     total = Ideal(ring, tuple(substitute(g, dict(chart.phi), ring) for g in x.excluded.generators))
     xi = Polynomial.variable(ring, chart.exceptional.name)
     assert chart.cdga.excluded.generators == saturate(total, xi).groebner()
+
+
+def small_polynomials(ring, min_terms=0):
+    """Polynomials of degree at most 2 with at most 3 terms."""
+    monomials = [e for e in itertools.product(range(3), repeat=len(ring)) if sum(e) <= 2]
+    terms = st.dictionaries(st.sampled_from(monomials), st.sampled_from((-2, -1, 1, 3)), min_size=min_terms, max_size=3)
+    return terms.map(lambda t: Polynomial(ring, t))
+
+
+@st.composite
+def small_ideals(draw, min_vars=1):
+    """A ring of at most 3 variables and 1 to 3 nonzero generators in it."""
+    ring = NAMES[: draw(st.integers(min_vars, 3))]
+    return Ideal(ring, tuple(draw(st.lists(small_polynomials(ring, 1), min_size=1, max_size=3))))
+
+
+def _exprs(sympy, polys, symbols):
+    return [p.as_expr() for p in sympy_polys(sympy, polys, symbols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(min_vars=2), st.data())
+def test_eliminate_matches_the_lex_route(ideal, data):
+    sympy = pytest.importorskip("sympy")
+    ring = ideal.variables
+    names = data.draw(st.sets(st.sampled_from(ring), min_size=1, max_size=len(ring) - 1))
+    symbols = sympy.symbols(ring)
+    front = tuple(s for s, n in zip(symbols, ring) if n in names)
+    kept = tuple(s for s, n in zip(symbols, ring) if n not in names)
+    expected = sympy_eliminated_basis(sympy, _exprs(sympy, ideal.generators, symbols), front, kept)
+    assert basis_terms(eliminate(ideal, sorted(names)).groebner()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(), st.data())
+def test_saturate_matches_the_lex_route(ideal, data):
+    # (I : f^inf) is the elimination of t from I + (t*f - 1)
+    sympy = pytest.importorskip("sympy")
+    ring = ideal.variables
+    f = data.draw(small_polynomials(ring))
+    symbols = sympy.symbols(ring)
+    t = sympy.Symbol("t")
+    (f_expr,) = _exprs(sympy, (f,), symbols)
+    polys = _exprs(sympy, ideal.generators, symbols) + [t * f_expr - 1]
+    assert basis_terms(saturate(ideal, f).groebner()) == sympy_eliminated_basis(sympy, polys, (t,), symbols)

@@ -162,7 +162,7 @@ def test_saturation_against_oracle():
             assert S.contains(m) == in_sat_truth
 
 
-def _sympy_polys(sympy, gens, symbols):
+def sympy_polys(sympy, gens, symbols):
     return [
         sympy.Poly.from_dict(
             {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in g.terms.items()},
@@ -186,7 +186,7 @@ def _sympy_basis(sympy, polys, symbols, order):
 
 def sympy_reduced_basis(sympy, gens, variables, order):
     symbols = sympy.symbols(variables)
-    return _sympy_basis(sympy, _sympy_polys(sympy, gens, symbols), symbols, order)
+    return _sympy_basis(sympy, sympy_polys(sympy, gens, symbols), symbols, order)
 
 
 def sympy_eliminated_basis(sympy, polys, front, kept):
@@ -208,7 +208,7 @@ def _random_ideal(rng, variables):
     return Ideal(variables, tuple(gens))
 
 
-def _terms(basis):
+def basis_terms(basis):
     return {frozenset(g.terms.items()) for g in basis}
 
 
@@ -235,11 +235,11 @@ def test_eliminate_against_sympy():
     rng = random.Random(61)
     for _ in range(15):
         ideal = _random_ideal(rng, variables)
-        polys = [p.as_expr() for p in _sympy_polys(sympy, ideal.generators, symbols)]
+        polys = [p.as_expr() for p in sympy_polys(sympy, ideal.generators, symbols)]
         for names in (("z",), ("x", "z")):
             front = tuple(s for s, n in zip(symbols, variables) if n in names)
             kept = tuple(s for s, n in zip(symbols, variables) if n not in names)
-            mine = _terms(eliminate(ideal, names).groebner())
+            mine = basis_terms(eliminate(ideal, names).groebner())
             assert mine == sympy_eliminated_basis(sympy, polys, front, kept), (ideal.generators, names)
 
 
@@ -255,7 +255,7 @@ def test_saturate_against_sympy():
         f = random_poly(rng, variables, max_degree=2, max_terms=2)
         if f.is_zero():
             continue
-        (f_expr,) = (p.as_expr() for p in _sympy_polys(sympy, (f,), symbols))
-        polys = [p.as_expr() for p in _sympy_polys(sympy, ideal.generators, symbols)]
+        (f_expr,) = (p.as_expr() for p in sympy_polys(sympy, (f,), symbols))
+        polys = [p.as_expr() for p in sympy_polys(sympy, ideal.generators, symbols)]
         expected = sympy_eliminated_basis(sympy, polys + [1 - t * f_expr], (t,), symbols)
-        assert _terms(saturate(ideal, f).groebner()) == expected, (ideal.generators, f)
+        assert basis_terms(saturate(ideal, f).groebner()) == expected, (ideal.generators, f)

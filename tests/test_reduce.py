@@ -19,7 +19,7 @@ from stabred import (
     stabilizer_reduce,
     tree_depth,
 )
-from stabred import classical_truncation, ideal, reduce
+from stabred import cdga, classical_truncation, ideal, reduce
 from stabred.cli import main
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
@@ -321,6 +321,22 @@ def test_each_groebner_basis_is_computed_once_per_run(tmp_path, monkeypatch, cap
         capsys.readouterr()
         assert inputs, label
         assert len(set(inputs)) == len(inputs), label
+
+
+def test_each_node_is_validated_once_per_run(tmp_path, monkeypatch, capsys):
+    # parsing, stabilizer_reduce, the blow-up of each inner node and the
+    # report's invariant check all ask for a verdict; each presentation
+    # keeps its own, so the check itself runs once per node of the tree
+    checked = []
+    check = cdga._check_presentation
+    monkeypatch.setattr(cdga, "_check_presentation", lambda x: checked.append(x) or check(x))
+    path = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
+    assert main(["reduce", "--scene", str(path), "--json", str(tmp_path / "doc.json")]) == 0
+    capsys.readouterr()
+    nodes = json.loads((tmp_path / "doc.json").read_text())["data"]["nodes"]
+    assert len(nodes) > 1
+    assert len(checked) == len(nodes)
+    assert len({id(x) for x in checked}) == len(checked)
 
 
 @pytest.mark.parametrize("order", ("grevlex", "lex"))
