@@ -24,6 +24,7 @@ monomial ideals is generated by the minimal pairwise lcms.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidPresentation
@@ -106,7 +107,7 @@ class SubtorusBasis(_SubtorusFields):
 
 
 def pairing(weight: Weight, vector: Weight) -> int:
-    return sum(w * h for w, h in zip(weight, vector))
+    return sum(map(mul, weight, vector))
 
 
 def is_fixed_weight(weight: Weight, subtorus: SubtorusBasis) -> bool:

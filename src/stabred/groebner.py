@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import NotDivisible
 from .poly import GREVLEX, Polynomial, canonical_terms, coeff_div, monomial_divides, monomial_lcm
@@ -47,13 +48,13 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
         for j, lead in enumerate(leads):
             if lead is None or not monomial_divides(lead[0], exps):
                 continue
-            shift = tuple(a - b for a, b in zip(exps, lead[0]))
+            shift = tuple(map(sub, exps, lead[0]))
             scale = coeff_div(coeff, lead[1])
             # the leading monomial of ``work`` falls at every step, so no
             # shift repeats within one quotient
             quotients[j][shift] = scale
             for ge, gc in divisors[j].terms.items():
-                te = tuple(a + b for a, b in zip(ge, shift))
+                te = tuple(map(add, ge, shift))
                 val = work.get(te, 0) - scale * gc
                 if not val:
                     work.pop(te, None)
@@ -98,14 +99,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
     fe, fc = f.leading(order)
     ge, gc = g.leading(order)
     lcm = monomial_lcm(fe, ge)
-    fs = tuple(a - b for a, b in zip(lcm, fe))
+    fs = tuple(map(sub, lcm, fe))
     scale = coeff_div(1, fc)
     # a shift is injective on monomials, so f's terms land on distinct keys
-    out = {tuple(a + b for a, b in zip(e, fs)): scale * c for e, c in f.terms.items()}
-    gs = tuple(a - b for a, b in zip(lcm, ge))
+    out = {tuple(map(add, e, fs)): scale * c for e, c in f.terms.items()}
+    gs = tuple(map(sub, lcm, ge))
     scale = coeff_div(1, gc)
     for e, c in g.terms.items():
-        te = tuple(a + b for a, b in zip(e, gs))
+        te = tuple(map(add, e, gs))
         val = out.get(te, 0) - scale * c
         if val:
             out[te] = val
@@ -141,7 +142,7 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
         _, (i, j), lcm = heapq.heappop(queue)
         pairs.discard((i, j))
         # coprime leading terms reduce to zero
-        if tuple(a + b for a, b in zip(lead[i], lead[j])) == lcm:
+        if tuple(map(add, lead[i], lead[j])) == lcm:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # i and j were both already handled makes this pair redundant

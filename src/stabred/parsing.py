@@ -30,6 +30,10 @@ _END = "END"
 _DIGITS = "0123456789"
 # the grammar's ``var`` rule; scene files hold every name to it too
 VAR = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the deepest nesting of parentheses accepted; each level takes four frames
+# of the recursive descent, so deeper text is refused with a ParseError
+# long before the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -76,6 +80,7 @@ class _Parser:
     def __init__(self, text, variables):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def peek(self):
@@ -154,11 +159,15 @@ class _Parser:
                 raise UnknownVariable(value, line, col)
             return Polynomial.variable(self.variables, value)
         if self.match_op("("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, col)
             self.advance()
+            self.depth += 1
             inner = self.expr()
             if not self.match_op(")"):
                 self.fail(("')'",))
             self.advance()
+            self.depth -= 1
             return inner
         self.fail(("integer", "variable", "'('"))
 

@@ -15,7 +15,7 @@ raises.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotDivisible
@@ -149,7 +149,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variables) -> "Polynomial":
-        return cls(variables, {})
+        return cls._from_clean(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, value) -> "Polynomial":
@@ -161,7 +161,7 @@ class Polynomial:
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: 1})
+        return cls._from_clean(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1) -> "Polynomial":
@@ -219,7 +219,7 @@ class Polynomial:
         out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -396,8 +396,8 @@ class Polynomial:
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))

@@ -170,6 +170,9 @@ def parse_scene_text(text: str, source: str = "scene") -> Scene:
         data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaError(f"{source} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        # the decoder recurses once per open array or object
+        raise SchemaError(f"{source} nests arrays or objects too deeply to decode") from err
     return parse_scene(data)
 
 

@@ -46,6 +46,14 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     A generator each of whose terms uses a variable off the flat restricts
     to zero and keeps no point, so it is skipped on its exponents, and the
     truncation is restricted only once some candidate survives.
+
+    The truncation enters as its reduced grevlex basis, the one the node
+    record and the chart cross-check read, not as its raw differentials.
+    Restriction is a surjective ring map, so the image of an ideal is
+    generated by the image of any of its generating sets (Cox-Little-
+    O'Shea, *Ideals, Varieties, and Algorithms*): the restricted ideal is
+    the same, and the smaller, interreduced basis saturates in fewer
+    S-pairs.
     """
     off = [i for i, name in enumerate(x.excluded.variables) if name not in flat]
     base = None
@@ -53,7 +61,7 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
         if all(any(exps[i] for i in off) for exps in g.terms):
             continue
         if base is None:
-            base = Ideal(flat, tuple(t.restrict(flat) for t in truncation.generators))
+            base = Ideal(flat, tuple(t.restrict(flat) for t in truncation.groebner()))
         if not saturate(base, g.restrict(flat)).is_unit():
             return True
     return False

@@ -88,6 +88,36 @@ def test_non_ascii_digit_in_a_differential_is_a_domain_failure(exponent, tmp_pat
     assert "line 1, column 3" in err
 
 
+def deep_scenes(directory):
+    """A scene whose ``variables`` nests 100,000 arrays, and one whose
+    differential nests 3,000 parentheses: each overflows the interpreter's
+    recursion limit if it is decoded or parsed by plain recursion."""
+    arrays = directory / "deep-arrays.json"
+    arrays.write_text('{"torus_rank": 1, "variables": ' + "[" * 100_000 + "]" * 100_000 + ', "gens1": [], "gens2": []}')
+    parens = directory / "deep-parens.json"
+    parens.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [{"name": "w", "weight": [0], "differential": "(" * 3000 + "x*y" + ")" * 3000}],
+        "gens2": [],
+    }))
+    return ((arrays, "nests arrays or objects too deeply"), (parens, "line 1, column 101: parentheses nested deeper"))
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_deep_nesting_is_a_domain_failure(command, tmp_path, capsys):
+    for scene, message in deep_scenes(tmp_path):
+        code, out, err = run(capsys, command, "--scene", str(scene))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+        done = subprocess.run(
+            [sys.executable, "-m", "stabred.cli", command, "--scene", str(scene)],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pi0", "--scene", "does-not-exist.json")
     assert code == 1

@@ -157,11 +157,15 @@ def test_s_pair_sequence_is_pinned(case, monkeypatch):
 
 def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monkeypatch, capsys):
     # One ``reduce`` of the critical locus of a*b*c*d + a*b, the rank2-trees
-    # scene where Buchberger weighs most.  The algorithm is pinned at the
-    # counts of the kernel that rescanned every lead and every remaining
-    # term with the order key, which took 2409 key evaluations; finding
-    # each lead once and keying each monomial once per division must at
-    # least halve that.
+    # scene where Buchberger weighs most.  The work is pinned exactly.  The
+    # stratum tests saturate each node's reduced grevlex truncation basis,
+    # restricted to the flat, rather than its raw differentials: it is the
+    # same ideal, so every Buchberger call still runs, but the smaller
+    # interreduced input forms 28 fewer S-polynomials (97 before) and makes
+    # 22 fewer zero reductions (72 before).  The kernel that rescanned every
+    # lead and every remaining term with the order key took 2409 key
+    # evaluations; finding each lead once and keying each monomial once per
+    # division took 954, and the smaller saturation inputs take 822.
     scene = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
     counts = Counter()
 
@@ -197,5 +201,5 @@ def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monke
     assert main(["reduce", "--scene", str(scene)]) == 0
     capsys.readouterr()
     work = (counts["buchberger"], counts["s_polynomial"], counts["normal_form"], counts["zero"])
-    assert work == (23, 97, 154, 72)
-    assert 2 * counts["keys"] < 2409, counts["keys"]
+    assert work == (23, 69, 126, 50)
+    assert counts["keys"] <= 822, counts["keys"]

@@ -154,3 +154,17 @@ def test_saturate_matches_the_lex_route(ideal, data):
     (f_expr,) = _exprs(sympy, (f,), symbols)
     polys = _exprs(sympy, ideal.generators, symbols) + [t * f_expr - 1]
     assert basis_terms(saturate(ideal, f).groebner()) == sympy_eliminated_basis(sympy, polys, (t,), symbols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_restricting_the_reduced_basis_or_the_generators_gives_one_ideal(data):
+    # setting the variables off a flat to zero is a surjective ring map, so
+    # the image of an ideal is generated by the image of any generating set;
+    # the stratum tests restrict the reduced grevlex basis
+    ring = NAMES[: data.draw(st.integers(1, 4))]
+    ideal = Ideal(ring, tuple(data.draw(st.lists(small_polynomials(ring, 1), min_size=1, max_size=3))))
+    flat = tuple(n for n in ring if data.draw(st.booleans()))
+    from_basis = Ideal(flat, tuple(g.restrict(flat) for g in ideal.groebner()))
+    from_generators = Ideal(flat, tuple(g.restrict(flat) for g in ideal.generators))
+    assert ideal_equal(from_basis, from_generators)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stabred import ParseError, UnknownVariable, parse_polynomial
+from stabred.parsing import MAX_NESTING
 from stabred.poly import Polynomial
 
 from test_poly import random_poly
@@ -28,6 +29,18 @@ def test_parentheses_and_unary_minus():
     with pytest.raises(ParseError):
         parse_polynomial("--x", V)
     assert parse_polynomial("(x - y)*(x + y)", V).to_string() == "x^2 - y^2"
+
+
+def test_nesting_is_bounded_by_a_parse_error():
+    depth = MAX_NESTING
+    assert parse_polynomial("(" * depth + "x*y" + ")" * depth, V).to_string() == "x*y"
+    # the refusal names the first parenthesis past the limit, even on a
+    # later line and far beyond the interpreter's recursion limit
+    text = "x +\n " + "(" * 3000 + "y" + ")" * 3000
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, V)
+    assert (info.value.line, info.value.column) == (2, 2 + MAX_NESTING)
+    assert f"nested deeper than {MAX_NESTING}" in str(info.value)
 
 
 def test_exponent_binds_tighter_than_product():

@@ -4,7 +4,8 @@ still be what the checked constructor makes of its terms.  A clean
 coefficient is in canonical form: an ``int`` when it is integral, otherwise
 a ``Fraction`` with denominator greater than 1.  The leads ``leading``
 keeps on a polynomial, and the flat order keys, are checked against the
-nested keys of ``helpers.reference_key``."""
+nested keys of ``helpers.reference_key``.  The exponent and weight kernels,
+which loop in C, are checked against plain index loops."""
 
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabred.cdga import pairing
 from stabred.groebner import divide, s_polynomial
-from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial, coeff_div
+from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial, coeff_div, monomial_divides, monomial_lcm
 
 from helpers import is_canonical, reference_key
 
@@ -160,3 +162,26 @@ def test_the_order_keys_sort_as_the_reference_keys(front_size, data):
         for a in exponents:
             for b in exponents:
                 assert (key(a) < key(b)) == (reference(a) < reference(b))
+
+
+@st.composite
+def equal_width_pairs(draw, low, high):
+    """Two integer tuples of one width, 0 to 5, with entries in [low, high]."""
+    width = draw(st.integers(0, 5))
+    entries = st.tuples(*(st.integers(low, high) for _ in range(width)))
+    return draw(entries), draw(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_width_pairs(0, 4))
+def test_monomial_kernels_match_the_naive_loops(pair):
+    a, b = pair
+    assert monomial_divides(a, b) is all(a[i] <= b[i] for i in range(len(a)))
+    assert monomial_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(len(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_width_pairs(-9, 9))
+def test_pairing_matches_the_naive_loop(pair):
+    weight, vector = pair
+    assert pairing(weight, vector) == sum(weight[i] * vector[i] for i in range(len(weight)))
