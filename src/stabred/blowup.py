@@ -21,6 +21,7 @@ from .cdga import (
     Weight,
     WeightSplit,
     classical_truncation,
+    dagger_check,
     homogeneous_weight,
     is_fixed_weight,
     require_valid,
@@ -32,9 +33,9 @@ from .groebner import divide
 # patches this module's binding of it
 from .ideal import (
     Ideal,
+    _monomial_ideal,
     fresh_name,
     ideal_equal,
-    monomial_ideal,
     monomial_intersection,
     saturate,
 )
@@ -63,22 +64,6 @@ def lambda_matrix(fs, gs, order: MonomialOrder = GREVLEX) -> LambdaMatrix:
             raise NotInIdeal(i)
         rows.append(tuple(quotients))
     return LambdaMatrix(tuple(rows))
-
-
-def dagger_check(x: GradedCdga, subtorus: SubtorusBasis) -> bool:
-    """Whether the moving degree-2 data restricts to zero on the center.
-
-    Every coefficient of every subtorus-moving degree-2 generator must
-    vanish once the moving ring variables are set to zero; equivalently
-    each of its monomials contains a moving variable.
-    """
-    fixed = weight_split(x, subtorus).fixed
-    return all(
-        coeff.restrict(fixed).is_zero()
-        for g in x.gens2
-        if not is_fixed_weight(g.weight, subtorus)
-        for _, coeff in g.differential
-    )
 
 
 def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
@@ -238,7 +223,7 @@ def _strict_transform(ideal: Ideal, ring, images) -> Ideal:
     xi, the map x_c -> 1, x_m -> u_m, with no Groebner basis.
     """
     pulled = (g.pull_back(ring, images) for g in ideal.generators)
-    return monomial_ideal(ring, ((0,) + e[1:] for g in pulled for e in g.terms))
+    return _monomial_ideal(ring, ((0,) + e[1:] for g in pulled for e in g.terms))
 
 
 def _power(ring, name, k) -> Exponents:
@@ -264,7 +249,10 @@ def blowup_charts(
     if not split.moving:
         raise NoCenter("the subtorus moves no ring variable")
 
-    moving1 = {g.name for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)}
+    # whether the subtorus moves each generator is decided once, for every chart
+    moves1 = [not is_fixed_weight(g.weight, subtorus) for g in x.gens1]
+    moves2 = [not is_fixed_weight(g.weight, subtorus) for g in x.gens2]
+    moving1 = {g.name for g, moves in zip(x.gens1, moves1) if moves}
 
     charts = []
     for center in sorted(split.moving):
@@ -290,31 +278,31 @@ def blowup_charts(
                 ring_vars.append(v)
         ring = tuple(v.name for v in ring_vars)
         images = _chart_exponents(x.var_names, ring, center, slopes)
+        # a differential gains or loses at most one xi factor
+        xi_shift = {k: _power(ring, xi_name, k) for k in (-1, 0, 1)}
 
-        def pull_back(p: Polynomial, xi_power: int = 0) -> Polynomial:
-            return p.pull_back(ring, images, _power(ring, xi_name, xi_power))
+        def chart_weight(weight: Weight, moves: bool) -> Weight:
+            """A generator's weight in the chart; a moved one loses one xi
+            factor, so its weight drops by the center's."""
+            return tuple(a - b for a, b in zip(weight, w_center)) if moves else weight
 
-        def chart_weight(weight: Weight) -> tuple[Weight, int]:
-            """A generator's weight in the chart, and the xi factors it loses:
-            one when the subtorus moves it."""
-            if is_fixed_weight(weight, subtorus):
-                return weight, 0
-            return tuple(a - b for a, b in zip(weight, w_center)), 1
-
-        gens1 = []
-        for g in x.gens1:
-            weight, lost = chart_weight(g.weight)
-            gens1.append(Generator1(g.name, weight, pull_back(g.differential, -lost)))
+        gens1 = [
+            Generator1(
+                g.name,
+                chart_weight(g.weight, moves),
+                g.differential.pull_back(ring, images, xi_shift[-moves]),
+            )
+            for g, moves in zip(x.gens1, moves1)
+        ]
 
         gens2 = []
-        for g in x.gens2:
-            weight, lost = chart_weight(g.weight)
+        for g, moves in zip(x.gens2, moves2):
             # a moving target's differential lost one xi, so its coefficient gains one
             diff = tuple(
-                (target, pull_back(coeff, (target in moving1) - lost))
+                (target, coeff.pull_back(ring, images, xi_shift[(target in moving1) - moves]))
                 for target, coeff in g.differential
             )
-            gens2.append(Generator2(g.name, weight, diff))
+            gens2.append(Generator2(g.name, chart_weight(g.weight, moves), diff))
 
         excluded = _strict_transform(x.excluded, ring, images)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
@@ -325,7 +313,9 @@ def blowup_charts(
                 exceptional=GradedVariable(xi_name, w_center),
                 center_var=center,
                 slopes=tuple(slopes),
-                phi=tuple((v, Polynomial.monomial(ring, e)) for v, e in zip(x.var_names, images)),
+                phi=tuple(
+                    (v, Polynomial._from_clean(ring, {e: 1})) for v, e in zip(x.var_names, images)
+                ),
                 subtorus=subtorus,
                 parent_id=parent_id,
             )

@@ -28,7 +28,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidPresentation
-from .ideal import Ideal, fresh_name, monomial_ideal
+from .ideal import Ideal, _monomial_ideal, fresh_name
 from .intlinalg import hermite_rows
 from .poly import Polynomial
 
@@ -127,10 +127,10 @@ class GradedCdga(_GradedCdgaFields):
     removes nothing, however the presentation is built.
 
     The class has no ``__slots__``: the facts derived from the fields (the
-    ring names, the validation report and the classical truncation) are
-    built on first use and kept in the instance's ``__dict__``, so they are
-    never compared or printed, and a presentation built by ``_replace``
-    starts without them.
+    ring names, the validation report, the classical truncation and the
+    dagger condition for the whole torus) are built on first use and kept
+    in the instance's ``__dict__``, so they are never compared or printed,
+    and a presentation built by ``_replace`` starts without them.
     """
 
     def __new__(cls, torus_rank: int, ring_vars, gens1=(), gens2=(), excluded=None):
@@ -154,6 +154,11 @@ class GradedCdga(_GradedCdgaFields):
     def _truncation(self) -> Ideal:
         gens = tuple(g.differential for g in self.gens1 if not g.differential.is_zero())
         return Ideal(self.var_names, gens)
+
+    @cached_property
+    def torus_dagger(self) -> bool:
+        """``dagger_check`` against the whole torus."""
+        return dagger_check(self, SubtorusBasis.full(self.torus_rank))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -340,6 +345,22 @@ def weight_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
     return WeightSplit(fixed, tuple(n for n in x.var_names if n not in fixed))
 
 
+def dagger_check(x: GradedCdga, subtorus: SubtorusBasis) -> bool:
+    """Whether the moving degree-2 data restricts to zero on the center.
+
+    Every coefficient of every subtorus-moving degree-2 generator must
+    vanish once the moving ring variables are set to zero; equivalently
+    each of its monomials contains a moving variable.
+    """
+    fixed = weight_split(x, subtorus).fixed
+    return all(
+        coeff.restrict(fixed).is_zero()
+        for g in x.gens2
+        if not is_fixed_weight(g.weight, subtorus)
+        for _, coeff in g.differential
+    )
+
+
 def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
     """The subpresentation fixed by the subtorus.
 
@@ -369,7 +390,7 @@ def fixed_locus(x: GradedCdga, subtorus: SubtorusBasis) -> GradedCdga:
         diff = tuple((target, coeff) for target, coeff in cut if not coeff.is_zero())
         gens2.append(Generator2(g.name, g.weight, diff))
     restricted = (p.restrict(ring) for p in x.excluded.generators)
-    excluded = monomial_ideal(ring, (e for p in restricted for e in p.terms))
+    excluded = _monomial_ideal(ring, (e for p in restricted for e in p.terms))
     return GradedCdga(x.torus_rank, variables, gens1, tuple(gens2), excluded)
 
 

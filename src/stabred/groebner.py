@@ -12,7 +12,8 @@ change after construction, so ``Polynomial.leading`` keeps its answer on
 the polynomial and division and S-polynomials read their leads from it
 instead of rescanning every basis element.  A division keys each monomial
 once, when it first enters the running dividend, and S-polynomials are
-built straight from the two term maps.
+built straight from the two term maps.  A normal form runs the division
+loop without building quotients.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from .errors import NotDivisible
 from .poly import GREVLEX, Polynomial, canonical_terms, coeff_div, monomial_divides, monomial_lcm
 
 
-def divide(f: Polynomial, divisors, order=GREVLEX):
-    """Divide ``f`` by an ordered list, returning (quotients, remainder).
+def _division(f: Polynomial, divisors, order, quotients):
+    """The remainder of ``f`` on ordered division by the sequence
+    ``divisors``.  The division loop of ``divide`` and ``normal_form``:
+    each quotient step goes into ``quotients``, one term map per divisor,
+    unless it is None, when only the remainder is wanted.
 
     The divisor list is scanned first-match at each step, so the quotients
     are a deterministic function of the list order.
@@ -36,7 +40,6 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
         if g.variables != f.variables:
             raise ValueError(f"variable mismatch: {f.variables} vs {g.variables}")
         leads.append(g.leading(order) if g.terms else None)
-    quotients = [dict() for _ in divisors]
     remainder: dict = {}
     work = dict(f.terms)
     # each monomial is keyed when it first enters ``work``
@@ -50,9 +53,10 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
                 continue
             shift = tuple(map(sub, exps, lead[0]))
             scale = coeff_div(coeff, lead[1])
-            # the leading monomial of ``work`` falls at every step, so no
-            # shift repeats within one quotient
-            quotients[j][shift] = scale
+            if quotients is not None:
+                # the leading monomial of ``work`` falls at every step, so
+                # no shift repeats within one quotient
+                quotients[j][shift] = scale
             for ge, gc in divisors[j].terms.items():
                 te = tuple(map(add, ge, shift))
                 val = work.get(te, 0) - scale * gc
@@ -70,10 +74,14 @@ def divide(f: Polynomial, divisors, order=GREVLEX):
             remainder[exps] = coeff
             del work[exps]
     # each step adds a new nonzero term to one quotient or to the remainder
-    return (
-        [Polynomial._from_clean(f.variables, q) for q in quotients],
-        Polynomial._from_clean(f.variables, remainder),
-    )
+    return Polynomial._from_clean(f.variables, remainder)
+
+
+def divide(f: Polynomial, divisors, order=GREVLEX):
+    """Divide ``f`` by an ordered list, returning (quotients, remainder)."""
+    quotients = [dict() for _ in divisors]
+    remainder = _division(f, divisors, order, quotients)
+    return [Polynomial._from_clean(f.variables, q) for q in quotients], remainder
 
 
 def exact_divide(f: Polynomial, divisor: Polynomial) -> Polynomial:
@@ -88,7 +96,7 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     """Remainder of ``f`` on division by ``basis``."""
     if not basis:
         return f
-    return divide(f, list(basis), order)[1]
+    return _division(f, list(basis), order, None)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:

@@ -169,23 +169,38 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 def _minimal_monomials(variables, exponents, order) -> tuple[Polynomial, ...]:
     """The minimal monomials among the exponent tuples, monic and sorted by
     descending ``order`` key: the reduced basis in that order of the ideal
-    they generate, as Buchberger would return it."""
+    they generate, as Buchberger would return it.  The tuples are trusted:
+    integers, one per variable, none negative."""
     minimal: list[Exponents] = []
     # a proper divisor has a smaller total degree, so it comes first
-    for e in sorted(set(map(tuple, exponents)), key=sum):
+    for e in sorted(set(exponents), key=sum):
         if not any(monomial_divides(m, e) for m in minimal):
             minimal.append(e)
     minimal.sort(key=order.key(variables), reverse=True)
-    return tuple(Polynomial.monomial(variables, e) for e in minimal)
+    return tuple(Polynomial._from_clean(variables, {e: 1}) for e in minimal)
 
 
 def monomial_ideal(variables, exponents) -> Ideal:
     """The ideal generated by the monomials with the given exponent tuples.
 
     Only the minimal monomials are kept, monic and sorted by descending
-    grevlex key: the reduced grevlex basis."""
+    grevlex key: the reduced grevlex basis, which the ideal keeps as its
+    grevlex basis.  Each exponent tuple must hold one nonnegative integer
+    per variable; any other raises ValueError."""
     variables = tuple(variables)
-    return Ideal(variables, _minimal_monomials(variables, exponents, GREVLEX))
+    exponents = [tuple(map(int, e)) for e in exponents]
+    for e in exponents:
+        if len(e) != len(variables) or min(e, default=0) < 0:
+            raise ValueError(f"{e} is not an exponent tuple of {variables}")
+    return _monomial_ideal(variables, exponents)
+
+
+def _monomial_ideal(variables: tuple[str, ...], exponents) -> Ideal:
+    """``monomial_ideal`` of exponent tuples the package has just computed,
+    which need no check."""
+    ideal = Ideal(variables, _minimal_monomials(variables, exponents, GREVLEX))
+    ideal._bases[GREVLEX] = ideal.generators
+    return ideal
 
 
 def _monomial_exponents(ideal: Ideal) -> tuple[Exponents, ...]:
@@ -206,4 +221,4 @@ def monomial_intersection(a: Ideal, b: Ideal) -> Ideal:
     if a.variables != b.variables:
         raise ValueError("ideals live in different rings")
     pairs = [monomial_lcm(e, f) for e in _monomial_exponents(a) for f in _monomial_exponents(b)]
-    return monomial_ideal(a.variables, pairs)
+    return _monomial_ideal(a.variables, pairs)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError, UnknownVariable
 from .poly import Polynomial
@@ -34,6 +35,11 @@ VAR = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # of the recursive descent, so deeper text is refused with a ParseError
 # long before the interpreter's recursion limit
 MAX_NESTING = 100
+# the most term products one parsed product may form, and the most terms
+# one parsed power of a sum may expand to (comb(n+t-1, t-1) bounds the terms
+# of the n-th power of t terms); larger text is refused with a ParseError
+# at the operator before anything is expanded
+MAX_TERMS = 1000
 
 
 def _tokenize(text):
@@ -120,38 +126,58 @@ class _Parser:
             result = result + rhs if op == "+" else result - rhs
         return result
 
+    def integer(self) -> int:
+        """The value of the integer token at the cursor, which it passes; a
+        literal too long for ``int`` is a ParseError there."""
+        _, value, line, col = self.advance()
+        try:
+            return int(value)
+        except ValueError:
+            # past the interpreter's limit on integer string conversion
+            raise ParseError(f"integer literal of {len(value)} digits is too long", line, col) from None
+
     def term(self) -> Polynomial:
         result = self.factor()
         while self.match_op("*"):
-            self.advance()
-            result = result * self.factor()
+            _, _, line, col = self.advance()
+            rhs = self.factor()
+            if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+                raise ParseError(
+                    f"product of {len(result.terms)} and {len(rhs.terms)} terms "
+                    f"forms more than {MAX_TERMS} term products", line, col
+                )
+            result = result * rhs
         return result
 
     def factor(self) -> Polynomial:
         result = self.atom()
         while self.match_op("^"):
-            self.advance()
-            kind, value, _, _ = self.peek()
-            if kind != _INT:
+            _, _, line, col = self.advance()
+            if self.peek()[0] != _INT:
                 self.fail(("integer exponent",))
-            self.advance()
-            result = result ** int(value)
+            n = self.integer()
+            t = len(result.terms)
+            # comb(n+t-1, t-1) is at least n+1 and at least t when n > 0
+            if t > 1 and n and (max(n + 1, t) > MAX_TERMS or comb(n + t - 1, t - 1) > MAX_TERMS):
+                raise ParseError(
+                    f"power {n} of {t} terms may expand to more than {MAX_TERMS} terms", line, col
+                )
+            result = result**n
         return result
 
     def atom(self) -> Polynomial:
         kind, value, line, col = self.peek()
         if kind == _INT:
-            self.advance()
-            numerator = int(value)
+            numerator = self.integer()
             if self.match_op("/"):
                 self.advance()
-                dkind, dvalue, dline, dcol = self.peek()
+                dkind, _, dline, dcol = self.peek()
                 if dkind != _INT:
                     self.fail(("positive integer denominator",))
-                if int(dvalue) == 0:
+                denominator = self.integer()
+                if denominator == 0:
                     raise ParseError("denominator must be positive", dline, dcol)
-                self.advance()
-                return Polynomial.constant(self.variables, Fraction(numerator, int(dvalue)))
+                return Polynomial.constant(self.variables, Fraction(numerator, denominator))
             return Polynomial.constant(self.variables, numerator)
         if kind == _NAME:
             self.advance()

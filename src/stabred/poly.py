@@ -232,13 +232,18 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if n and len(self.terms) == 1:
+            # a monomial's power scales its exponents and powers its coefficient
+            ((exps, c),) = self.terms.items()
+            return Polynomial._from_clean(self.variables, {tuple(e * n for e in exps): c**n})
         result = Polynomial.constant(self.variables, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .blowup import Chart, dagger_check, kirwan_charts
+from .blowup import Chart, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
 from .errors import InternalError, StrictDecreaseViolation
 from .groebner import exact_divide
@@ -37,14 +37,15 @@ def _delta2_generic_rank(x: GradedCdga) -> int:
     Fraction-free (Bareiss) elimination on the polynomial entries: after
     each pivot every remaining entry is a minor of the matrix, so the
     division by the previous pivot is exact and no entry ever leaves the
-    polynomial ring.
+    polynomial ring.  The first pivot divides by the unit, so no division
+    is made there.
     """
     zero = Polynomial.zero(x.var_names)
     matrix = [
         [g.coefficient(w.name) or zero for w in x.gens1]
         for g in x.gens2
     ]
-    previous = Polynomial.constant(x.var_names, 1)
+    previous = None
     rank = 0
     for col in range(len(x.gens1)):
         pivot = next((r for r in range(rank, len(matrix)) if not matrix[r][col].is_zero()), None)
@@ -54,7 +55,8 @@ def _delta2_generic_rank(x: GradedCdga) -> int:
         head = matrix[rank]
         for row in matrix[rank + 1 :]:
             for c in range(col + 1, len(head)):
-                row[c] = exact_divide(head[col] * row[c] - row[col] * head[c], previous)
+                minor = head[col] * row[c] - row[col] * head[c]
+                row[c] = minor if previous is None else exact_divide(minor, previous)
             row[col] = zero
         previous = head[col]
         rank += 1
@@ -72,7 +74,7 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
     report describes leaves of the reduction, whose stabilizers are finite.
     """
     fully_unstable = x.excluded.is_zero()
-    dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
+    dagger = x.torus_dagger
     ranks = tangent_complex_ranks(x)
     e_ranks = None
     if dagger and not fully_unstable:
@@ -112,19 +114,15 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
         leaf = obstruction_report(x)
         return ReductionNode(node_id, x, report, (), leaf)
 
-    parent_dagger = dagger_check(x, SubtorusBasis.full(x.torus_rank))
     subtori = witness_subtori(report)
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
         for chart in kirwan_charts(x, h, parent_id=node_id):
-            where = (
-                f"subtorus {[list(v) for v in h.vectors]}, parent maximal flats "
-                f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"
-            )
-            if parent_dagger and not dagger_check(chart.cdga, SubtorusBasis.full(x.torus_rank)):
+            if x.torus_dagger and not chart.cdga.torus_dagger:
                 raise InternalError(
-                    f"blow-up chart of {node_id!r} lost the degree-2 vanishing property ({where})"
+                    f"blow-up chart of {node_id!r} lost the degree-2 vanishing property "
+                    f"({_where(h, report, chart)})"
                 )
             suffix = f"s{i}.{chart.center_var}" if multi else chart.center_var
             child_id = f"{node_id}/{suffix}"
@@ -132,10 +130,19 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
             if child_report.max_dim >= report.max_dim:
                 raise StrictDecreaseViolation(
                     f"stabilizer dimension failed to drop from {report.max_dim} "
-                    f"at {node_id!r} to {child_report.max_dim} at {child_id!r} ({where})"
+                    f"at {node_id!r} to {child_report.max_dim} at {child_id!r} "
+                    f"({_where(h, report, chart)})"
                 )
             children.append((chart, _reduce(chart.cdga, child_id, depth + 1, child_report)))
     return ReductionNode(node_id, x, report, tuple(children), None)
+
+
+def _where(h: SubtorusBasis, report: StabilizerReport, chart: Chart) -> str:
+    """The subtorus, parent maximal flats and chart that an error names."""
+    return (
+        f"subtorus {[list(v) for v in h.vectors]}, parent maximal flats "
+        f"{[list(s) for s in report.maximal_support]}, chart {chart.name}"
+    )
 
 
 def iter_leaves(node: ReductionNode):

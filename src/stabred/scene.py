@@ -173,6 +173,9 @@ def parse_scene_text(text: str, source: str = "scene") -> Scene:
     except RecursionError as err:
         # the decoder recurses once per open array or object
         raise SchemaError(f"{source} nests arrays or objects too deeply to decode") from err
+    except ValueError as err:
+        # a number past the interpreter's limit on integer string conversion
+        raise SchemaError(f"{source} holds a number too long to decode") from err
     return parse_scene(data)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
-from .ideal import Ideal, monomial_ideal, saturate
+from .ideal import Ideal, _monomial_ideal, saturate
 from .intlinalg import integer_kernel
 
 
@@ -158,4 +158,4 @@ def saturation_ideal(x: GradedCdga, subtorus: SubtorusBasis) -> Ideal:
                 if u[k] > 0 > v[k]:
                     cut[s | t] = tuple(u[k] * b - v[k] * a for a, b in zip(u, v))
         rays = {s: u for s, u in cut.items() if not any(t < s for t in cut)}
-    return monomial_ideal(x.var_names, (tuple(int(n in s) for n in x.var_names) for s in rays))
+    return _monomial_ideal(x.var_names, (tuple(int(n in s) for n in x.var_names) for s in rays))

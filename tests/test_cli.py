@@ -104,18 +104,62 @@ def deep_scenes(directory):
     return ((arrays, "nests arrays or objects too deeply"), (parens, "line 1, column 101: parentheses nested deeper"))
 
 
+def assert_refused(capsys, command, scene, message, timeout):
+    """``command`` on ``scene`` ends in one ``error:`` line naming
+    ``message`` and exit 1, in process and as a subprocess that finishes
+    within ``timeout`` seconds."""
+    code, out, err = run(capsys, command, "--scene", str(scene))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+    done = subprocess.run(
+        [sys.executable, "-m", "stabred.cli", command, "--scene", str(scene)],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=timeout,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 @pytest.mark.parametrize("command", ["validate", "reduce"])
 def test_deep_nesting_is_a_domain_failure(command, tmp_path, capsys):
     for scene, message in deep_scenes(tmp_path):
-        code, out, err = run(capsys, command, "--scene", str(scene))
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and message in err
-        assert len(err.splitlines()) == 1
-        done = subprocess.run(
-            [sys.executable, "-m", "stabred.cli", command, "--scene", str(scene)],
-            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=120,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert_refused(capsys, command, scene, message, timeout=120)
+
+
+def one_differential_scene(path, differential):
+    path.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [{"name": "w", "weight": [0], "differential": differential}],
+        "gens2": [],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_integers_past_the_conversion_limit_are_a_domain_failure(command, tmp_path, capsys):
+    # 5,000 digits is past the interpreter's limit on integer string
+    # conversion (4,300 by default), which raises a plain ValueError
+    digits = "1" * 5000
+    coefficient = one_differential_scene(tmp_path / "big-coefficient.json", digits + "*x*y")
+    rank = tmp_path / "big-rank.json"
+    rank.write_text('{"torus_rank": ' + digits + ', "variables": [], "gens1": [], "gens2": []}')
+    cases = (
+        (coefficient, "line 1, column 1: integer literal of 5000 digits is too long"),
+        (rank, "holds a number too long to decode"),
+    )
+    for scene, message in cases:
+        assert_refused(capsys, command, scene, message, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_powers_that_expand_past_the_term_bound_are_refused_in_seconds(command, tmp_path, capsys):
+    cases = (
+        ("(x+y)^100000", "line 1, column 6: power 100000 of 2 terms may expand"),
+        ("((x+y)^100)^100", "line 1, column 12: power 100 of 101 terms may expand"),
+    )
+    for i, (differential, message) in enumerate(cases):
+        scene = one_differential_scene(tmp_path / f"power-{i}.json", differential)
+        assert_refused(capsys, command, scene, message, timeout=20)
 
 
 def test_missing_file(capsys):

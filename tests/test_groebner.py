@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from stabred import groebner, ideal
+from stabred import blowup, cdga, groebner, ideal, reduce
 from stabred.cli import main
 from stabred.groebner import buchberger, divide, normal_form, s_polynomial
 from stabred.poly import GREVLEX, LEX, ElimOrder, MonomialOrder, Polynomial
@@ -155,6 +155,20 @@ def test_s_pair_sequence_is_pinned(case, monkeypatch):
     assert seen == expected
 
 
+def counted_calls(counts, name, fn):
+    """``fn``, counting its calls under ``name`` in ``counts``, and the zero
+    results of ``normal_form`` under "zero"."""
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        result = fn(*args, **kwargs)
+        if name == "normal_form":
+            counts["zero"] += result.is_zero()
+        return result
+
+    return counted
+
+
 def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monkeypatch, capsys):
     # One ``reduce`` of the critical locus of a*b*c*d + a*b, the rank2-trees
     # scene where Buchberger weighs most.  The work is pinned exactly.  The
@@ -168,16 +182,6 @@ def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monke
     # division took 954, and the smaller saturation inputs take 822.
     scene = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
     counts = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            result = fn(*args, **kwargs)
-            if name == "normal_form":
-                counts["zero"] += result.is_zero()
-            return result
-
-        return counted
 
     def counting_keys(key):
         def counted_key(order, variables):
@@ -193,9 +197,9 @@ def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monke
 
     # ``Ideal.groebner`` is the one caller of ``buchberger``, which calls
     # ``s_polynomial`` and ``normal_form`` as module globals
-    monkeypatch.setattr(ideal, "buchberger", counting("buchberger", groebner.buchberger))
+    monkeypatch.setattr(ideal, "buchberger", counted_calls(counts, "buchberger", groebner.buchberger))
     for name in ("s_polynomial", "normal_form"):
-        monkeypatch.setattr(groebner, name, counting(name, getattr(groebner, name)))
+        monkeypatch.setattr(groebner, name, counted_calls(counts, name, getattr(groebner, name)))
     for order in (MonomialOrder, ElimOrder):
         monkeypatch.setattr(order, "key", counting_keys(order.key))
     assert main(["reduce", "--scene", str(scene)]) == 0
@@ -203,3 +207,35 @@ def test_a_rank2_reduce_does_the_same_work_with_fewer_order_keys(tmp_path, monke
     work = (counts["buchberger"], counts["s_polynomial"], counts["normal_form"], counts["zero"])
     assert work == (23, 69, 126, 50)
     assert counts["keys"] <= 822, counts["keys"]
+
+
+def test_a_rank2_reduce_builds_no_quotient_and_checks_each_presentation_once(tmp_path, monkeypatch, capsys):
+    # The same ``reduce`` as above, with Buchberger's work unchanged.  A
+    # normal form runs the division loop without building quotients, so no
+    # ``divide`` is called (144 before: the 126 normal forms and 18 exact
+    # divisions).  The fraction-free rank makes no division at its first
+    # pivot, which is a unit; that was all 18 exact divisions.  Each
+    # presentation checks the degree-2 vanishing property for the whole
+    # torus once and keeps the answer: 9 checks for the 9 nodes, beside the
+    # 3 that the blow-ups make for their centers (20 before).
+    scene = rank2_tree_scene_file("crit-abcd+ab", tmp_path)
+    counts = Counter()
+    monkeypatch.setattr(ideal, "buchberger", counted_calls(counts, "buchberger", groebner.buchberger))
+    patched = (
+        (groebner, "s_polynomial"),
+        (groebner, "normal_form"),
+        (groebner, "divide"),
+        (blowup, "divide"),
+        (groebner, "exact_divide"),
+        (reduce, "exact_divide"),
+        (cdga, "dagger_check"),
+        (blowup, "dagger_check"),
+    )
+    for module, name in patched:
+        monkeypatch.setattr(module, name, counted_calls(counts, name, getattr(module, name)))
+    assert main(["reduce", "--scene", str(scene)]) == 0
+    capsys.readouterr()
+    work = (counts["buchberger"], counts["s_polynomial"], counts["normal_form"], counts["zero"])
+    assert work == (23, 69, 126, 50)
+    assert (counts["divide"], counts["exact_divide"]) == (0, 0)
+    assert counts["dagger_check"] <= 12, counts["dagger_check"]

@@ -183,6 +183,14 @@ def test_monomial_ideal_keeps_the_minimal_monomials_as_its_basis(monkeypatch):
     assert strings(monomial_ideal(V, [(0, 0), (3, 1)]).generators) == ("1",)
 
 
+def test_monomial_ideal_refuses_what_is_not_an_exponent_tuple():
+    # checked on every tuple, not only the minimal ones it keeps
+    for exponents in ([(1, -1)], [(1, 0), (2, 0, 0)], [(1, 0), (2,)], [(0, 0), (1, -1)]):
+        with pytest.raises(ValueError, match="is not an exponent tuple"):
+            monomial_ideal(V, exponents)
+    assert monomial_ideal(V, [[1, 2], (True, 0)]).generators == monomial_ideal(V, [(1, 0)]).generators
+
+
 def test_monomial_intersection_refuses_what_it_cannot_read():
     with pytest.raises(ValueError, match="not a monomial"):
         monomial_intersection(ideal_of(V, "x"), ideal_of(V, "x - y"))

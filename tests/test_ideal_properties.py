@@ -72,6 +72,17 @@ def test_monomial_ideal_generators_are_the_buchberger_basis(case):
 
 
 @settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_a_monomial_ideal_answers_with_the_buchberger_basis_in_both_orders(case):
+    # ``monomial_ideal`` keeps its reduced grevlex basis, and reads the lex
+    # one off its generators
+    ring, gens, _ = case
+    ideal = monomial_ideal(ring, gens)
+    for order in (GREVLEX, LEX):
+        assert ideal.groebner(order) == buchberger(_ideal(ring, gens).generators, order)
+
+
+@settings(max_examples=150, deadline=None)
 @given(monomial_ideals(), st.sampled_from((-3, 1, 2)))
 def test_monomial_basis_is_the_buchberger_basis_in_every_order(case, coeff):
     ring, gens, v = case

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stabred import ParseError, UnknownVariable, parse_polynomial
-from stabred.parsing import MAX_NESTING
+from stabred.parsing import MAX_NESTING, MAX_TERMS
 from stabred.poly import Polynomial
 
 from test_poly import random_poly
@@ -41,6 +41,37 @@ def test_nesting_is_bounded_by_a_parse_error():
         parse_polynomial(text, V)
     assert (info.value.line, info.value.column) == (2, 2 + MAX_NESTING)
     assert f"nested deeper than {MAX_NESTING}" in str(info.value)
+
+
+def test_expansion_is_bounded_by_a_parse_error():
+    # a power of t > 1 terms has at most comb(n+t-1, t-1) terms: (x+y)^n has
+    # n+1, so the last power of x+y under the bound parses and the next is
+    # refused at its operator; a product is bounded by its term products
+    n = MAX_TERMS - 1
+    assert len(parse_polynomial(f"(x+y)^{n}", V).terms) == MAX_TERMS
+    for text, column in ((f"(x+y)^{n + 1}", 6), (f"x + (x-y)^2^{n}", 12)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, V)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert f"more than {MAX_TERMS} terms" in str(info.value)
+    row = "(" + " + ".join(f"x^{i}" for i in range(40)) + ")"
+    assert len(parse_polynomial(f"{row}*(x+y)", V).terms) == 80
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(f"{row}*{row}", V)
+    assert info.value.column == len(row) + 1
+    assert "product of 40 and 40 terms" in str(info.value)
+    # the power of one term is never refused: it scales the exponents
+    assert parse_polynomial("(-2*x*y^2)^100000", V).terms == {(100000, 200000): 2**100000}
+    assert parse_polynomial("(x+y)^0", V).to_string() == "1"
+
+
+def test_long_integer_literals_are_a_parse_error():
+    digits = "7" * 5000
+    for text, column in ((digits, 1), (f"x^{digits}", 3), (f"1/{digits}*x", 3)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, V)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert "integer literal of 5000 digits is too long" in str(info.value)
 
 
 def test_exponent_binds_tighter_than_product():

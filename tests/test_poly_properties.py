@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabred.cdga import pairing
-from stabred.groebner import divide, s_polynomial
+from stabred.groebner import divide, normal_form, s_polynomial
 from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial, coeff_div, monomial_divides, monomial_lcm
 
 from helpers import is_canonical, reference_key
@@ -122,6 +122,15 @@ def orders(variables):
     ``variables``, in any order."""
     fronts = st.lists(st.sampled_from(variables), unique=True) if variables else st.just([])
     return st.one_of(st.just(LEX), st.just(GREVLEX), fronts.map(lambda f: ElimOrder(tuple(f))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.lists(polynomials(3), max_size=4), orders(RING))
+def test_normal_form_is_the_remainder_of_divide(f, divisors, order):
+    # the two share one division loop; only ``divide`` builds quotients
+    remainder = normal_form(f, divisors, order)
+    assert remainder == divide(f, divisors, order)[1]
+    assert_clean(remainder)
 
 
 PULL_TARGET = ("u", "v")

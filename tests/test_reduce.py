@@ -185,10 +185,11 @@ def test_a_chart_that_keeps_max_dim_is_refused_before_descending(monkeypatch):
 
 def test_a_chart_that_loses_the_degree_2_vanishing_property_exits_three(monkeypatch, capsys):
     # the check holds on the root ring (x, y) and fails on every chart; the
-    # breach raises InternalError, which ``python -O`` cannot strip
-    checked = reduce.dagger_check
+    # breach raises InternalError, which ``python -O`` cannot strip.  Each
+    # presentation runs the whole-torus check through ``cdga.dagger_check``
+    checked = cdga.dagger_check
     monkeypatch.setattr(
-        reduce, "dagger_check", lambda x, h: x.var_names == ("x", "y") and checked(x, h)
+        cdga, "dagger_check", lambda x, h: x.var_names == ("x", "y") and checked(x, h)
     )
     message = "blow-up chart of 'root' lost the degree-2 vanishing property (subtorus [[1]]"
     with pytest.raises(InternalError) as caught:
