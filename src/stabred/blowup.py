@@ -34,7 +34,7 @@ from .groebner import divide
 from .ideal import (
     Ideal,
     _monomial_ideal,
-    fresh_name,
+    fresh_names,
     ideal_equal,
     monomial_intersection,
     saturate,
@@ -120,17 +120,9 @@ def rees_presentation(
     along untouched.
     """
     moving = _center_split(x, subtorus).moving
+    t_name, *v_names = fresh_names(["t_inv"] + [f"v_{m}" for m in moving], x.names)
 
-    taken = set(x.names)
-    t_name = fresh_name("t_inv", taken)
-    taken.add(t_name)
-    v_names = []
-    for m in moving:
-        v = fresh_name(f"v_{m}", taken)
-        taken.add(v)
-        v_names.append(v)
-
-    ring = x.var_names + (t_name,) + tuple(v_names) + tuple(g.name for g in x.gens1)
+    ring = x.var_names + (t_name, *v_names) + tuple(g.name for g in x.gens1)
     zero_rank = (0,) * x.torus_rank
     homog_vars = [ReesVariable(t_name, zero_rank, -1)]
     for m, v in zip(moving, v_names):
@@ -172,16 +164,23 @@ def rees_presentation(
 
 class Chart(NamedTuple):
     """One affine piece of the blow-up, where a chosen moving variable's
-    homogeneous coordinate is inverted."""
+    homogeneous coordinate is inverted.  Its name and exceptional coordinate
+    are read off these fields; the reduction tree records its parent."""
 
-    name: str
     cdga: GradedCdga
-    exceptional: GradedVariable
     center_var: str
     slopes: tuple[tuple[str, str], ...]
     phi: tuple[tuple[str, Polynomial], ...]
     subtorus: SubtorusBasis
-    parent_id: str
+
+    @property
+    def name(self) -> str:
+        return f"chart_{self.center_var}"
+
+    @property
+    def exceptional(self) -> GradedVariable:
+        """xi, the first variable of the chart ring, weighted like the center."""
+        return self.cdga.ring_vars[0]
 
     @property
     def images(self) -> tuple[Exponents, ...]:
@@ -231,9 +230,7 @@ def _power(ring, name, k) -> Exponents:
     return tuple(k if v == name else 0 for v in ring)
 
 
-def blowup_charts(
-    x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
-) -> tuple[Chart, ...]:
+def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     """Blow up the subtorus-fixed locus; one chart per moving ring variable.
 
     In the chart at x_m the exceptional coordinate replaces x_m and every
@@ -257,16 +254,9 @@ def blowup_charts(
     charts = []
     for center in sorted(split.moving):
         w_center = x.weight_of(center)
-        local = set(x.names)
-        xi_name = fresh_name("xi", local)
-        local.add(xi_name)
-        slopes = []
-        for m in split.moving:
-            if m == center:
-                continue
-            u = fresh_name(f"u_{m}", local)
-            local.add(u)
-            slopes.append((m, u))
+        others = [m for m in split.moving if m != center]
+        xi_name, *u_names = fresh_names(["xi"] + [f"u_{m}" for m in others], x.names)
+        slopes = tuple(zip(others, u_names))
 
         ring_vars = [GradedVariable(xi_name, w_center)]
         for m, u in slopes:
@@ -306,26 +296,12 @@ def blowup_charts(
 
         excluded = _strict_transform(x.excluded, ring, images)
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
-        charts.append(
-            Chart(
-                name=f"chart_{center}",
-                cdga=cdga,
-                exceptional=GradedVariable(xi_name, w_center),
-                center_var=center,
-                slopes=tuple(slopes),
-                phi=tuple(
-                    (v, Polynomial._from_clean(ring, {e: 1})) for v, e in zip(x.var_names, images)
-                ),
-                subtorus=subtorus,
-                parent_id=parent_id,
-            )
-        )
+        phi = tuple((v, Polynomial._from_clean(ring, {e: 1})) for v, e in zip(x.var_names, images))
+        charts.append(Chart(cdga, center, slopes, phi, subtorus))
     return tuple(charts)
 
 
-def kirwan_charts(
-    x: GradedCdga, subtorus: SubtorusBasis, parent_id: str = "root"
-) -> tuple[Chart, ...]:
+def kirwan_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     """Blow-up charts with the unstable locus removed.
 
     Each chart removes the strict transform of the subtorus's unstable
@@ -341,7 +317,7 @@ def kirwan_charts(
     """
     unstable_locus = saturation_ideal(x, subtorus)
     charts = []
-    for chart in blowup_charts(x, subtorus, parent_id):
+    for chart in blowup_charts(x, subtorus):
         unstable = _strict_transform(unstable_locus, chart.cdga.var_names, chart.images)
         # blowup_charts already strict-transformed the parent exclusions
         excluded = monomial_intersection(unstable, chart.cdga.excluded)

@@ -28,7 +28,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidPresentation
-from .ideal import Ideal, _monomial_ideal, fresh_name
+from .ideal import Ideal, _monomial_ideal, fresh_names
 from .intlinalg import hermite_rows
 from .poly import Polynomial
 
@@ -412,16 +412,14 @@ def from_invariant_function(variables: tuple[GradedVariable, ...], torus_rank: i
     ok, w = homogeneous_weight(f, weights, torus_rank)
     if not ok or (w is not None and any(w)):
         raise ValueError("function must be invariant (weight zero)")
-    taken = set(names)
-    gens1 = []
-    for v in variables:
-        gname = fresh_name(f"w_{v.name}", taken)
-        taken.add(gname)
-        gens1.append(Generator1(gname, tuple(-a for a in v.weight), f.partial(v.name)))
+    wanted = [f"w_{v.name}" for v in variables] + [f"e_{a + 1}" for a in range(torus_rank)]
+    fresh = fresh_names(wanted, names)
+    gens1 = [
+        Generator1(gname, tuple(-a for a in v.weight), f.partial(v.name))
+        for gname, v in zip(fresh, variables)
+    ]
     gens2 = []
-    for a in range(torus_rank):
-        ename = fresh_name(f"e_{a + 1}", taken)
-        taken.add(ename)
+    for a, ename in enumerate(fresh[len(variables) :]):
         diff = []
         for v, g in zip(variables, gens1):
             if v.weight[a]:

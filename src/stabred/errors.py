@@ -27,9 +27,9 @@ class NotDivisible(InternalError):
 class NotInIdeal(InternalError):
     """Ordered division left a nonzero remainder."""
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"entry {index} is not reducible to zero by the given list")
+        super().__init__(f"entry {index} is not reducible to zero by the given list")
 
 
 class InvalidPresentation(DomainError):
@@ -61,12 +61,11 @@ class ParseError(DomainError):
 class UnknownVariable(DomainError):
     """A name in polynomial text that is not a declared variable."""
 
-    def __init__(self, name, line=None, column=None):
+    def __init__(self, name, line, column):
         self.name = name
         self.line = line
         self.column = column
-        where = f" at line {line}, column {column}" if line is not None else ""
-        super().__init__(f"unknown variable {name!r}{where}")
+        super().__init__(f"unknown variable {name!r} at line {line}, column {column}")
 
 
 class NoCenter(DomainError):

@@ -94,14 +94,19 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
     return a.generators == b.generators or a.groebner() == b.groebner()
 
 
-def fresh_name(base: str, taken) -> str:
-    taken = set(taken)
-    if base not in taken:
-        return base
-    i = 0
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def fresh_names(bases, taken) -> tuple[str, ...]:
+    """One name per base, in order: the base itself or, if that is in
+    ``taken`` or picked for an earlier base, the base with the first free
+    numeric suffix."""
+    used = set(taken)
+    names = []
+    for base in bases:
+        name, i = base, 0
+        while name in used:
+            name, i = f"{base}{i}", i + 1
+        used.add(name)
+        names.append(name)
+    return tuple(names)
 
 
 def eliminate(ideal: Ideal, names) -> Ideal:
@@ -137,7 +142,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         return Ideal.unit(ideal.variables)
     if f.is_constant() or ideal.is_zero() or _has_constant(ideal):
         return ideal
-    aux = fresh_name("_s", ideal.variables)
+    (aux,) = fresh_names(("_s",), ideal.variables)
     extended = ideal.variables + (aux,)
     gens = [g.extend(extended) for g in ideal.generators]
     gens.append(
@@ -157,7 +162,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         return a
     if b.is_zero() or _has_constant(a):
         return b
-    aux = fresh_name("_t", a.variables)
+    (aux,) = fresh_names(("_t",), a.variables)
     extended = a.variables + (aux,)
     t = Polynomial.variable(extended, aux)
     one = Polynomial.constant(extended, 1)

@@ -18,8 +18,9 @@ accepts, so print/parse round-trips are exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log2
 
 from .errors import ParseError, UnknownVariable
 from .poly import Polynomial
@@ -40,6 +41,26 @@ MAX_NESTING = 100
 # of the n-th power of t terms); larger text is refused with a ParseError
 # at the operator before anything is expanded
 MAX_TERMS = 1000
+
+
+def _log2_largest(p: Polynomial) -> float:
+    """log2 of the largest numerator or denominator of a coefficient of ``p``."""
+    top = 1
+    for c in p.terms.values():
+        top = max(top, abs(c.numerator), c.denominator)
+    return log2(top)
+
+
+def _log2_power_base(p: Polynomial) -> float:
+    """A b with every numerator and denominator of a coefficient of p^n at
+    most 2^(n*b).  With N the largest numerator of the t terms and L the
+    lcm of their denominators, p^n is (sum of t terms with integer
+    coefficients at most N*L)^n over L^n, so b = log2(t*N*L)."""
+    top = common = 1
+    for c in p.terms.values():
+        top = max(top, abs(c.numerator))
+        common = lcm(common, c.denominator)
+    return log2(top * common * max(len(p.terms), 1))
 
 
 def _tokenize(text):
@@ -88,6 +109,10 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.variables = tuple(variables)
+        # the interpreter's limit on integer string conversion, which refuses
+        # a long literal; 0 means no limit
+        self.digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.max_log2 = self.digits * log2(10) if self.digits else float("inf")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -121,10 +146,19 @@ class _Parser:
         if negate:
             result = -result
         while self.match_op("+") or self.match_op("-"):
-            op = self.advance()[1]
+            _, op, line, col = self.advance()
             rhs = self.term()
             result = result + rhs if op == "+" else result - rhs
+            self.bound(_log2_largest(result), "sum", line, col)
         return result
+
+    def bound(self, log2_size: float, what: str, line, col, power: int = 1) -> None:
+        """Refuse, at its operator, a result whose coefficients may have a
+        numerator or denominator of more than ``digits`` digits, when each
+        is at most 2^(power*log2_size).  ``power`` is compared, never turned
+        into a float: an exponent may have thousands of digits."""
+        if log2_size and power >= self.max_log2 / log2_size:
+            raise ParseError(f"{what} may have a coefficient of more than {self.digits} digits", line, col)
 
     def integer(self) -> int:
         """The value of the integer token at the cursor, which it passes; a
@@ -147,6 +181,7 @@ class _Parser:
                     f"forms more than {MAX_TERMS} term products", line, col
                 )
             result = result * rhs
+            self.bound(_log2_largest(result), "product", line, col)
         return result
 
     def factor(self) -> Polynomial:
@@ -162,6 +197,10 @@ class _Parser:
                 raise ParseError(
                     f"power {n} of {t} terms may expand to more than {MAX_TERMS} terms", line, col
                 )
+            # a power is bounded before it is built: repeated squaring could
+            # take minutes; a sum or a product of at most MAX_TERMS term
+            # products of printable coefficients takes milliseconds
+            self.bound(_log2_power_base(result), f"power {n}", line, col, power=n)
             result = result**n
         return result
 

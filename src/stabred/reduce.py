@@ -118,7 +118,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        for chart in kirwan_charts(x, h, parent_id=node_id):
+        for chart in kirwan_charts(x, h):
             if x.torus_dagger and not chart.cdga.torus_dagger:
                 raise InternalError(
                     f"blow-up chart of {node_id!r} lost the degree-2 vanishing property "

@@ -159,11 +159,12 @@ def rees_document(rp: ReesPresentation, order: MonomialOrder = GREVLEX) -> dict:
     }
 
 
-def chart_document(chart: Chart, order: MonomialOrder = GREVLEX) -> dict:
+def chart_document(chart: Chart, parent: str, order: MonomialOrder = GREVLEX) -> dict:
+    """A chart of the node ``parent``, the id of the node that lists it."""
     return {
         "name": chart.name,
         "center": chart.center_var,
-        "parent": chart.parent_id,
+        "parent": parent,
         "exceptional": variable_document(chart.exceptional),
         "slopes": {m: u for m, u in chart.slopes},
         "phi": {v: p.to_string(order) for v, p in chart.phi},
@@ -174,7 +175,8 @@ def chart_document(chart: Chart, order: MonomialOrder = GREVLEX) -> dict:
 
 
 def charts_document(charts, order: MonomialOrder = GREVLEX) -> dict:
-    return {"charts": [chart_document(c, order) for c in charts]}
+    """Charts of a blow-up of the scene itself, the root of any reduction."""
+    return {"charts": [chart_document(c, "root", order) for c in charts]}
 
 
 def obstruction_document(report: ObstructionReport) -> dict:
@@ -211,7 +213,7 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
             "excluded": excluded_document(node.cdga.excluded, order),
             "stabilizer": stabilizer_document(node.stabilizer),
             "children": [
-                {"node": child.id, "chart": chart_document(chart, order)}
+                {"node": child.id, "chart": chart_document(chart, node.id, order)}
                 for chart, child in node.children
             ],
             "leaf_report": obstruction_document(node.leaf_report) if node.leaf_report else None,

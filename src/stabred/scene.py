@@ -80,6 +80,22 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _entries(top: dict, key: str, fields: tuple[str, ...]):
+    """(where, object) for each entry of the list ``top[key]``, each an
+    object with exactly ``fields``."""
+    if not isinstance(top[key], list):
+        raise SchemaError(f"{key} must be a list")
+    for i, entry in enumerate(top[key]):
+        where = f"{key}[{i}]"
+        _expect_fields(_expect_object(entry, where), where, fields)
+        yield where, entry
+
+
+def _name_and_weight(obj: dict, where: str, rank: int) -> tuple[str, tuple[int, ...]]:
+    name = _expect_name(obj["name"], f"{where}.name")
+    return name, _expect_weight(obj["weight"], rank, f"{where}.weight")
+
+
 def parse_scene(data) -> Scene:
     """Build a validated scene from decoded JSON data.  ``options`` may
     hold only the fields of ``SceneOptions``; any other name is a
@@ -91,62 +107,34 @@ def parse_scene(data) -> Scene:
     if rank < 0:
         raise SchemaError("torus_rank must be nonnegative")
 
-    if not isinstance(top["variables"], list):
-        raise SchemaError("variables must be a list")
-    variables = []
-    for i, entry in enumerate(top["variables"]):
-        obj = _expect_object(entry, f"variables[{i}]")
-        _expect_fields(obj, f"variables[{i}]", ("name", "weight"))
-        variables.append(
-            GradedVariable(
-                _expect_name(obj["name"], f"variables[{i}].name"),
-                _expect_weight(obj["weight"], rank, f"variables[{i}].weight"),
-            )
-        )
+    variables = [
+        GradedVariable(*_name_and_weight(obj, where, rank))
+        for where, obj in _entries(top, "variables", ("name", "weight"))
+    ]
     names = tuple(v.name for v in variables)
 
-    if not isinstance(top["gens1"], list):
-        raise SchemaError("gens1 must be a list")
     gens1 = []
-    for i, entry in enumerate(top["gens1"]):
-        obj = _expect_object(entry, f"gens1[{i}]")
-        _expect_fields(obj, f"gens1[{i}]", ("name", "weight", "differential"))
+    for where, obj in _entries(top, "gens1", ("name", "weight", "differential")):
         src = obj["differential"]
         if not isinstance(src, str):
-            raise SchemaError(f"gens1[{i}].differential must be a polynomial string")
-        gens1.append(
-            Generator1(
-                _expect_name(obj["name"], f"gens1[{i}].name"),
-                _expect_weight(obj["weight"], rank, f"gens1[{i}].weight"),
-                parse_polynomial(src, names),
-            )
-        )
+            raise SchemaError(f"{where}.differential must be a polynomial string")
+        gens1.append(Generator1(*_name_and_weight(obj, where, rank), parse_polynomial(src, names)))
     gen1_order = {g.name: i for i, g in enumerate(gens1)}
 
-    if not isinstance(top["gens2"], list):
-        raise SchemaError("gens2 must be a list")
     gens2 = []
-    for i, entry in enumerate(top["gens2"]):
-        obj = _expect_object(entry, f"gens2[{i}]")
-        _expect_fields(obj, f"gens2[{i}]", ("name", "weight", "differential"))
-        diff = _expect_object(obj["differential"], f"gens2[{i}].differential")
+    for where, obj in _entries(top, "gens2", ("name", "weight", "differential")):
+        diff = _expect_object(obj["differential"], f"{where}.differential")
         pairs = []
         for target, src in diff.items():
             if target not in gen1_order:
                 raise SchemaError(
-                    f"gens2[{i}].differential names the unknown degree-1 generator {target!r}"
+                    f"{where}.differential names the unknown degree-1 generator {target!r}"
                 )
             if not isinstance(src, str):
-                raise SchemaError(f"gens2[{i}].differential[{target!r}] must be a polynomial string")
+                raise SchemaError(f"{where}.differential[{target!r}] must be a polynomial string")
             pairs.append((target, parse_polynomial(src, names)))
         pairs.sort(key=lambda p: gen1_order[p[0]])
-        gens2.append(
-            Generator2(
-                _expect_name(obj["name"], f"gens2[{i}].name"),
-                _expect_weight(obj["weight"], rank, f"gens2[{i}].weight"),
-                tuple(pairs),
-            )
-        )
+        gens2.append(Generator2(*_name_and_weight(obj, where, rank), tuple(pairs)))
 
     given = _expect_object(top.get("options", {}), "options")
     _expect_fields(given, "options", (), SceneOptions._fields)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -32,9 +33,20 @@ from stabred import (
     validate_presentation,
 )
 from stabred.cdga import homogeneous_weight
+from stabred.cli import main
 from stabred.poly import GREVLEX, LEX, Polynomial
 
-from helpers import FULL1, RANK2_TREES, ideal_of, poly, rank2_tree_scene_file, strings, substitute
+from helpers import (
+    FULL1,
+    RANK2_TREES,
+    SHIPPED_SCENES,
+    ideal_of,
+    poly,
+    rank2_tree_scene_file,
+    scene_file,
+    strings,
+    substitute,
+)
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -236,7 +248,24 @@ def test_charts_are_sorted_by_center():
     charts = blowup_charts(load_scene("scenes/xy2-x2y.json"), FULL1)
     assert [c.name for c in charts] == ["chart_x", "chart_y"]
     assert [c.center_var for c in charts] == ["x", "y"]
-    assert all(c.parent_id == "root" for c in charts)
+
+
+@pytest.mark.parametrize("scene", SHIPPED_SCENES + tuple(RANK2_TREES))
+def test_each_chart_document_names_the_node_that_lists_it_as_parent(scene, tmp_path):
+    # the tree owns parentage: in a reduction each chart's parent is the node
+    # whose children list it; blowup and kirwan act on the scene itself, the root
+    path = str(scene_file(scene, tmp_path))
+    documents = {}
+    for command in ("reduce", "blowup", "kirwan"):
+        target = tmp_path / f"{command}.json"
+        assert main([command, "--scene", path, "--json", str(target)]) == 0
+        documents[command] = json.loads(target.read_text())["data"]
+    nodes = documents["reduce"]["nodes"]
+    listed = [(node["id"], child["chart"]["parent"]) for node in nodes for child in node["children"]]
+    assert listed and all(parent == node for node, parent in listed)
+    for command in ("blowup", "kirwan"):
+        charts = documents[command]["charts"]
+        assert charts and all(chart["parent"] == "root" for chart in charts)
 
 
 def test_chart_geometry():

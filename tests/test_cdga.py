@@ -351,7 +351,7 @@ def test_from_invariant_function_names_avoid_collisions():
     assert not set(names) & {"x", "w_x"}
     assert validate_presentation(built).ok
     # a colliding name takes the first free numeric suffix, as every other
-    # fresh name does (ideal.fresh_name)
+    # fresh name does (ideal.fresh_names)
     assert names == ("w_x0", "w_w_x")
     assert tuple(g.name for g in built.gens2) == ("e_1",)
     variables = (GradedVariable("x", (1,)), GradedVariable("e_1", (-1,)))

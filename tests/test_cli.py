@@ -162,6 +162,20 @@ def test_powers_that_expand_past_the_term_bound_are_refused_in_seconds(command, 
         assert_refused(capsys, command, scene, message, timeout=20)
 
 
+@pytest.mark.parametrize("command", ["validate", "pi0", "reduce"])
+def test_coefficients_past_the_conversion_limit_are_refused_in_seconds(command, tmp_path, capsys):
+    # each would print a coefficient past the interpreter's limit on integer
+    # string conversion, and the last two took seconds to minutes to expand
+    cases = (
+        ("3^10000*x*y + x^2*y^2", "line 1, column 2: power 10000 may have a coefficient"),
+        ("3^10000000", "line 1, column 2: power 10000000 may have a coefficient"),
+        ("(3^100*x + y)^999", "line 1, column 14: power 999 may have a coefficient"),
+    )
+    for i, (differential, message) in enumerate(cases):
+        scene = one_differential_scene(tmp_path / f"coefficient-{i}.json", differential)
+        assert_refused(capsys, command, scene, message, timeout=20)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pi0", "--scene", "does-not-exist.json")
     assert code == 1

@@ -16,7 +16,7 @@ from stabred import (
 )
 import stabred.ideal
 from stabred.groebner import buchberger
-from stabred.ideal import fresh_name
+from stabred.ideal import fresh_names
 from stabred.poly import LEX, Polynomial
 
 from helpers import ideal_of, poly, refuse_buchberger, strings
@@ -202,6 +202,17 @@ def test_monomial_intersection_refuses_what_it_cannot_read():
 
 
 def test_fresh_name():
-    assert fresh_name("v", set()) == "v"
-    assert fresh_name("v", {"v"}) == "v0"
-    assert fresh_name("v", {"v", "v0"}) == "v1"
+    assert fresh_names((), {"v"}) == ()
+    assert fresh_names(("v",), set()) == ("v",)
+    assert fresh_names(("v",), {"v"}) == ("v0",)
+    assert fresh_names(("v",), {"v", "v0"}) == ("v1",)
+    # each name avoids the names picked before it as well as ``taken``
+    assert fresh_names(("v", "v", "v0"), set()) == ("v", "v0", "v00")
+    # two equal bases that collide with ``taken`` get distinct suffixes
+    assert fresh_names(("u_x", "u_x"), {"u_x"}) == ("u_x0", "u_x1")
+    assert fresh_names(("u_x0", "u_x1"), {"u_x0", "u_x1"}) == ("u_x00", "u_x10")
+    assert fresh_names(("u_x0", "u_x0"), {"u_x0", "u_x00"}) == ("u_x01", "u_x02")
+    # ``taken`` may be any iterable and is left as it was
+    taken = ["xi"]
+    assert fresh_names(("xi", "xi"), taken) == ("xi0", "xi1")
+    assert taken == ["xi"]

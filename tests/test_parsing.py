@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,8 +61,9 @@ def test_expansion_is_bounded_by_a_parse_error():
         parse_polynomial(f"{row}*{row}", V)
     assert info.value.column == len(row) + 1
     assert "product of 40 and 40 terms" in str(info.value)
-    # the power of one term is never refused: it scales the exponents
-    assert parse_polynomial("(-2*x*y^2)^100000", V).terms == {(100000, 200000): 2**100000}
+    # the power of one term is never refused for its term count: it scales
+    # the exponents (its coefficient is bounded, see the test below)
+    assert parse_polynomial("(-x*y^2)^100000", V).terms == {(100000, 200000): 1}
     assert parse_polynomial("(x+y)^0", V).to_string() == "1"
 
 
@@ -72,6 +74,55 @@ def test_long_integer_literals_are_a_parse_error():
             parse_polynomial(text, V)
         assert (info.value.line, info.value.column) == (1, column)
         assert "integer literal of 5000 digits is too long" in str(info.value)
+
+
+def test_coefficients_past_the_conversion_limit_are_a_parse_error():
+    # every numerator and denominator is held to the limit that refuses a
+    # long literal (4,300 digits by default) at each operator: a power by a
+    # bound checked before it is built, a sum or a product once built
+    refused = (
+        ("3^10000*x*y + x^2*y^2", 2, "power 10000"),
+        ("3^10000000", 2, "power 10000000"),
+        ("(3^100*x + y)^999", 14, "power 999"),
+        ("(-2*x*y^2)^100000", 11, "power 100000"),
+        ("10^4300", 3, "power 4300"),
+        ("x + 1/3^9100", 8, "power 9100"),
+        ("3^5000*3^5000", 7, "product"),
+        ("(3^5000*x + y)*(3^5000*x - y)", 15, "product"),
+        ("9*10^4299 + 9*10^4299", 11, "sum"),
+        ("x - 1/2^14000 - 1/3^8900", 15, "sum"),
+        ("(2*x)^1" + "0" * 400, 6, "power 1" + "0" * 400),
+    )
+    for text, column, what in refused:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, V)
+        assert (info.value.line, info.value.column) == (1, column), text[:40]
+        assert f"{what} may have a coefficient of more than" in str(info.value)
+    # up to the limit, coefficients are printable
+    printable = (
+        "10^4299*x + 10^4299*x",
+        "9" * 4299 + "*x",
+        "1/3^9000*x",
+        "3^9000 - 3^9000",
+        "(1/2 + 1/3*x)^100",
+        # an exponent too large for a float scales a monomial's exponents
+        "(-x)^1" + "0" * 400,
+    )
+    for text in printable:
+        parse_polynomial(text, V).to_string()
+
+
+def test_the_coefficient_bound_follows_the_interpreter_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(10000)
+        assert parse_polynomial("3^10000", V).terms == {(0, 0): 3**10000}
+        with pytest.raises(ParseError, match="more than 10000 digits"):
+            parse_polynomial("3^30000", V)
+        sys.set_int_max_str_digits(0)
+        assert parse_polynomial("3^30000", V).terms == {(0, 0): 3**30000}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exponent_binds_tighter_than_product():

@@ -105,6 +105,12 @@ def test_gens2_targets_normalized_to_declaration_order():
             id="<lambda>-options.depth_fuse",
         ),
         (lambda d: d.update(options={"mystery": 1}), "mystery"),
+        # a degree-1 differential's type is checked before the name
+        pytest.param(
+            lambda d: d["gens1"][0].update(name="", differential=7),
+            r"^gens1\[0\]\.differential must be a polynomial string$",
+            id="<lambda>-gens1.differential-before-name",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):
