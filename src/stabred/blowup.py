@@ -27,8 +27,7 @@ from .cdga import (
     require_valid,
     weight_split,
 )
-from .errors import DaggerViolation, NoCenter, NotInIdeal
-from .groebner import divide
+from .errors import DaggerViolation, NoCenter
 # ``saturate`` is not called here: bench/selftest.py checks that the tracer
 # patches this module's binding of it
 from .ideal import (
@@ -39,31 +38,8 @@ from .ideal import (
     monomial_intersection,
     saturate,
 )
-from .poly import GREVLEX, Exponents, MonomialOrder, Polynomial
+from .poly import Exponents, Polynomial
 from .torus import saturation_ideal
-
-
-class LambdaMatrix(NamedTuple):
-    """Rows express each input polynomial against the ordered divisor list."""
-
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-
-def lambda_matrix(fs, gs, order: MonomialOrder = GREVLEX) -> LambdaMatrix:
-    """Write each f as a combination of the gs by ordered division.
-
-    The division is deterministic, so the matrix is canonical for a given
-    divisor order; different orders give different but equally valid
-    matrices.
-    """
-    divisors = list(gs)
-    rows = []
-    for i, f in enumerate(fs):
-        quotients, remainder = divide(f, divisors, order)
-        if not remainder.is_zero():
-            raise NotInIdeal(i)
-        rows.append(tuple(quotients))
-    return LambdaMatrix(tuple(rows))
 
 
 def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
@@ -107,9 +83,7 @@ class ReesPresentation(NamedTuple):
     ring: tuple[str, ...]
 
 
-def rees_presentation(
-    x: GradedCdga, subtorus: SubtorusBasis, order: MonomialOrder = GREVLEX
-) -> ReesPresentation:
+def rees_presentation(x: GradedCdga, subtorus: SubtorusBasis) -> ReesPresentation:
     """Deformation of the presentation to the normal cone of the fixed locus.
 
     Degree-(0,0) relations identify each moving variable with ``t_inv``
@@ -117,7 +91,8 @@ def rees_presentation(
     contributes its differential rewritten in homogeneous coordinates; each
     moving degree-2 generator contributes its differential with the moving
     variable of every coefficient replaced likewise.  Fixed generators ride
-    along untouched.
+    along untouched.  The rewrite trades each term's first moving variable
+    for that variable's coordinate, one exponent rewrite per term.
     """
     moving = _center_split(x, subtorus).moving
     t_name, *v_names = fresh_names(["t_inv"] + [f"v_{m}" for m in moving], x.names)
@@ -131,33 +106,39 @@ def rees_presentation(
     def var(name: str) -> Polynomial:
         return Polynomial.variable(ring, name)
 
-    v_of = dict(zip(moving, v_names))
     relations = []
-    for m in moving:
-        relations.append(ReesRelation(0, 0, var(t_name) * var(v_of[m]) - var(m)))
+    for m, v in zip(moving, v_names):
+        relations.append(ReesRelation(0, 0, var(t_name) * var(v) - var(m)))
 
-    def homogenized(row) -> Polynomial:
-        """A row of quotients by the moving variables, each times its coordinate."""
-        element = Polynomial.zero(ring)
-        for coeff, m in zip(row, moving):
-            element = element + coeff.extend(ring) * var(v_of[m])
-        return element
+    position = {name: i for i, name in enumerate(ring)}
+    # each moving variable's position and its coordinate's, in ring order
+    swaps = [(position[m], position[v]) for m, v in zip(moving, v_names)]
+    padding = (0,) * (len(ring) - len(x.var_names))
 
-    # _center_split has checked that every moving coefficient lies in the
-    # ideal of the moving variables, so each division leaves no remainder
-    moving_polys = [Polynomial.variable(x.var_names, m) for m in moving]
-    moving_gens1 = [g for g in x.gens1 if not is_fixed_weight(g.weight, subtorus)]
-    lam = lambda_matrix([g.differential for g in moving_gens1], moving_polys, order)
-    relations += [ReesRelation(0, 1, homogenized(row)) for row in lam.entries]
+    def homogenized(pairs) -> Polynomial:
+        """The sum over ``(p, target)`` of ``p`` times the degree-1 generator
+        ``target`` (none for 1), each term's first moving variable traded
+        for its coordinate.  Distinct terms land on distinct monomials."""
+        terms = {}
+        for p, target in pairs:
+            for exps, c in p.terms.items():
+                e = list(exps + padding)
+                # _center_split has checked that every term has a moving variable
+                i, j = next(swap for swap in swaps if exps[swap[0]])
+                e[i] -= 1
+                e[j] += 1
+                if target is not None:
+                    e[position[target]] += 1
+                terms[tuple(e)] = c
+        return Polynomial._from_clean(ring, terms)
 
+    for g in x.gens1:
+        if not is_fixed_weight(g.weight, subtorus):
+            relations.append(ReesRelation(0, 1, homogenized([(g.differential, None)])))
     for g in x.gens2:
-        if is_fixed_weight(g.weight, subtorus):
-            continue
-        lam = lambda_matrix([coeff for _, coeff in g.differential], moving_polys, order)
-        element = Polynomial.zero(ring)
-        for (target, _), row in zip(g.differential, lam.entries):
-            element = element + homogenized(row) * var(target)
-        relations.append(ReesRelation(1, 1, element))
+        if not is_fixed_weight(g.weight, subtorus):
+            pairs = ((coeff, target) for target, coeff in g.differential)
+            relations.append(ReesRelation(1, 1, homogenized(pairs)))
 
     return ReesPresentation(x, subtorus, t_name, tuple(homog_vars), tuple(relations), ring)
 
@@ -346,24 +327,3 @@ def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
         recipe.append(g.pull_back(ring, images, _power(ring, xi, -1 if moving else 0)))
     return ideal_equal(classical_truncation(chart.cdga), Ideal(ring, tuple(recipe)))
 
-
-def chart_truncation_via_lambda(lam: LambdaMatrix, moving: tuple[str, ...], chart: Chart) -> Ideal:
-    """Chart truncation induced by a relation matrix over the parent ring.
-
-    Each row's homogeneous coordinates are evaluated in the chart: the
-    center's coordinate becomes 1 and the others become slope variables.
-    Any valid matrix for the same differentials induces the same ideal.
-    """
-    ring = chart.cdga.var_names
-    images = chart.images
-    slope_of = dict(chart.slopes)
-    out = []
-    for row in lam.entries:
-        acc = Polynomial.zero(ring)
-        for coeff, m in zip(row, moving):
-            if coeff.is_zero():
-                continue
-            coordinate = None if m == chart.center_var else _power(ring, slope_of[m], 1)
-            acc = acc + coeff.pull_back(ring, images, coordinate)
-        out.append(acc)
-    return Ideal(ring, tuple(out))

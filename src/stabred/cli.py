@@ -147,7 +147,7 @@ def run_command(args) -> int:
 
     if args.command == "rees":
         h = _resolve_subtorus(x, args)
-        rp = rees_presentation(x, h, order)
+        rp = rees_presentation(x, h)
         data = rpt.rees_document(rp, order)
         lines = [f"homogeneous coordinates: {', '.join(v.name for v in rp.homog_vars)}"]
         for r in rp.relations:

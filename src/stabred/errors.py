@@ -24,14 +24,6 @@ class NotDivisible(InternalError):
     """Exact division hit a term the divisor does not divide."""
 
 
-class NotInIdeal(InternalError):
-    """Ordered division left a nonzero remainder."""
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"entry {index} is not reducible to zero by the given list")
-
-
 class InvalidPresentation(DomainError):
     """An operation required a valid presentation and got violations instead."""
 

@@ -14,11 +14,12 @@ raises.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, le, neg, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import NotDivisible
+from .errors import DomainError, NotDivisible
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -372,21 +373,28 @@ class Polynomial:
             return "0"
         keyf = order.key(self.variables)
         pieces = []
-        for exps in sorted(self.terms, key=keyf, reverse=True):
-            coeff = self.terms[exps]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, exps)
-                if e
-            ]
-            mag = abs(coeff)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            pieces.append((coeff < 0, body))
+        try:
+            for exps in sorted(self.terms, key=keyf, reverse=True):
+                coeff = self.terms[exps]
+                factors = [
+                    name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(self.variables, exps)
+                    if e
+                ]
+                mag = abs(coeff)
+                if factors:
+                    body = "*".join(factors)
+                    if mag != 1:
+                        body = f"{mag}*{body}"
+                else:
+                    body = str(mag)
+                pieces.append((coeff < 0, body))
+        except ValueError:
+            # the one refusal here: an integer too long to print
+            raise DomainError(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                "the longest integer the interpreter prints"
+            ) from None
         first_neg, first = pieces[0]
         text = ("-" if first_neg else "") + first
         for neg, body in pieces[1:]:

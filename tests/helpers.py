@@ -27,9 +27,10 @@ from stabred import (
     validate_presentation,
 )
 import stabred.ideal
-from stabred.cdga import pairing, weight_split
+from stabred.cdga import is_fixed_weight, pairing, weight_split
+from stabred.groebner import divide
 from stabred.intlinalg import integer_kernel
-from stabred.poly import ElimOrder, Polynomial
+from stabred.poly import GREVLEX, ElimOrder, Polynomial
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200
@@ -336,6 +337,72 @@ def kirwan_exclusion_by_saturation(parent, chart):
 
     unstable = strict_transform(saturation_ideal(parent, chart.subtorus))
     return intersect(unstable, strict_transform(parent.excluded))
+
+
+# -- relation matrices by division -------------------------------------------
+
+
+def lambda_matrix(fs, gs, order=GREVLEX):
+    """Write each f as a combination of the gs by ordered division: one row
+    of quotients per f.  Raises ValueError when a division leaves a
+    remainder."""
+    rows = []
+    for i, f in enumerate(fs):
+        quotients, remainder = divide(f, list(gs), order)
+        if not remainder.is_zero():
+            raise ValueError(f"entry {i} is not reducible to zero by the given list")
+        rows.append(tuple(quotients))
+    return tuple(rows)
+
+
+def chart_truncation_via_lambda(lam, moving, chart):
+    """Chart truncation induced by a relation matrix over the parent ring.
+
+    Each row's homogeneous coordinates are evaluated in the chart: the
+    center's coordinate becomes 1 and the others become slope variables.
+    Any valid matrix for the same differentials induces the same ideal.
+    """
+    ring = chart.cdga.var_names
+    slope_of = dict(chart.slopes)
+    out = []
+    for row in lam:
+        acc = Polynomial.zero(ring)
+        for coeff, m in zip(row, moving):
+            if coeff.is_zero():
+                continue
+            coordinate = None
+            if m != chart.center_var:
+                coordinate = tuple(int(v == slope_of[m]) for v in ring)
+            acc = acc + coeff.pull_back(ring, chart.images, coordinate)
+        out.append(acc)
+    return Ideal(ring, tuple(out))
+
+
+def rees_relations_by_division(rp, order):
+    """The (0,1) and (1,1) relations of the Rees presentation ``rp``, built
+    in its ring from λ-matrices of the moving differentials against the
+    moving variables: each quotient times its variable's coordinate."""
+    x, subtorus = rp.base, rp.subtorus
+    gs = [Polynomial.variable(x.var_names, v.source) for v in rp.homog_vars[1:]]
+    coordinates = [Polynomial.variable(rp.ring, v.name) for v in rp.homog_vars[1:]]
+
+    def homogenized(row):
+        terms = (c.extend(rp.ring) * v for c, v in zip(row, coordinates))
+        return sum(terms, Polynomial.zero(rp.ring))
+
+    relations = []
+    for g in x.gens1:
+        if not is_fixed_weight(g.weight, subtorus):
+            (row,) = lambda_matrix([g.differential], gs, order)
+            relations.append((0, 1, homogenized(row)))
+    for g in x.gens2:
+        if not is_fixed_weight(g.weight, subtorus):
+            lam = lambda_matrix([coeff for _, coeff in g.differential], gs, order)
+            element = Polynomial.zero(rp.ring)
+            for (target, _), row in zip(g.differential, lam):
+                element = element + homogenized(row) * Polynomial.variable(rp.ring, target)
+            relations.append((1, 1, element))
+    return relations
 
 
 # -- linear-algebra membership oracle ---------------------------------------

@@ -17,15 +17,12 @@ from fractions import Fraction
 from stabred import (
     GradedCdga,
     Ideal,
-    LambdaMatrix,
     blowup_charts,
-    chart_truncation_via_lambda,
     classical_truncation,
     crosscheck_truncation,
     fixed_locus,
     ideal_equal,
     iter_leaves,
-    lambda_matrix,
     load_scene,
     rees_presentation,
     saturate,
@@ -39,7 +36,9 @@ from stabred.poly import GREVLEX, LEX, Polynomial
 from helpers import (
     FULL1,
     ORACLE_CEILING,
+    chart_truncation_via_lambda,
     ideal_of,
+    lambda_matrix,
     monomials_up_to,
     oracle_member,
     poly,
@@ -76,10 +75,10 @@ def test_criterion_2_rees_relations_and_lambda_equivalence():
     gs = tuple(Polynomial.variable(variables, n) for n in moving)
     by_division = lambda_matrix(tuple(g.differential for g in x.gens1), gs)
     # the same differentials, each factored through a single center variable
-    single_center = LambdaMatrix((
+    single_center = (
         (Polynomial.zero(variables), poly("x^2", variables)),
         (poly("y^2", variables), Polynomial.zero(variables)),
-    ))
+    )
     agreements = []
     for chart in charts:
         ours = chart_truncation_via_lambda(by_division, moving, chart)

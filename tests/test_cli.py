@@ -176,6 +176,32 @@ def test_coefficients_past_the_conversion_limit_are_refused_in_seconds(command, 
         assert_refused(capsys, command, scene, message, timeout=20)
 
 
+@pytest.mark.parametrize("command", ["pi0", "reduce"])
+def test_coefficients_grown_past_the_conversion_limit_are_a_domain_failure(command, tmp_path, capsys):
+    # every coefficient parses within the interpreter's limit on integer
+    # string conversion, but the Groebner basis holds z^2 - 2^9000*3^4000*z
+    scene = tmp_path / "growth.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [
+            {"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}, {"name": "z", "weight": [0]},
+        ],
+        "gens1": [
+            {"name": "a", "weight": [0], "differential": "x*y - 3^4000*z"},
+            {"name": "b", "weight": [0], "differential": "z^2 - 2^9000*x*y"},
+        ],
+        "gens2": [],
+    }))
+    limit = f"more than {sys.get_int_max_str_digits()} digits"
+    assert_refused(capsys, command, scene, limit, timeout=120)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old bytes\n")
+    code, out, err = run(capsys, command, "--scene", str(scene), "--json", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and limit in err
+    assert target.read_bytes() == b"old bytes\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pi0", "--scene", "does-not-exist.json")
     assert code == 1
@@ -415,7 +441,7 @@ ERROR_CLASSES = sorted(
 
 
 def test_error_taxonomy_is_complete():
-    assert len(ERROR_CLASSES) == 10
+    assert len(ERROR_CLASSES) == 9
 
 
 @pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)

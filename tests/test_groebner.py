@@ -225,7 +225,6 @@ def test_a_rank2_reduce_builds_no_quotient_and_checks_each_presentation_once(tmp
         (groebner, "s_polynomial"),
         (groebner, "normal_form"),
         (groebner, "divide"),
-        (blowup, "divide"),
         (groebner, "exact_divide"),
         (reduce, "exact_divide"),
         (cdga, "dagger_check"),
