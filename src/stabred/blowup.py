@@ -10,6 +10,7 @@ classical data alone and compares.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cdga import (
@@ -27,18 +28,18 @@ from .cdga import (
     require_valid,
     weight_split,
 )
-from .errors import DaggerViolation, NoCenter
+from .errors import DaggerViolation, NoCenter, NotDivisible
 # ``saturate`` is not called here: bench/selftest.py checks that the tracer
 # patches this module's binding of it
 from .ideal import (
     Ideal,
+    _monomial_exponents,
     _monomial_ideal,
     fresh_names,
     ideal_equal,
-    monomial_intersection,
     saturate,
 )
-from .poly import Exponents, Polynomial
+from .poly import Exponents, Polynomial, monomial_lcm
 from .torus import saturation_ideal
 
 
@@ -164,51 +165,48 @@ class Chart(NamedTuple):
         return self.cdga.ring_vars[0]
 
     @property
-    def images(self) -> tuple[Exponents, ...]:
-        """The exponents of the chart map's monomials, one per parent variable."""
-        return tuple(next(iter(p.terms)) for _, p in self.phi)
-
-    @property
     def fully_unstable(self) -> bool:
         """Whether the chart has removed every point."""
         return self.cdga.excluded.is_zero()
 
 
-def _chart_exponents(source, ring, center, slopes) -> tuple[Exponents, ...]:
-    """Exponent image in ``ring`` of each ``source`` variable under the chart map.
+def _chart_map(source, ring, center, slopes):
+    """The chart map from the parent ring ``source`` into the chart ring
+    ``ring``, on exponent tuples: the one place that knows the chart ring's
+    layout, xi first, then the slopes u_m in ``slopes`` order, then the
+    fixed variables.
 
-    The map is monomial: the center goes to xi, the first variable of
-    ``ring``, every other moving variable m to xi*u_m, each fixed variable
-    to itself.
+    The map sends the center to xi, every other moving m to xi*u_m and each
+    fixed variable to itself.  So one gather picks each chart variable's
+    parent exponent (xi takes the center's), and xi's exponent is the sum
+    of the picked moving exponents.  The parent exponents can be read back
+    from the chart's, so no two terms land on one monomial and a pull-back
+    sums nothing.  Returns two functions:
+
+    * ``pull(p, k)``, the pull-back of ``p`` times xi^k; at k = -1 a term
+      without xi raises NotDivisible;
+    * ``strict(ideal)``, the exponent tuples of the strict transform of an
+      ideal generated by monomials: xi's exponent zeroed, which is the
+      saturation by xi, the map x_c -> 1, x_m -> u_m.
     """
-    position = {name: i for i, name in enumerate(ring)}
-    slope_of = dict(slopes)
-    images = []
-    for v in source:
-        e = [0] * len(ring)
-        if v == center or v in slope_of:
-            e[0] = 1
-        if v != center:
-            e[position[slope_of.get(v, v)]] = 1
-        images.append(tuple(e))
-    return tuple(images)
+    position = {name: i for i, name in enumerate(source)}
+    width = 1 + len(slopes)
+    picked = [position[v] for v in (center, *(m for m, _ in slopes), *ring[width:])]
+    # itemgetter of one index returns an int; a one-variable ring is the
+    # center alone, and its gather is the identity
+    gather = itemgetter(*picked) if len(picked) > 1 else tuple
 
+    def pull(p: Polynomial, k: int = 0) -> Polynomial:
+        terms = {(sum((g := gather(e))[:width]) + k, *g[1:]): c for e, c in p.terms.items()}
+        # the least exponent tuple holds the least exponent of xi
+        if k < 0 and terms and min(terms)[0] < 0:
+            raise NotDivisible(f"{ring[0]} does not divide the pull-back of {p}")
+        return Polynomial._from_clean(ring, terms)
 
-def _strict_transform(ideal: Ideal, ring, images) -> Ideal:
-    """The strict transform in a chart of an ideal generated by monomials.
+    def strict(ideal: Ideal) -> list[Exponents]:
+        return [(0, *gather(e)[1:]) for g in ideal.generators for e in g.terms]
 
-    The total pull-back of a monomial along the chart map ``images`` is a
-    power of xi, the first variable of ``ring``, times a monomial in the
-    other chart variables.  Zeroing the xi exponent is the saturation by
-    xi, the map x_c -> 1, x_m -> u_m, with no Groebner basis.
-    """
-    pulled = (g.pull_back(ring, images) for g in ideal.generators)
-    return _monomial_ideal(ring, ((0,) + e[1:] for g in pulled for e in g.terms))
-
-
-def _power(ring, name, k) -> Exponents:
-    """The exponents of ``name``^k in ``ring``; k may be negative."""
-    return tuple(k if v == name else 0 for v in ring)
+    return pull, strict
 
 
 def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
@@ -216,12 +214,14 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
 
     In the chart at x_m the exceptional coordinate replaces x_m and every
     other moving variable acquires a slope coordinate against it.  The
-    chart map is monomial, so each pull-back is an exponent rewrite.
-    Moving generator differentials lose one exceptional factor, an exponent
-    decrement; fixed degree-2 differentials compensate the rescaling of
-    their moving targets.  The chart carries the strict transform of the
-    removed locus.  That locus is a monomial ideal (``require_valid``
-    refuses any other), so its strict transform is an exponent rewrite too.
+    chart map is monomial and injective on monomials, so ``_chart_map``
+    builds it once per chart as one exponent gather per term, and every
+    pull-back here, ``phi`` included, goes through it.  Moving generator
+    differentials lose one exceptional factor; fixed degree-2 differentials
+    compensate the rescaling of their moving targets.  The chart carries
+    the strict transform of the removed locus.  That locus is a monomial
+    ideal (``require_valid`` refuses any other), so its strict transform is
+    the gathered exponents with xi's zeroed.
     """
     split = _center_split(x, subtorus)
     if not split.moving:
@@ -231,6 +231,7 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     moves1 = [not is_fixed_weight(g.weight, subtorus) for g in x.gens1]
     moves2 = [not is_fixed_weight(g.weight, subtorus) for g in x.gens2]
     moving1 = {g.name for g, moves in zip(x.gens1, moves1) if moves}
+    variables = [Polynomial.variable(x.var_names, v) for v in x.var_names]
 
     charts = []
     for center in sorted(split.moving):
@@ -248,9 +249,7 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
             if v.name in split.fixed:
                 ring_vars.append(v)
         ring = tuple(v.name for v in ring_vars)
-        images = _chart_exponents(x.var_names, ring, center, slopes)
-        # a differential gains or loses at most one xi factor
-        xi_shift = {k: _power(ring, xi_name, k) for k in (-1, 0, 1)}
+        pull, strict = _chart_map(x.var_names, ring, center, slopes)
 
         def chart_weight(weight: Weight, moves: bool) -> Weight:
             """A generator's weight in the chart; a moved one loses one xi
@@ -258,11 +257,7 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
             return tuple(a - b for a, b in zip(weight, w_center)) if moves else weight
 
         gens1 = [
-            Generator1(
-                g.name,
-                chart_weight(g.weight, moves),
-                g.differential.pull_back(ring, images, xi_shift[-moves]),
-            )
+            Generator1(g.name, chart_weight(g.weight, moves), pull(g.differential, -moves))
             for g, moves in zip(x.gens1, moves1)
         ]
 
@@ -270,14 +265,13 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
         for g, moves in zip(x.gens2, moves2):
             # a moving target's differential lost one xi, so its coefficient gains one
             diff = tuple(
-                (target, coeff.pull_back(ring, images, xi_shift[(target in moving1) - moves]))
-                for target, coeff in g.differential
+                (target, pull(coeff, (target in moving1) - moves)) for target, coeff in g.differential
             )
             gens2.append(Generator2(g.name, chart_weight(g.weight, moves), diff))
 
-        excluded = _strict_transform(x.excluded, ring, images)
+        excluded = _monomial_ideal(ring, strict(x.excluded))
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
-        phi = tuple((v, Polynomial._from_clean(ring, {e: 1})) for v, e in zip(x.var_names, images))
+        phi = tuple(zip(x.var_names, map(pull, variables)))
         charts.append(Chart(cdga, center, slopes, phi, subtorus))
     return tuple(charts)
 
@@ -291,17 +285,22 @@ def kirwan_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     in moving variables only (``saturation_ideal``), and in the chart at
     x_c the one over a circuit C pulls back to xi^|C| times the slopes u_m
     of the other m in C.  So its saturation by xi is the monomial map
-    x_c -> 1, x_m -> u_m, an exponent rewrite.  Both ideals are monomial,
-    so their intersection is the minimal pairwise lcms of their generators;
-    no step builds a Groebner basis.  With no semistable point the chart
-    survives, every point removed, flagged fully unstable.
+    x_c -> 1, x_m -> u_m: the chart's gather with xi's exponent zeroed,
+    rebuilt here by ``_chart_map`` from the chart's center and slopes.
+    Both ideals are monomial, so their intersection is the minimal pairwise
+    lcms of their exponent tuples, minimalized once; no step builds a
+    Groebner basis.  With no semistable point the chart survives, every
+    point removed, flagged fully unstable.
     """
     unstable_locus = saturation_ideal(x, subtorus)
     charts = []
     for chart in blowup_charts(x, subtorus):
-        unstable = _strict_transform(unstable_locus, chart.cdga.var_names, chart.images)
+        ring = chart.cdga.var_names
+        _, strict = _chart_map(x.var_names, ring, chart.center_var, chart.slopes)
         # blowup_charts already strict-transformed the parent exclusions
-        excluded = monomial_intersection(unstable, chart.cdga.excluded)
+        carried = _monomial_exponents(chart.cdga.excluded)
+        lcms = [monomial_lcm(e, f) for e in strict(unstable_locus) for f in carried]
+        excluded = _monomial_ideal(ring, lcms)
         charts.append(chart._replace(cdga=chart.cdga._replace(excluded=excluded)))
     return tuple(charts)
 
@@ -311,19 +310,18 @@ def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
 
     The parent's truncation is presented by its reduced Groebner basis,
     which owes nothing to the degree-1 generators and is weight-homogeneous.
-    Fixed elements pull back along the monomial chart map; moving ones pull
-    back and lose the exceptional factor each of their monomials carries,
-    one exponent rewrite each.  The result must agree with the chart's
-    truncation: the classical blow-up against the derived one.
+    Each element pulls back along the chart's gather, rebuilt by
+    ``_chart_map`` from the chart's center and slopes; a moving one also
+    loses the exceptional factor each of its monomials carries.  The result
+    must agree with the chart's truncation: the classical blow-up against
+    the derived one.
     """
     ring = chart.cdga.var_names
-    xi = chart.exceptional.name
-    images = chart.images
+    pull, _ = _chart_map(parent.var_names, ring, chart.center_var, chart.slopes)
     weights = [v.weight for v in parent.ring_vars]
     recipe = []
     for g in classical_truncation(parent).groebner():
         _, w = homogeneous_weight(g, weights, parent.torus_rank)
         moving = w is not None and not is_fixed_weight(w, chart.subtorus)
-        recipe.append(g.pull_back(ring, images, _power(ring, xi, -1 if moving else 0)))
+        recipe.append(pull(g, -moving))
     return ideal_equal(classical_truncation(chart.cdga), Ideal(ring, tuple(recipe)))
-

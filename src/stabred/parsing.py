@@ -41,6 +41,10 @@ MAX_NESTING = 100
 # of the n-th power of t terms); larger text is refused with a ParseError
 # at the operator before anything is expanded
 MAX_TERMS = 1000
+# the largest torus rank a scene may declare; the stratification builds
+# r-by-r integer kernels, so a larger rank is refused with a SchemaError
+# before any is built
+MAX_TORUS_RANK = 64
 
 
 def _log2_largest(p: Polynomial) -> float:

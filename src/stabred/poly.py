@@ -17,9 +17,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from operator import add, le, neg, sub
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .errors import DomainError, NotDivisible
+from .errors import DomainError
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -298,41 +298,6 @@ class Polynomial:
         return Polynomial(self.variables, out)
 
     # -- ring movement -----------------------------------------------------
-
-    def pull_back(
-        self, target: Iterable[str], images: Sequence[Exponents], shift: Exponents | None = None
-    ) -> "Polynomial":
-        """Apply the monomial ring map sending the i-th variable to the monomial
-        with exponents ``images[i]`` in ``target``, then multiply by the
-        monomial ``shift``.
-
-        Each term goes to one term with the same coefficient, so this is an
-        exponent rewrite; terms that land on one monomial are summed and zero
-        sums dropped.  A negative entry of ``shift`` divides by that monomial,
-        and a term left with a negative exponent raises NotDivisible.
-        """
-        target = tuple(target)
-        if len(images) != len(self.variables):
-            raise ValueError(f"{len(images)} images for {len(self.variables)} variables")
-        start = list(shift) if shift is not None else [0] * len(target)
-        sparse = [[(j, a) for j, a in enumerate(image) if a] for image in images]
-        out: dict[Exponents, Coefficient] = {}
-        for exps, c in self.terms.items():
-            e = list(start)
-            for k, image in zip(exps, sparse):
-                if k:
-                    for j, a in image:
-                        e[j] += k * a
-            if min(e, default=0) < 0:
-                divisor = Polynomial.monomial(target, [max(-s, 0) for s in start])
-                raise NotDivisible(f"{divisor} does not divide the pull-back of {self}")
-            key = tuple(e)
-            total = out.get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return Polynomial._from_clean(target, canonical_terms(out))
 
     def restrict(self, target: Iterable[str]) -> "Polynomial":
         """The ring map onto ``target`` that sends every other variable to zero.

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
-from .parsing import VAR, parse_polynomial
+from .parsing import MAX_TORUS_RANK, VAR, parse_polynomial
 from .poly import GREVLEX, ORDERS, MonomialOrder
 
 
@@ -106,6 +106,8 @@ def parse_scene(data) -> Scene:
     rank = _expect_int(top["torus_rank"], "torus_rank")
     if rank < 0:
         raise SchemaError("torus_rank must be nonnegative")
+    if rank > MAX_TORUS_RANK:
+        raise SchemaError(f"torus_rank must be at most {MAX_TORUS_RANK}")
 
     variables = [
         GradedVariable(*_name_and_weight(obj, where, rank))

@@ -15,6 +15,7 @@ from stabred import (
     Generator1,
     Generator2,
     Ideal,
+    NotDivisible,
     SubtorusBasis,
     dagger_check,
     from_invariant_function,
@@ -250,10 +251,55 @@ def _reference_elim_key(self, variables):
 # -- reference ring maps -----------------------------------------------------
 
 
+def pull_back(p, target, images, shift=None):
+    """Apply the monomial ring map sending the i-th variable of ``p`` to the
+    monomial with exponents ``images[i]`` in ``target``, then multiply by
+    the monomial ``shift``: a general exponent rewrite, which sums the terms
+    that land on one monomial and drops zero sums.  A negative entry of
+    ``shift`` divides by that monomial, and a term left with a negative
+    exponent raises NotDivisible.  The package's chart maps are the
+    injective case of this, which sums nothing.
+    """
+    target = tuple(target)
+    if len(images) != len(p.variables):
+        raise ValueError(f"{len(images)} images for {len(p.variables)} variables")
+    start = list(shift) if shift is not None else [0] * len(target)
+    out = {}
+    for exps, c in p.terms.items():
+        e = list(start)
+        for k, image in zip(exps, images):
+            for j, a in enumerate(image):
+                e[j] += k * a
+        if min(e, default=0) < 0:
+            divisor = Polynomial.monomial(target, [max(-s, 0) for s in start])
+            raise NotDivisible(f"{divisor} does not divide the pull-back of {p}")
+        key = tuple(e)
+        out[key] = out.get(key, 0) + c
+    return Polynomial(target, out)
+
+
+def chart_images(chart, source):
+    """The exponents in the chart ring of the image of each ``source``
+    variable under the chart map, read off ``center_var`` and ``slopes``
+    by name: the center goes to xi, the first chart variable, every other
+    moving m to xi*u_m, each fixed variable to itself."""
+    ring = chart.cdga.var_names
+    slope_of = dict(chart.slopes)
+    images = []
+    for v in source:
+        e = [0] * len(ring)
+        if v == chart.center_var or v in slope_of:
+            e[0] = 1
+        if v != chart.center_var:
+            e[ring.index(slope_of.get(v, v))] = 1
+        images.append(tuple(e))
+    return tuple(images)
+
+
 def substitute(p, images, target):
     """Apply the ring map sending each variable of ``p`` to ``images[name]``,
     by multiplying out powers of the images: the general ring map that
-    ``Polynomial.pull_back`` specialises to monomial images.
+    ``pull_back`` specialises to monomial images.
 
     Variables without an image must exist in ``target`` and map to
     themselves.  All image polynomials must live in the target ring.
@@ -373,7 +419,7 @@ def chart_truncation_via_lambda(lam, moving, chart):
             coordinate = None
             if m != chart.center_var:
                 coordinate = tuple(int(v == slope_of[m]) for v in ring)
-            acc = acc + coeff.pull_back(ring, chart.images, coordinate)
+            acc = acc + pull_back(coeff, ring, chart_images(chart, coeff.variables), coordinate)
         out.append(acc)
     return Ideal(ring, tuple(out))
 

@@ -151,6 +151,14 @@ def test_integers_past_the_conversion_limit_are_a_domain_failure(command, tmp_pa
         assert_refused(capsys, command, scene, message, timeout=120)
 
 
+def test_a_torus_rank_past_the_bound_is_refused_in_seconds(tmp_path, capsys):
+    # reduce used to build r-by-r kernels for the flat of no variable, with
+    # time and memory growing like r^2, before it failed with NoCenter
+    scene = tmp_path / "big-torus.json"
+    scene.write_text(json.dumps({"torus_rank": 100000, "variables": [], "gens1": [], "gens2": []}))
+    assert_refused(capsys, "validate", scene, "torus_rank must be at most 64", timeout=20)
+
+
 @pytest.mark.parametrize("command", ["validate", "reduce"])
 def test_powers_that_expand_past_the_term_bound_are_refused_in_seconds(command, tmp_path, capsys):
     cases = (

@@ -20,12 +20,15 @@ from stabred import (
     intersect,
     monomial_ideal,
     monomial_intersection,
+    SubtorusBasis,
     saturate,
+    weight_split,
 )
+from stabred.blowup import _chart_map
 from stabred.groebner import buchberger
 from stabred.poly import GREVLEX, LEX, ElimOrder, Polynomial
 
-from helpers import FULL1, substitute
+from helpers import chart_images, pull_back, substitute
 from test_kernel_oracle import basis_terms, sympy_eliminated_basis, sympy_polys
 
 NAMES = ("a", "b", "c", "d")
@@ -102,14 +105,19 @@ def test_lcm_intersection_is_the_reduced_basis_of_the_buchberger_route(case):
 
 @st.composite
 def charted_exclusions(draw):
-    """A chart of a rank-1 presentation over at most 4 variables, at least
-    one of them moving, whose parent removed a random monomial locus."""
+    """A chart of a rank-1 or rank-2 presentation over at most 4 variables,
+    blown up along the whole torus or a one-parameter subtorus that moves
+    one of them, whose parent removed a random monomial locus."""
     ring, gens, _ = draw(monomial_ideals())
-    weights = draw(st.lists(st.integers(-2, 2), min_size=len(ring), max_size=len(ring)))
-    assume(any(weights))
-    variables = tuple(GradedVariable(v, (w,)) for v, w in zip(ring, weights))
-    x = GradedCdga(1, variables, excluded=_ideal(ring, gens))
-    return x, draw(st.sampled_from(blowup_charts(x, FULL1)))
+    rank = draw(st.sampled_from((1, 2)))
+    weights = st.tuples(*(st.integers(-2, 2) for _ in range(rank)))
+    variables = tuple(GradedVariable(v, draw(weights)) for v in ring)
+    subtorus = draw(st.sampled_from((
+        SubtorusBasis.full(rank), SubtorusBasis(rank, [(1,) * rank]), SubtorusBasis(rank, [(1, -1)[:rank]])
+    )))
+    x = GradedCdga(rank, variables, excluded=_ideal(ring, gens))
+    assume(weight_split(x, subtorus).moving)
+    return x, draw(st.sampled_from(blowup_charts(x, subtorus)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,9 +125,14 @@ def charted_exclusions(draw):
 def test_strict_pull_back_is_the_saturation_of_the_total_pull_back(case):
     x, chart = case
     ring = chart.cdga.var_names
-    total = Ideal(ring, tuple(substitute(g, dict(chart.phi), ring) for g in x.excluded.generators))
+    # the total pull-back along the chart map built by name, not along phi
+    images = chart_images(chart, x.var_names)
+    total = Ideal(ring, tuple(pull_back(g, ring, images) for g in x.excluded.generators))
     xi = Polynomial.variable(ring, chart.exceptional.name)
-    assert chart.cdga.excluded.generators == saturate(total, xi).groebner()
+    expected = saturate(total, xi).groebner()
+    _, strict = _chart_map(x.var_names, ring, chart.center_var, chart.slopes)
+    assert monomial_ideal(ring, strict(x.excluded)).generators == expected
+    assert chart.cdga.excluded.generators == expected
 
 
 def small_polynomials(ring, min_terms=0):

@@ -133,17 +133,13 @@ def test_normal_form_is_the_remainder_of_divide(f, divisors, order):
     assert_clean(remainder)
 
 
-PULL_TARGET = ("u", "v")
-
-
 @settings(max_examples=200, deadline=None)
 @given(polynomials(), polynomials(), st.data())
 def test_the_cached_lead_is_never_stale(p, q, data):
     # one object answers ``leading`` for interleaved orders, and each answer
     # is a fresh ``max`` under the key the kernel used before it cached
-    images = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=3))
     kept = data.draw(st.lists(st.sampled_from(RING), unique=True))
-    built = [p + q, p * q, p.pull_back(PULL_TARGET, images), p.restrict(kept), p.extend(RING + ("d",))]
+    built = [p + q, p * q, p.restrict(kept), p.extend(RING + ("d",))]
     # ``monic`` hands its result the lead it already knows
     built += [f.monic(data.draw(orders(f.variables))) for f in built]
     for f in built:

@@ -11,6 +11,7 @@ from stabred import (
     read_scene,
     serialize_scene,
 )
+from stabred.parsing import MAX_TORUS_RANK
 from stabred.scene import SceneOptions, parse_scene_text
 from stabred.poly import GREVLEX, LEX, ORDERS
 
@@ -118,6 +119,16 @@ def test_schema_violations(mutate, fragment):
     mutate(data)
     with pytest.raises(SchemaError, match=fragment):
         parse_scene(data)
+
+
+def test_the_torus_rank_is_bounded():
+    # the stratification builds r-by-r kernels even with no variable, so a
+    # rank past the bound is refused before anything is built
+    empty = {"variables": [], "gens1": [], "gens2": []}
+    assert parse_scene({"torus_rank": MAX_TORUS_RANK, **empty}).cdga.torus_rank == MAX_TORUS_RANK
+    for rank in (MAX_TORUS_RANK + 1, 2000, 100000):
+        with pytest.raises(SchemaError, match=f"^torus_rank must be at most {MAX_TORUS_RANK}$"):
+            parse_scene({"torus_rank": rank, **empty})
 
 
 def test_option_ranges_include_their_bounds():
