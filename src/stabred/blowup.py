@@ -33,7 +33,6 @@ from .errors import DaggerViolation, NoCenter, NotDivisible
 # patches this module's binding of it
 from .ideal import (
     Ideal,
-    _monomial_exponents,
     _monomial_ideal,
     fresh_names,
     ideal_equal,
@@ -209,7 +208,7 @@ def _chart_map(source, ring, center, slopes):
     return pull, strict
 
 
-def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
+def _charts(x: GradedCdga, subtorus: SubtorusBasis, unstable: Ideal) -> tuple[Chart, ...]:
     """Blow up the subtorus-fixed locus; one chart per moving ring variable.
 
     In the chart at x_m the exceptional coordinate replaces x_m and every
@@ -218,10 +217,11 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     builds it once per chart as one exponent gather per term, and every
     pull-back here, ``phi`` included, goes through it.  Moving generator
     differentials lose one exceptional factor; fixed degree-2 differentials
-    compensate the rescaling of their moving targets.  The chart carries
-    the strict transform of the removed locus.  That locus is a monomial
-    ideal (``require_valid`` refuses any other), so its strict transform is
-    the gathered exponents with xi's zeroed.
+    compensate the rescaling of their moving targets.  The chart removes
+    the strict transforms of ``unstable`` and of the parent's removed
+    locus.  Both are monomial ideals (``require_valid`` refuses any other
+    exclusion), so each strict transform is the gathered exponents with
+    xi's zeroed, and their union is the minimal pairwise lcms.
     """
     split = _center_split(x, subtorus)
     if not split.moving:
@@ -269,40 +269,29 @@ def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
             )
             gens2.append(Generator2(g.name, chart_weight(g.weight, moves), diff))
 
-        excluded = _monomial_ideal(ring, strict(x.excluded))
+        carried = strict(x.excluded)
+        excluded = _monomial_ideal(ring, [monomial_lcm(e, f) for e in strict(unstable) for f in carried])
         cdga = GradedCdga(x.torus_rank, tuple(ring_vars), tuple(gens1), tuple(gens2), excluded)
         phi = tuple(zip(x.var_names, map(pull, variables)))
         charts.append(Chart(cdga, center, slopes, phi, subtorus))
     return tuple(charts)
 
 
-def kirwan_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
-    """Blow-up charts with the unstable locus removed.
+def blowup_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
+    """The blow-up charts, each carrying only what the parent removed: the
+    unstable locus is the unit ideal, whose one exponent tuple is zero."""
+    return _charts(x, subtorus, Ideal.unit(x.var_names))
 
-    Each chart removes the strict transform of the subtorus's unstable
-    locus and whatever the parent had already removed: the intersection of
-    the two ideals.  The unstable locus is cut out by squarefree monomials
-    in moving variables only (``saturation_ideal``), and in the chart at
-    x_c the one over a circuit C pulls back to xi^|C| times the slopes u_m
-    of the other m in C.  So its saturation by xi is the monomial map
-    x_c -> 1, x_m -> u_m: the chart's gather with xi's exponent zeroed,
-    rebuilt here by ``_chart_map`` from the chart's center and slopes.
-    Both ideals are monomial, so their intersection is the minimal pairwise
-    lcms of their exponent tuples, minimalized once; no step builds a
-    Groebner basis.  With no semistable point the chart survives, every
-    point removed, flagged fully unstable.
+
+def kirwan_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
+    """The blow-up charts with the unstable locus removed as well.
+
+    ``saturation_ideal`` is generated by squarefree monomials in moving
+    variables, each pulling back to a power of xi times slopes, so its
+    strict transform is its saturation by xi.  A chart with no semistable
+    point survives, every point removed, flagged fully unstable.
     """
-    unstable_locus = saturation_ideal(x, subtorus)
-    charts = []
-    for chart in blowup_charts(x, subtorus):
-        ring = chart.cdga.var_names
-        _, strict = _chart_map(x.var_names, ring, chart.center_var, chart.slopes)
-        # blowup_charts already strict-transformed the parent exclusions
-        carried = _monomial_exponents(chart.cdga.excluded)
-        lcms = [monomial_lcm(e, f) for e in strict(unstable_locus) for f in carried]
-        excluded = _monomial_ideal(ring, lcms)
-        charts.append(chart._replace(cdga=chart.cdga._replace(excluded=excluded)))
-    return tuple(charts)
+    return _charts(x, subtorus, saturation_ideal(x, subtorus))
 
 
 def crosscheck_truncation(chart: Chart, parent: GradedCdga) -> bool:
