@@ -163,11 +163,6 @@ class Chart(NamedTuple):
         """xi, the first variable of the chart ring, weighted like the center."""
         return self.cdga.ring_vars[0]
 
-    @property
-    def fully_unstable(self) -> bool:
-        """Whether the chart has removed every point."""
-        return self.cdga.excluded.is_zero()
-
 
 def _chart_map(source, ring, center, slopes):
     """The chart map from the parent ring ``source`` into the chart ring
@@ -289,7 +284,8 @@ def kirwan_charts(x: GradedCdga, subtorus: SubtorusBasis) -> tuple[Chart, ...]:
     ``saturation_ideal`` is generated by squarefree monomials in moving
     variables, each pulling back to a power of xi times slopes, so its
     strict transform is its saturation by xi.  A chart with no semistable
-    point survives, every point removed, flagged fully unstable.
+    point survives with every point removed; the reduction stratifies it
+    and finds no nonempty flat.
     """
     return _charts(x, subtorus, saturation_ideal(x, subtorus))
 

@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from . import report as rpt
-from .blowup import blowup_charts, kirwan_charts, rees_presentation
+from .blowup import _charts, blowup_charts, rees_presentation
 from .cdga import GradedCdga, SubtorusBasis, ValidationReport, classical_truncation, fixed_locus
 from .errors import DomainError, InternalError, InvalidPresentation, SchemaError
 from .poly import ORDERS
@@ -90,9 +90,8 @@ def _chart_lines(charts, order) -> list[str]:
         gens = classical_truncation(c.cdga).groebner(order)
         shown = ", ".join(g.to_string(order) for g in gens) or "0"
         removed = ", ".join(rpt.excluded_document(c.cdga.excluded, order))
-        flag = "  [fully unstable]" if c.fully_unstable else ""
         lines.append(f"{c.name}: center {c.center_var}, truncation ({shown})" + (
-            f", excluded ({removed})" if removed else "") + flag)
+            f", excluded ({removed})" if removed else ""))
     return lines
 
 
@@ -165,9 +164,10 @@ def run_command(args) -> int:
 
     if args.command == "kirwan":
         h = _resolve_subtorus(x, args)
-        charts = _select_charts(kirwan_charts(x, h), args.chart)
+        unstable = saturation_ideal(x, h)
+        charts = _select_charts(_charts(x, h, unstable), args.chart)
         data = rpt.charts_document(charts, order)
-        data["saturation"] = [g.to_string(order) for g in saturation_ideal(x, h).groebner(order)]
+        data["saturation"] = [g.to_string(order) for g in unstable.groebner(order)]
         _emit(args, "kirwan", digest, data, _chart_lines(charts, order))
         return 0
 
@@ -182,20 +182,15 @@ def run_command(args) -> int:
             check_line += " (" + ", ".join(k for k, v in checks.items() if not v) + ")"
         lines = [
             f"root max_dim {data['summary']['root_max_dim']}, "
-            f"{data['summary']['leaf_count']} leaves "
-            f"({data['summary']['fully_unstable_leaves']} fully unstable)",
+            f"{data['summary']['leaf_count']} leaves",
             check_line,
         ]
         for record in data["nodes"]:
             if record["leaf_report"] is None:
                 continue
             removed = ", ".join(record["excluded"]) or "-"
-            flags = []
-            if record["leaf_report"]["dm"]:
-                flags.append("dm")
-            if record["leaf_report"]["fully_unstable"]:
-                flags.append("fully unstable")
-            lines.append(f"  {record['id']}: excluded ({removed})  [{', '.join(flags)}]")
+            flags = "dm" if record["leaf_report"]["dm"] else ""
+            lines.append(f"  {record['id']}: excluded ({removed})  [{flags}]")
         _emit(args, "reduce", digest, data, lines)
         return 0 if ok else 3
 
@@ -206,8 +201,7 @@ def run_command(args) -> int:
             ranks = "-" if leaf["e_ranks"] is None else f"({leaf['e_ranks'][0]},{leaf['e_ranks'][1]})"
             lines.append(
                 f"{leaf['id']}: vdim {leaf['vdim']}, e_ranks {ranks}, "
-                f"quasi_smooth {leaf['quasi_smooth']}, dagger {leaf['dagger']}, "
-                f"fully_unstable {leaf['fully_unstable']}"
+                f"quasi_smooth {leaf['quasi_smooth']}, dagger {leaf['dagger']}"
             )
         _emit(args, "report", digest, data, lines)
         return 0

@@ -6,8 +6,10 @@ and recurses into the charts.  The maximal stabilizer dimension strictly
 decreases along every edge: each chart is stratified before the recursion
 descends into it, and an edge that fails to lower it is refused.  So no
 path is longer than the root's ``max_dim``, which is at most the torus
-rank, and the recursion ends by construction.  Leaves get
-obstruction-theory reports.
+rank, and the recursion ends by construction.  A node with finite
+stabilizers and a point outside its removed locus is a leaf and gets an
+obstruction-theory report; a node with no such point adds nothing to the
+quotient, and has neither children nor a report.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class ObstructionReport(NamedTuple):
     quasi_smooth: bool
     dagger: bool
     dm: bool
-    fully_unstable: bool
 
 
 def _delta2_generic_rank(x: GradedCdga) -> int:
@@ -69,15 +70,14 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
     The two ranks describe the dual two-term complex: ambient tangent
     directions minus the torus, and degree-1 generators minus the generic
     rank of the degree-2 coefficient matrix.  They are only meaningful
-    when the degree-2 data vanishes on fixed loci and some semistable
-    point exists, so they are omitted otherwise.  ``dm`` is always true: the
-    report describes leaves of the reduction, whose stabilizers are finite.
+    when the degree-2 data vanishes on fixed loci, so they are omitted
+    otherwise.  ``dm`` is always true: the report describes leaves of the
+    reduction, whose stabilizers are finite and which have a point.
     """
-    fully_unstable = x.excluded.is_zero()
     dagger = x.torus_dagger
     ranks = tangent_complex_ranks(x)
     e_ranks = None
-    if dagger and not fully_unstable:
+    if dagger:
         e_ranks = (ranks.ring_rank - x.torus_rank, ranks.gens1_rank - _delta2_generic_rank(x))
     return ObstructionReport(
         vdim=ranks.vdim,
@@ -85,7 +85,6 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
         quasi_smooth=not x.gens2,
         dagger=dagger,
         dm=True,
-        fully_unstable=fully_unstable,
     )
 
 
@@ -109,9 +108,11 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
 
     Each chart is stratified here, before the recursion into it, so an edge
     that fails to lower ``max_dim`` is refused before anything below it is
-    built, and each node is stratified exactly once."""
+    built, and each node is stratified exactly once.  A node with no
+    nonempty flat has no point outside its removed locus, since the walk
+    ends at the flat of every variable: it is empty, with no report."""
     if report.max_dim == 0:
-        leaf = obstruction_report(x)
+        leaf = obstruction_report(x) if report.maximal_support else None
         return ReductionNode(node_id, x, report, (), leaf)
 
     subtori = witness_subtori(report)
@@ -146,6 +147,8 @@ def _where(h: SubtorusBasis, report: StabilizerReport, chart: Chart) -> str:
 
 
 def iter_leaves(node: ReductionNode):
+    """The reported leaves, the nodes with a point and finite stabilizers,
+    in preorder; an empty node is not one."""
     if node.leaf_report is not None:
         yield node
     for _, child in node.children:

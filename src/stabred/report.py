@@ -169,7 +169,6 @@ def chart_document(chart: Chart, parent: str, order: MonomialOrder = GREVLEX) ->
         "slopes": {m: u for m, u in chart.slopes},
         "phi": {v: p.to_string(order) for v, p in chart.phi},
         "subtorus": subtorus_document(chart.subtorus),
-        "fully_unstable": chart.fully_unstable,
         "cdga": cdga_document(chart.cdga, order),
     }
 
@@ -186,7 +185,6 @@ def obstruction_document(report: ObstructionReport) -> dict:
         "quasi_smooth": report.quasi_smooth,
         "dagger": report.dagger,
         "dm": report.dm,
-        "fully_unstable": report.fully_unstable,
     }
 
 
@@ -200,7 +198,6 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
     """
     nodes = []
     checks = {"validation": True, "crosscheck": True, "strict_decrease": True}
-    leaves = {"total": 0, "fully_unstable": 0}
 
     def walk(node: ReductionNode):
         checks["validation"] &= validate_presentation(node.cdga).ok
@@ -219,10 +216,6 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
             "leaf_report": obstruction_document(node.leaf_report) if node.leaf_report else None,
         }
         nodes.append(record)
-        if node.leaf_report is not None:
-            leaves["total"] += 1
-            if node.leaf_report.fully_unstable:
-                leaves["fully_unstable"] += 1
         for chart, child in node.children:
             checks["crosscheck"] &= crosscheck_truncation(chart, node.cdga)
             checks["strict_decrease"] &= child.stabilizer.max_dim < node.stabilizer.max_dim
@@ -233,8 +226,7 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
         "nodes": nodes,
         "invariant_checks": checks,
         "summary": {
-            "leaf_count": leaves["total"],
-            "fully_unstable_leaves": leaves["fully_unstable"],
+            "leaf_count": sum(record["leaf_report"] is not None for record in nodes),
             "root_max_dim": root.stabilizer.max_dim,
         },
     }

@@ -402,15 +402,16 @@ def test_kirwan_charts_delete_the_unstable_strict_transform():
     charts = kirwan_charts(x, FULL1)
     assert strings(charts[0].cdga.excluded.generators) == ("u_y",)
     assert strings(charts[1].cdga.excluded.generators) == ("u_x",)
-    assert not any(c.fully_unstable for c in charts)
+    assert not any(c.cdga.excluded.is_zero() for c in charts)
 
 
 def test_kirwan_flags_fully_unstable_charts():
     x = load_scene("scenes/a2-positive.json")
     assert saturation_ideal(x, FULL1).is_zero()
     charts = kirwan_charts(x, FULL1)
-    assert all(c.fully_unstable for c in charts)
-    assert all(c.cdga.excluded.is_zero() for c in charts)  # every point removed
+    # every point removed, so the chart's stratification finds no nonempty flat
+    assert all(c.cdga.excluded.is_zero() for c in charts)
+    assert all(stabilizer_stratification(c.cdga).maximal_support == () for c in charts)
 
 
 def test_fully_unstable_follows_the_chart_exclusion():
@@ -419,9 +420,10 @@ def test_fully_unstable_follows_the_chart_exclusion():
     x = GradedCdga(1, base.ring_vars, excluded=Ideal.zero(V))
     charts = blowup_charts(x, FULL1)
     assert all(c.cdga.excluded.is_zero() for c in charts)
-    assert all(c.fully_unstable for c in charts)
+    assert all(stabilizer_stratification(c.cdga).maximal_support == () for c in charts)
     charts = blowup_charts(base, FULL1)
-    assert not any(c.cdga.excluded.is_zero() or c.fully_unstable for c in charts)
+    assert not any(c.cdga.excluded.is_zero() for c in charts)
+    assert all(stabilizer_stratification(c.cdga).maximal_support for c in charts)
 
 
 def test_kirwan_folds_in_the_parent_exclusions():

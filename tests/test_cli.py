@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stabred import cdga, cli, errors
+from stabred import blowup, cdga, cli, errors, torus
 from stabred.cli import build_parser, main
 
 SCENES = "scenes"
@@ -313,7 +313,27 @@ def test_unknown_chart_name(capsys):
 def test_kirwan_marks_fully_unstable(capsys):
     code, out, _ = run(capsys, "kirwan", "--scene", f"{SCENES}/a2-positive.json")
     assert code == 0
-    assert out.count("[fully unstable]") == 2
+    # a chart that removes every point says so by its removed locus alone
+    assert out.splitlines() == [
+        "chart_x: center x, truncation (0), excluded (1)",
+        "chart_y: center y, truncation (0), excluded (1)",
+    ]
+
+
+def test_kirwan_computes_the_unstable_locus_once(monkeypatch, capsys):
+    # the charts and the printed saturation share one saturation_ideal call
+    calls = []
+    wrapped = torus.saturation_ideal
+
+    def counted(x, h):
+        calls.append(h)
+        return wrapped(x, h)
+
+    for module in (torus, blowup, cli):
+        monkeypatch.setattr(module, "saturation_ideal", counted)
+    code, out, _ = run(capsys, "kirwan", "--scene", f"{SCENES}/xy2-x2y.json")
+    assert (code, len(calls)) == (0, 1)
+    assert out.count("chart_") == 2
 
 
 def test_subtorus_flag(capsys):
@@ -351,7 +371,7 @@ def test_reduce_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "root max_dim 1, 2 leaves (0 fully unstable)"
+    assert lines[0] == "root max_dim 1, 2 leaves"
     assert lines[1] == "checks: ok"
     assert "root/x: excluded (u_y)  [dm]" in out
     assert "root/y: excluded (u_x)  [dm]" in out

@@ -21,20 +21,20 @@ from stabred.cli import main
 from helpers import rank2_tree_scene_file, scene_file
 
 GOLDEN = {
-    ("reduce", "a2-hyperbolic"): "90cf2d238c9be8bddbda17d127da9a4b427b654f3d5d768b7e30057a54efb859",
-    ("kirwan", "a2-hyperbolic"): "a17977c4e2e115a8a5efeb4e0151bc93dbf0c5bd4f8389c4752bf2e964774806",
+    ("reduce", "a2-hyperbolic"): "d245dd0a0ee210c14955adab2cd1a4bce643afa824b2376f5dc3cbba530d3a8f",
+    ("kirwan", "a2-hyperbolic"): "13baf25a78a438e1597e0072520317190cb1858e340f006cf204699a591cd1bf",
     ("fixed-locus", "a2-hyperbolic"): "ee29c24290afa381a5015cebe92ce79f16e0e3ec810ab8ad13076248d994872a",
-    ("reduce", "a2-positive"): "bf484815693437d523606df571f3eb16cd6223b4cb966722063699dbe1307399",
-    ("kirwan", "a2-positive"): "1a324dc3848dc72692daf789883038984740d9a6d3f8b54697c5c485055b871a",
+    ("reduce", "a2-positive"): "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
+    ("kirwan", "a2-positive"): "4347c98c536d3a072b0fe7abe3f02057741592f1637aacaf12c56b1cd8660c8b",
     ("fixed-locus", "a2-positive"): "ed3126ee6eacc2e2fe6ca14f27d7a7f1f247a3f0af1646aefd24b3c7de0faccd",
-    ("reduce", "darboux-x2y2"): "9a60ee5a0ec209f877023a82dba375c8168ccdf9804046dac879a91bab7a7425",
-    ("kirwan", "darboux-x2y2"): "4c3b31ed92b61ba49360a1d920504085e55f4a6059627be749c3dd5baa65622a",
+    ("reduce", "darboux-x2y2"): "cf6120c00c05e15df8861d79022c80c7cfefbc246ce4bc6e7fcf8759a0d0b442",
+    ("kirwan", "darboux-x2y2"): "2e43636375506267c266852804047b314fb1002192d475c03aa4e729d94881a0",
     ("fixed-locus", "darboux-x2y2"): "37152026f7f7fd04d643477954f90364012d9605298df2e993c8a7c6571b6dfa",
-    ("reduce", "xy"): "4dee2447bd7de3933c1c149aff50411b10e53d1a0fa91df1160b1d0bbe658a9a",
-    ("kirwan", "xy"): "96fd0f24fc235a20b3c4c3f6c7e7ac96f77f1815e90384cf1147913624dfaebe",
+    ("reduce", "xy"): "c1615ce01aabcfacc16de952e3b17be04b2dfc81e9f55cb1f3b98e7ce9864c03",
+    ("kirwan", "xy"): "9771acd699c3ee2eb61ec582be1bb1fa7cc88b24e0dd403bc79881f551fe1d06",
     ("fixed-locus", "xy"): "ab7431dd98fed6b8f87fe9a3717be0ca0ecaaec65dafc2f33c85dd754562c463",
-    ("reduce", "xy2-x2y"): "932d769932ca098be28c37dcead0aa3ea3236815a74cc7030b6985cf16bd2fcb",
-    ("kirwan", "xy2-x2y"): "cec6e3262cac4734f0ff7068d8042cb8697692e5d2b8d6b184c036daed43745f",
+    ("reduce", "xy2-x2y"): "264bb3c243b8a5ca65bfd6b323cf95c5a1bfc712239af3789038e16eb65fb6fb",
+    ("kirwan", "xy2-x2y"): "c928f402bde753cccba9239b83f3c1747e126053ec132568de774861341de28d",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
     ("validate", "a2-hyperbolic"): "c10937a51fc800185701d628470c3238503de2dc73ff77476a7a227a40442b0f",
     ("validate", "a2-positive"): "0e965dd7a3ce72412e63a4ab983ff1fad54f99aab78400cc6cfeea41dd3d3c4b",
@@ -51,20 +51,20 @@ GOLDEN = {
     ("rees", "darboux-x2y2"): "7ccada079d04027fb6ea993ffda770380dee5edd1dd402a56bf7839016abf898",
     ("rees", "xy"): "bb81dae140b9d5070a0bf9e4e2b6fae721137964f800c789fa0260ad23f393cf",
     ("rees", "xy2-x2y"): "dbd0cfb9bb1241e1966d56e7ca23d3e7efc41eee23d01f4697898ea8217d3c5f",
-    ("blowup", "a2-hyperbolic"): "5561100dafaf88e72f5df9f563f0445b32e8776c83ea158cbd6347e2b173771e",
-    ("blowup", "a2-positive"): "aca471805c685007aaa5d73e2c43396ffb67aeccb5f4bfd2d06a3a631bb9e1a5",
-    ("blowup", "darboux-x2y2"): "bec10bd310e4216cbd6c360c1c75f4cf080e694b3ca3a74d754863e5a5f0e8e9",
-    ("blowup", "xy"): "1da87bad072ee7c9c87872a9a88c9bcc0cda1f70680f007b29dc312e49702049",
-    ("blowup", "xy2-x2y"): "ee12d94d10a5470ba7151131786f9e0226f6d0a09f560110bc5f2c59b615e231",
-    ("report", "a2-hyperbolic"): "4b8e4747c6c8347d9c52cebe303297336e6970fe4c6c0ad523aa423dfc835d78",
-    ("report", "a2-positive"): "c3540e7b2f30b28693adc9c8a4cd10c73bb1a0d6ddd8880f5d92118d77d91989",
-    ("report", "darboux-x2y2"): "d6a7985bae19d0124e596e0c479866089fd32c8946c9e1ef351f639026e53dd5",
-    ("report", "xy"): "cebf962011707a43e7306ca8b01d8270c16ed27ea044b6472fa5e11cc719ead5",
-    ("report", "xy2-x2y"): "50727c0af88bb9ba2fb0d41bd3f8511e57f98efb6232137233a5b82dbf0754df",
+    ("blowup", "a2-hyperbolic"): "0b444cbdb1d13baa639ed4ae73bfd9f3b22c64a716df134882d0813d6e3e1d44",
+    ("blowup", "a2-positive"): "dd50abd3e8a7e662a53d9fdbd50a0f69eb794a622d3b46f5ffdb7d81849212d6",
+    ("blowup", "darboux-x2y2"): "9998eb005729fab180d3abf93a9f8d30063a921a10e1c7687741de41c9318190",
+    ("blowup", "xy"): "7a43ce5962f4baa98c325e095b74a55206e4366cd8e743cc9a7af4d7b6e8f42c",
+    ("blowup", "xy2-x2y"): "6b3158e5443b22f45e77e7729f2ba8d28ecf23e458e24db8098cf82786eed18a",
+    ("report", "a2-hyperbolic"): "b7ad54fd23cb46a74f42fd6a35fb09c31073529eb7b462b19b4a3ad721a07d14",
+    ("report", "a2-positive"): "cb08df0ddd8eed5bfb5d99cb1f68cded19836221c801f801e8a55e27b3fb9bec",
+    ("report", "darboux-x2y2"): "227b93fd1daad7b9a10fc18210af5318996ffdae7622ca79dd46f8c29dcba86d",
+    ("report", "xy"): "0fd0f2362080ccbbb195022901ba17f9e6bcf8436e7e22ef6f7cfb35cd76f703",
+    ("report", "xy2-x2y"): "4776580bccf9b7369631b557aefe7e8d866af9ba8e7eb8b41803f1fab478d19f",
     # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
     # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
     # a coefficient that is not an integer
-    ("reduce", "r1-014"): "9ba47fe602758ba8cab30ddf2c394ffd1c0ea4fb48e29d5cdefdb6f1e233aaab",
+    ("reduce", "r1-014"): "c8aeac8fc78160ab81ffaf633465e6784d30e974eaf90951fc5630d43ef4af60",
 }
 
 
@@ -77,11 +77,11 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
 
 
 RANK2_GOLDEN = {
-    "crit-abcd+ab": "5842d5c577f0ca875574c0a5cae28266d68daabf32dc523634ae1a3a4cfbdd45",
-    "crit-ab+cd-1": "82c8d82fa6eb1624995361315f4113ef20e4c47cf6fa87086df97494dde44551",
-    "crit-a2b2+cd": "0baeef1f7bfff7d1de2ce2d5ee201429ff608f3e68183c0bd6ff7339913d6512",
-    "crit-ab+cd-skew": "18d8ac51b768a916b38928f7e02f2c6835d3ef3f06cfe2b5b19833e71cc50007",
-    "hyp-ab-1": "aeade8a461333d70efb22f4f8fd90efea78213d3e9ed6d09cdee2e5a04a81a9f",
+    "crit-abcd+ab": "261eee26c2d0125ab107f690c269a4a6b66260a38a521bb1547c447d585f6039",
+    "crit-ab+cd-1": "16877c084a964b53f90d1f641c1bfacffb16792e66a74dceba8278250465ea33",
+    "crit-a2b2+cd": "24099532dd7b1a0600c57a35270bb4a70c949808152c8804ab2149bd5d6f50b8",
+    "crit-ab+cd-skew": "3f2c8c4f173b3ee68e1f593027dcc6d67df98b1cfb5c57b969bdfb8b0d74d934",
+    "hyp-ab-1": "60eef9370c7fc9cde16f659cd410403e189cdba7bc27eed79c6ba0784604a53c",
 }
 
 
@@ -97,11 +97,11 @@ def test_rank2_tree_reduce_digest(scene, tmp_path, capsys):
 # ``kirwan`` of the rank-2 trees: the rank-2 saturation ideals of the root
 # witnesses, printed under ``saturation``
 KIRWAN_RANK2_GOLDEN = {
-    "crit-abcd+ab": "4233c59809a50ef806f36735592f0b83b221f68593b3b9fc033911e677abb052",
-    "crit-ab+cd-1": "1f292cd10e4be3aa1e059599fc359ba0b2316c5650c2f1e1756b5451f87a8865",
-    "crit-a2b2+cd": "d2fdd32b887275c4537df6741d34b0317aab2d56de9767fd94bc4051a260f8bd",
-    "crit-ab+cd-skew": "88230b95f17050d5d6c3d1fc869cf5f5d1e45d9a0000320618bfe2031b820483",
-    "hyp-ab-1": "510fb5fa320bc9a50e1fcd85baa00387d9f77c43be48e1b2809ee759ddb899a4",
+    "crit-abcd+ab": "ccc7004b20d50796e8740450f7c402e9324db0f4ce70e8fda2b1c16e22456a89",
+    "crit-ab+cd-1": "5c96a07ebc08d7ff2e87cd551c5d68878afd4d704515e9ff8869a07980e2673d",
+    "crit-a2b2+cd": "46f0aae075756c15a873186c461e8d21f07770b393243f9ce6ec67f1fef5a947",
+    "crit-ab+cd-skew": "e335c22fe8f19ca3492c14c408ddf21e152a2390b14d992096369b529db54832",
+    "hyp-ab-1": "8268fd032e250472b34333cf01e0c7455995774ac5b1172300bd326b7c21ee58",
 }
 
 
@@ -116,16 +116,16 @@ def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
 
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
 LEX_GOLDEN = {
-    "a2-hyperbolic": "90cf2d238c9be8bddbda17d127da9a4b427b654f3d5d768b7e30057a54efb859",
-    "a2-positive": "bf484815693437d523606df571f3eb16cd6223b4cb966722063699dbe1307399",
-    "darboux-x2y2": "9a60ee5a0ec209f877023a82dba375c8168ccdf9804046dac879a91bab7a7425",
-    "xy": "4dee2447bd7de3933c1c149aff50411b10e53d1a0fa91df1160b1d0bbe658a9a",
-    "xy2-x2y": "932d769932ca098be28c37dcead0aa3ea3236815a74cc7030b6985cf16bd2fcb",
-    "crit-abcd+ab": "d1026976fada621ba2ab49c94f588d659904b5415d9930dae42d8f5157fff325",
-    "crit-ab+cd-1": "c4d65b86e10e45d3355dc6301007ca1a777f89931c19d5ae560929896812fc97",
-    "crit-a2b2+cd": "01a8813f55749a458c10ad23790ee73d27f34406a9ca6fe63364087c0ff8cd2f",
-    "crit-ab+cd-skew": "47f31dfe77ff643119c71f095b8f938b3052e7ce74ff896fb6bdf4ed236b862b",
-    "hyp-ab-1": "aeade8a461333d70efb22f4f8fd90efea78213d3e9ed6d09cdee2e5a04a81a9f",
+    "a2-hyperbolic": "d245dd0a0ee210c14955adab2cd1a4bce643afa824b2376f5dc3cbba530d3a8f",
+    "a2-positive": "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
+    "darboux-x2y2": "cf6120c00c05e15df8861d79022c80c7cfefbc246ce4bc6e7fcf8759a0d0b442",
+    "xy": "c1615ce01aabcfacc16de952e3b17be04b2dfc81e9f55cb1f3b98e7ce9864c03",
+    "xy2-x2y": "264bb3c243b8a5ca65bfd6b323cf95c5a1bfc712239af3789038e16eb65fb6fb",
+    "crit-abcd+ab": "1b803540ec419354cdd268c649c845d666b1a7305000b27475cdbc38c8ce3958",
+    "crit-ab+cd-1": "dec94d63ba532cbcdcb895f18dd517f64b750625ae93c319d97b59c2d7be9f2b",
+    "crit-a2b2+cd": "4aa807d86f6434a1e3070c747967f187f981978752fd50af7a27943817cd595b",
+    "crit-ab+cd-skew": "96aa90cc71840049f45f03c3c0eb3afc0bc9428973bbebd31df73864208e730f",
+    "hyp-ab-1": "60eef9370c7fc9cde16f659cd410403e189cdba7bc27eed79c6ba0784604a53c",
 }
 
 

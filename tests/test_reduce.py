@@ -28,6 +28,7 @@ from helpers import (
     RANK2_TREES,
     SHIPPED_SCENES,
     bench_workload,
+    build_corpus,
     evaluate,
     is_canonical,
     poly,
@@ -37,7 +38,7 @@ from helpers import (
     strings,
 )
 from test_blowup import synthetic_pair_scene
-from test_torus import RANK2, SKEW, STEEP, critical
+from test_torus import RANK2, SKEW, STEEP, _reduction_nodes, critical
 
 V = ("x", "y")
 
@@ -72,7 +73,6 @@ def test_darboux_tree():
         assert report.e_ranks == (1, 1)
         assert not report.quasi_smooth
         assert report.dm
-        assert not report.fully_unstable
 
 
 def test_xy_scene_tree():
@@ -85,15 +85,18 @@ def test_xy_scene_tree():
         assert node.leaf_report.quasi_smooth
 
 
-def test_fully_unstable_charts_become_dead_leaves():
+def test_charts_that_remove_every_point_are_empty_nodes():
+    # every point of a2-positive is unstable: both charts stay in the tree,
+    # with no point, so with neither children nor a report
     tree = stabilizer_reduce(load_scene("scenes/a2-positive.json"))
-    leaves = list(iter_leaves(tree))
-    assert len(leaves) == 2
-    for node in leaves:
-        assert node.leaf_report.fully_unstable
-        assert node.leaf_report.e_ranks is None
-        assert node.stabilizer.max_dim == 0
+    assert [node.id for _, node in tree.children] == ["root/x", "root/y"]
+    assert list(iter_leaves(tree)) == []
+    for _, node in tree.children:
         assert node.cdga.excluded.is_zero()  # every point removed
+        assert node.stabilizer.max_dim == 0
+        assert node.stabilizer.maximal_support == ()
+        assert node.children == ()
+        assert node.leaf_report is None
 
 
 def test_synthetic_pair_tree_keeps_derived_structure():
@@ -116,28 +119,44 @@ def test_rank_zero_torus_is_a_single_leaf():
 
 
 @pytest.mark.parametrize(
-    "variables, text, k",
+    "variables, text, k, leaves",
     [
-        (RANK2, "a^2*b^2 + c*d", 2),
-        (RANK2, "a*b + c*d - 1", 2),
-        (SKEW, "a*b + c*d", 2),
-        (RANK2, "a*b*c*d + a*b", 2),
-        (RANK2 + (GradedVariable("e", (1, 1)), GradedVariable("f", (-1, -1))), "a*b + c*d + e*f", 4),
-        (STEEP, "x^12*y + z*w", 2),
+        (RANK2, "a^2*b^2 + c*d", 2, 0),
+        (RANK2, "a*b + c*d - 1", 2, 0),
+        (SKEW, "a*b + c*d", 2, 0),
+        (RANK2, "a*b*c*d + a*b", 2, 6),
+        (RANK2 + (GradedVariable("e", (1, 1)), GradedVariable("f", (-1, -1))), "a*b + c*d + e*f", 4, 0),
+        (STEEP, "x^12*y + z*w", 2, 0),
         (
             tuple(GradedVariable(f"{v}{i}", (s,)) for i in (1, 2, 3) for v, s in (("x", 1), ("y", -1))),
             "x1*y1 + x2*y2 + x3*y3",
             5,
+            0,
         ),
+        # the presentation of scenes/darboux-x2y2.json
+        ((GradedVariable("x", (1,)), GradedVariable("y", (-1,))), "x^2*y^2", 1, 2),
     ],
-    ids=["a2b2+cd", "ab+cd-1", "ab+cd-skew", "abcd+ab", "ab+cd+ef", "steep", "x1y1+x2y2+x3y3"],
+    ids=["a2b2+cd", "ab+cd-1", "ab+cd-skew", "abcd+ab", "ab+cd+ef", "steep", "x1y1+x2y2+x3y3", "darboux-x2y2"],
 )
-def test_critical_locus_leaves_are_minus_one_shifted_symplectic(variables, text, k):
+def test_critical_locus_leaves_are_minus_one_shifted_symplectic(variables, text, k, leaves):
     # a derived critical locus is (-1)-shifted symplectic: its two-term
-    # complex is self-dual, so every reduced chart has vdim 0 and ranks (k, k)
-    for node in iter_leaves(stabilizer_reduce(critical(variables, text))):
+    # complex is self-dual, so every reduced chart has vdim 0 and ranks (k, k);
+    # only charts with a point are reported, so the count is pinned too
+    reported = list(iter_leaves(stabilizer_reduce(critical(variables, text))))
+    assert len(reported) == leaves
+    for node in reported:
         assert node.leaf_report.vdim == 0, node.id
         assert node.leaf_report.e_ranks == (k, k), node.id
+
+
+def test_a_node_is_reported_exactly_when_it_is_a_leaf_with_a_point(tmp_path):
+    scenes = [load_scene(scene_file(s, tmp_path)) for s in SHIPPED_SCENES + tuple(RANK2_TREES)]
+    nodes = [node for x in scenes + list(build_corpus()) for node in _reduction_nodes(stabilizer_reduce(x))]
+    for node in nodes:
+        leaf = not node.children and bool(node.stabilizer.maximal_support)
+        assert (node.leaf_report is not None) == leaf, node.id
+    # both kinds of childless node occur: reported leaves and empty nodes
+    assert {bool(node.stabilizer.maximal_support) for node in nodes if not node.children} == {True, False}
 
 
 def test_strict_decrease_along_edges():
@@ -233,13 +252,15 @@ def test_obstruction_report_without_dagger_omits_ranks():
     assert report.vdim == 0
 
 
-def test_obstruction_report_fully_unstable_override():
+def test_a_root_that_removes_every_point_is_empty():
     base = load_scene("scenes/a2-hyperbolic.json")
-    # the zero ideal removes every point
-    x = base._replace(excluded=Ideal.zero(base.var_names))
-    report = obstruction_report(x)
-    assert report.fully_unstable
-    assert report.e_ranks is None
+    # the zero ideal removes every point: no flat is nonempty, so the root
+    # has neither children nor a report
+    tree = stabilizer_reduce(base._replace(excluded=Ideal.zero(base.var_names)))
+    assert tree.stabilizer.max_dim == 0
+    assert tree.stabilizer.maximal_support == ()
+    assert tree.children == ()
+    assert tree.leaf_report is None
 
 
 def test_generic_rank_is_exact_where_every_small_integer_point_is_special():

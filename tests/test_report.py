@@ -122,7 +122,6 @@ def test_reduction_document_shape_and_checks():
     }
     assert doc["summary"] == {
         "leaf_count": 2,
-        "fully_unstable_leaves": 0,
         "root_max_dim": 1,
     }
     ids = [node["id"] for node in doc["nodes"]]
