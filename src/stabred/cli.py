@@ -17,9 +17,9 @@ from . import report as rpt
 from .blowup import _charts, blowup_charts, rees_presentation
 from .cdga import GradedCdga, SubtorusBasis, ValidationReport, classical_truncation, fixed_locus
 from .errors import DomainError, InternalError, InvalidPresentation, SchemaError
-from .poly import ORDERS
+from .poly import GREVLEX, ORDERS
 from .reduce import stabilizer_reduce
-from .scene import parse_scene_bytes, read_scene, read_scene_bytes
+from .scene import parse_scene_bytes, read_scene_bytes
 from .torus import saturation_ideal, stabilizer_stratification, witness_subtori
 
 COMMANDS = ("validate", "pi0", "fixed-locus", "rees", "blowup", "kirwan", "reduce", "report")
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scene", required=True, help="path to the scene JSON file")
     parser.add_argument("--subtorus", help="basis vectors, e.g. '1,0;0,-1' (default: a maximal witness)")
-    parser.add_argument("--order", choices=tuple(ORDERS), help="monomial order override")
+    parser.add_argument("--order", choices=tuple(ORDERS), help="monomial order for printing (default: grevlex)")
     parser.add_argument("--chart", help="restrict chart output to this chart name")
     parser.add_argument("--json", dest="json_path", help="write the canonical JSON document here")
     return parser
@@ -106,8 +106,9 @@ def _select_charts(charts, wanted: str | None):
 
 
 def run_command(args) -> int:
+    raw = read_scene_bytes(args.scene)
+    digest = rpt.input_digest(raw)
     if args.command == "validate":
-        raw = read_scene_bytes(args.scene)
         try:
             parse_scene_bytes(raw, args.scene)
             checked = ValidationReport()
@@ -115,13 +116,11 @@ def run_command(args) -> int:
             checked = err.report
         lines = [_styled("ok", True)] if checked.ok else [_styled("invalid", False)]
         lines += [f"  {v.kind} {v.subject}: {v.message}" for v in checked.violations]
-        _emit(args, "validate", rpt.input_digest(raw), rpt.validation_document(checked), lines)
+        _emit(args, "validate", digest, rpt.validation_document(checked), lines)
         return 0 if checked.ok else 1
 
-    scene, raw = read_scene(args.scene)
-    digest = rpt.input_digest(raw)
-    x = scene.cdga
-    order = ORDERS[args.order or scene.options.order]
+    x = parse_scene_bytes(raw, args.scene)
+    order = ORDERS[args.order] if args.order else GREVLEX
 
     if args.command == "pi0":
         data = rpt.pi0_document(x, order)
@@ -189,8 +188,7 @@ def run_command(args) -> int:
             if record["leaf_report"] is None:
                 continue
             removed = ", ".join(record["excluded"]) or "-"
-            flags = "dm" if record["leaf_report"]["dm"] else ""
-            lines.append(f"  {record['id']}: excluded ({removed})  [{flags}]")
+            lines.append(f"  {record['id']}: excluded ({removed})")
         _emit(args, "reduce", digest, data, lines)
         return 0 if ok else 3
 

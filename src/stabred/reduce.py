@@ -29,7 +29,6 @@ class ObstructionReport(NamedTuple):
     e_ranks: tuple[int, int] | None
     quasi_smooth: bool
     dagger: bool
-    dm: bool
 
 
 def _delta2_generic_rank(x: GradedCdga) -> int:
@@ -71,8 +70,8 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
     directions minus the torus, and degree-1 generators minus the generic
     rank of the degree-2 coefficient matrix.  They are only meaningful
     when the degree-2 data vanishes on fixed loci, so they are omitted
-    otherwise.  ``dm`` is always true: the report describes leaves of the
-    reduction, whose stabilizers are finite and which have a point.
+    otherwise.  The reduction reports only its leaves with a point, whose
+    stabilizers are finite.
     """
     dagger = x.torus_dagger
     ranks = tangent_complex_ranks(x)
@@ -84,7 +83,6 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
         e_ranks=e_ranks,
         quasi_smooth=not x.gens2,
         dagger=dagger,
-        dm=True,
     )
 
 

@@ -184,7 +184,6 @@ def obstruction_document(report: ObstructionReport) -> dict:
         "e_ranks": list(report.e_ranks) if report.e_ranks is not None else None,
         "quasi_smooth": report.quasi_smooth,
         "dagger": report.dagger,
-        "dm": report.dm,
     }
 
 

@@ -1,47 +1,20 @@
 """Scene files: the JSON surface for presentations.
 
-A scene declares the torus rank, the weighted ring variables, the two
-generator lists with polynomial-string differentials, and run options.
-Field names are part of the format; unknown fields are rejected rather
-than ignored so typos fail loudly.
+A scene declares the torus rank, the weighted ring variables and the two
+generator lists with polynomial-string differentials, and nothing else:
+the presentation alone fixes the reduction.  Field names are part of the
+format; unknown fields are rejected rather than ignored so typos fail
+loudly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .cdga import GradedCdga, GradedVariable, Generator1, Generator2, require_valid
 from .errors import SchemaError
 from .parsing import MAX_TORUS_RANK, VAR, parse_polynomial
-from .poly import GREVLEX, ORDERS, MonomialOrder
-
-
-class _SceneOptionsFields(NamedTuple):
-    order: str = GREVLEX.kind
-
-
-class SceneOptions(_SceneOptionsFields):
-    """The one run setting and its default: the monomial order for
-    printing.  A scene's ``options`` and the ``--order`` flag override it;
-    the value is checked here, wherever it came from, ``_replace`` too.
-    The reduction itself takes no setting: the presentation alone fixes it."""
-
-    __slots__ = ()
-
-    def __new__(cls, order: str = GREVLEX.kind):
-        if not isinstance(order, str) or order not in ORDERS:
-            raise SchemaError("options.order must be " + " or ".join(map(repr, ORDERS)))
-        return tuple.__new__(cls, (order,))
-
-    @classmethod
-    def _make(cls, iterable) -> "SceneOptions":
-        return cls(*iterable)
-
-
-class Scene(NamedTuple):
-    cdga: GradedCdga
-    options: SceneOptions
+from .poly import GREVLEX, MonomialOrder
 
 
 def _expect_object(value, where: str) -> dict:
@@ -50,12 +23,12 @@ def _expect_object(value, where: str) -> dict:
     return value
 
 
-def _expect_fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _expect_fields(obj: dict, where: str, required: tuple[str, ...]):
     for field in required:
         if field not in obj:
             raise SchemaError(f"{where} is missing the field {field!r}")
     for field in obj:
-        if field not in required and field not in optional:
+        if field not in required:
             raise SchemaError(f"{where} has an unknown field {field!r}")
 
 
@@ -96,12 +69,10 @@ def _name_and_weight(obj: dict, where: str, rank: int) -> tuple[str, tuple[int, 
     return name, _expect_weight(obj["weight"], rank, f"{where}.weight")
 
 
-def parse_scene(data) -> Scene:
-    """Build a validated scene from decoded JSON data.  ``options`` may
-    hold only the fields of ``SceneOptions``; any other name is a
-    ``SchemaError``, like an unknown field anywhere else."""
+def parse_scene(data) -> GradedCdga:
+    """The validated presentation that decoded JSON data declares."""
     top = _expect_object(data, "scene")
-    _expect_fields(top, "scene", ("torus_rank", "variables", "gens1", "gens2"), ("options",))
+    _expect_fields(top, "scene", ("torus_rank", "variables", "gens1", "gens2"))
 
     rank = _expect_int(top["torus_rank"], "torus_rank")
     if rank < 0:
@@ -138,16 +109,12 @@ def parse_scene(data) -> Scene:
         pairs.sort(key=lambda p: gen1_order[p[0]])
         gens2.append(Generator2(*_name_and_weight(obj, where, rank), tuple(pairs)))
 
-    given = _expect_object(top.get("options", {}), "options")
-    _expect_fields(given, "options", (), SceneOptions._fields)
-    options = SceneOptions(**given)
-
     cdga = GradedCdga(rank, tuple(variables), tuple(gens1), tuple(gens2))
     require_valid(cdga)
-    return Scene(cdga, options)
+    return cdga
 
 
-def parse_scene_text(text: str, source: str = "scene") -> Scene:
+def parse_scene_text(text: str, source: str = "scene") -> GradedCdga:
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -176,9 +143,9 @@ def read_scene_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def parse_scene_bytes(raw: bytes, source: str = "scene") -> Scene:
-    """Build a validated scene from the raw bytes of a scene file, which
-    must be UTF-8 JSON."""
+def parse_scene_bytes(raw: bytes, source: str = "scene") -> GradedCdga:
+    """The validated presentation that the raw bytes of a scene file
+    declare; they must be UTF-8 JSON."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -186,15 +153,9 @@ def parse_scene_bytes(raw: bytes, source: str = "scene") -> Scene:
     return parse_scene_text(text, source)
 
 
-def read_scene(path: str) -> tuple[Scene, bytes]:
-    """Read, decode and validate a scene file; the raw bytes come back too."""
-    raw = read_scene_bytes(path)
-    return parse_scene_bytes(raw, path), raw
-
-
 def load_scene(path: str) -> GradedCdga:
     """The presentation a scene file declares, validated."""
-    return read_scene(path)[0].cdga
+    return parse_scene_bytes(read_scene_bytes(path), path)
 
 
 def variable_document(v) -> dict:
@@ -221,13 +182,10 @@ def presentation_document(x: GradedCdga, order: MonomialOrder = GREVLEX) -> dict
     }
 
 
-def serialize_scene(cdga: GradedCdga, options: SceneOptions | None = None) -> dict:
-    """Scene data for a presentation; inverse of parse_scene up to option
-    defaults.  Only fresh presentations serialize: removed points have no
-    scene field and must travel through report documents instead."""
+def serialize_scene(cdga: GradedCdga) -> dict:
+    """Scene data for a presentation; inverse of parse_scene.  Only fresh
+    presentations serialize: removed points have no scene field and must
+    travel through report documents instead."""
     if not cdga.excluded.is_unit():
         raise ValueError("a presentation with removed points cannot be written as a scene")
-    data = presentation_document(cdga, ORDERS[options.order] if options else GREVLEX)
-    if options is not None:
-        data["options"] = options._asdict()
-    return data
+    return presentation_document(cdga)

@@ -100,7 +100,7 @@ def test_criterion_3_hyperbolic_plane_reduction():
     leaves = list(iter_leaves(tree))
     assert tree_depth(tree) == 1
     assert [leaf.id for leaf in leaves] == ["root/x", "root/y"]
-    assert all(leaf.leaf_report.dm for leaf in leaves)
+    assert all(leaf.stabilizer.max_dim == 0 for leaf in leaves)
     removed = [strings(leaf.cdga.excluded.groebner()) for leaf in leaves]
     assert removed == [("u_y",), ("u_x",)]
     assert elapsed < 1.0
@@ -124,9 +124,10 @@ def test_criterion_5_darboux_leaf_reports():
     start = time.perf_counter()
     tree = stabilizer_reduce(x)
     elapsed = time.perf_counter() - start
-    dm_leaves = [leaf for leaf in iter_leaves(tree) if leaf.leaf_report.dm]
-    assert dm_leaves
-    for leaf in dm_leaves:
+    leaves = list(iter_leaves(tree))
+    assert leaves
+    for leaf in leaves:
+        assert leaf.stabilizer.max_dim == 0
         assert leaf.leaf_report.dagger
         assert leaf.leaf_report.vdim == 0
         assert leaf.leaf_report.e_ranks == (1, 1)

@@ -147,14 +147,14 @@ def _in_ring(ideal, ring):
 def test_a_reordering_of_the_variables_keeps_the_tree_and_its_ideals(label, original, workdir):
     doc = SCENES[label]
     want_code = original[label][0]
-    want = list(_preorder(stabilizer_reduce(parse_scene(doc).cdga))) if want_code == 0 else None
+    want = list(_preorder(stabilizer_reduce(parse_scene(doc)))) if want_code == 0 else None
     for variables in itertools.permutations(doc["variables"]):
         shuffled = {**doc, "variables": list(variables)}
         code, _, _ = _reduce(shuffled, workdir)
         assert code == want_code, [v["name"] for v in variables]
         if code != 0:
             continue
-        got = list(_preorder(stabilizer_reduce(parse_scene(shuffled).cdga)))
+        got = list(_preorder(stabilizer_reduce(parse_scene(shuffled))))
         assert [n.id for n in got] == [n.id for n in want]
         for old, new in zip(want, got):
             ring = old.cdga.var_names

@@ -21,19 +21,19 @@ from stabred.cli import main
 from helpers import rank2_tree_scene_file, scene_file
 
 GOLDEN = {
-    ("reduce", "a2-hyperbolic"): "d245dd0a0ee210c14955adab2cd1a4bce643afa824b2376f5dc3cbba530d3a8f",
+    ("reduce", "a2-hyperbolic"): "c2d9c4f31dee3b4c5e83621c8b7f04fc00516b36cc40835c268d13717b472046",
     ("kirwan", "a2-hyperbolic"): "13baf25a78a438e1597e0072520317190cb1858e340f006cf204699a591cd1bf",
     ("fixed-locus", "a2-hyperbolic"): "ee29c24290afa381a5015cebe92ce79f16e0e3ec810ab8ad13076248d994872a",
     ("reduce", "a2-positive"): "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
     ("kirwan", "a2-positive"): "4347c98c536d3a072b0fe7abe3f02057741592f1637aacaf12c56b1cd8660c8b",
     ("fixed-locus", "a2-positive"): "ed3126ee6eacc2e2fe6ca14f27d7a7f1f247a3f0af1646aefd24b3c7de0faccd",
-    ("reduce", "darboux-x2y2"): "cf6120c00c05e15df8861d79022c80c7cfefbc246ce4bc6e7fcf8759a0d0b442",
+    ("reduce", "darboux-x2y2"): "6d5e1c30ab47595902f1a74eca28c0440230b9e915637f54072e03b522462d72",
     ("kirwan", "darboux-x2y2"): "2e43636375506267c266852804047b314fb1002192d475c03aa4e729d94881a0",
     ("fixed-locus", "darboux-x2y2"): "37152026f7f7fd04d643477954f90364012d9605298df2e993c8a7c6571b6dfa",
-    ("reduce", "xy"): "c1615ce01aabcfacc16de952e3b17be04b2dfc81e9f55cb1f3b98e7ce9864c03",
+    ("reduce", "xy"): "2f6b68df85b383a5c1323e7d6ff69e9b70b350cb81c4528b5ce19eca535eb003",
     ("kirwan", "xy"): "9771acd699c3ee2eb61ec582be1bb1fa7cc88b24e0dd403bc79881f551fe1d06",
     ("fixed-locus", "xy"): "ab7431dd98fed6b8f87fe9a3717be0ca0ecaaec65dafc2f33c85dd754562c463",
-    ("reduce", "xy2-x2y"): "264bb3c243b8a5ca65bfd6b323cf95c5a1bfc712239af3789038e16eb65fb6fb",
+    ("reduce", "xy2-x2y"): "4b23a29ebd67651b4ffdd43f7e2866ea13d1b5b455d45aa3b2cca82932b345d1",
     ("kirwan", "xy2-x2y"): "c928f402bde753cccba9239b83f3c1747e126053ec132568de774861341de28d",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
     ("validate", "a2-hyperbolic"): "c10937a51fc800185701d628470c3238503de2dc73ff77476a7a227a40442b0f",
@@ -56,15 +56,15 @@ GOLDEN = {
     ("blowup", "darboux-x2y2"): "9998eb005729fab180d3abf93a9f8d30063a921a10e1c7687741de41c9318190",
     ("blowup", "xy"): "7a43ce5962f4baa98c325e095b74a55206e4366cd8e743cc9a7af4d7b6e8f42c",
     ("blowup", "xy2-x2y"): "6b3158e5443b22f45e77e7729f2ba8d28ecf23e458e24db8098cf82786eed18a",
-    ("report", "a2-hyperbolic"): "b7ad54fd23cb46a74f42fd6a35fb09c31073529eb7b462b19b4a3ad721a07d14",
+    ("report", "a2-hyperbolic"): "9424b247fd611f14acfd317fc349496315c941c04e8bde4000cdbd89504c271d",
     ("report", "a2-positive"): "cb08df0ddd8eed5bfb5d99cb1f68cded19836221c801f801e8a55e27b3fb9bec",
-    ("report", "darboux-x2y2"): "227b93fd1daad7b9a10fc18210af5318996ffdae7622ca79dd46f8c29dcba86d",
-    ("report", "xy"): "0fd0f2362080ccbbb195022901ba17f9e6bcf8436e7e22ef6f7cfb35cd76f703",
-    ("report", "xy2-x2y"): "4776580bccf9b7369631b557aefe7e8d866af9ba8e7eb8b41803f1fab478d19f",
+    ("report", "darboux-x2y2"): "ddd169c0bc1feeb6c1930750b44040bf6676f7795176d2d4698fc5056d4ad82b",
+    ("report", "xy"): "806955cfc318c478c448deafbc6c3ed582398a85531013385b925602f01b6a7f",
+    ("report", "xy2-x2y"): "4a5b215dc30ffb111339b0fa14cbde161217133f30d9c76e927b80bd762e1ccf",
     # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
     # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
     # a coefficient that is not an integer
-    ("reduce", "r1-014"): "c8aeac8fc78160ab81ffaf633465e6784d30e974eaf90951fc5630d43ef4af60",
+    ("reduce", "r1-014"): "28196dd9c5091d3cd5ed7726c6567b793cc0c1ba188a38bd391d798a03176b34",
 }
 
 
@@ -77,11 +77,11 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
 
 
 RANK2_GOLDEN = {
-    "crit-abcd+ab": "261eee26c2d0125ab107f690c269a4a6b66260a38a521bb1547c447d585f6039",
+    "crit-abcd+ab": "3d2c8d30f4e65699d82ee203a59f2f99c1a7cd488a878968c0e3d86011c11959",
     "crit-ab+cd-1": "16877c084a964b53f90d1f641c1bfacffb16792e66a74dceba8278250465ea33",
     "crit-a2b2+cd": "24099532dd7b1a0600c57a35270bb4a70c949808152c8804ab2149bd5d6f50b8",
     "crit-ab+cd-skew": "3f2c8c4f173b3ee68e1f593027dcc6d67df98b1cfb5c57b969bdfb8b0d74d934",
-    "hyp-ab-1": "60eef9370c7fc9cde16f659cd410403e189cdba7bc27eed79c6ba0784604a53c",
+    "hyp-ab-1": "ead25bfae87064c58182ec6c3af5d7bea4e2c8288cb70fbbe71442b34680956b",
 }
 
 
@@ -116,16 +116,16 @@ def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
 
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
 LEX_GOLDEN = {
-    "a2-hyperbolic": "d245dd0a0ee210c14955adab2cd1a4bce643afa824b2376f5dc3cbba530d3a8f",
+    "a2-hyperbolic": "c2d9c4f31dee3b4c5e83621c8b7f04fc00516b36cc40835c268d13717b472046",
     "a2-positive": "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
-    "darboux-x2y2": "cf6120c00c05e15df8861d79022c80c7cfefbc246ce4bc6e7fcf8759a0d0b442",
-    "xy": "c1615ce01aabcfacc16de952e3b17be04b2dfc81e9f55cb1f3b98e7ce9864c03",
-    "xy2-x2y": "264bb3c243b8a5ca65bfd6b323cf95c5a1bfc712239af3789038e16eb65fb6fb",
-    "crit-abcd+ab": "1b803540ec419354cdd268c649c845d666b1a7305000b27475cdbc38c8ce3958",
+    "darboux-x2y2": "6d5e1c30ab47595902f1a74eca28c0440230b9e915637f54072e03b522462d72",
+    "xy": "2f6b68df85b383a5c1323e7d6ff69e9b70b350cb81c4528b5ce19eca535eb003",
+    "xy2-x2y": "4b23a29ebd67651b4ffdd43f7e2866ea13d1b5b455d45aa3b2cca82932b345d1",
+    "crit-abcd+ab": "dfb4263d19cef5a80444613d398ca1cb7fa53881e6c07e771ab1266f23ecf88f",
     "crit-ab+cd-1": "dec94d63ba532cbcdcb895f18dd517f64b750625ae93c319d97b59c2d7be9f2b",
     "crit-a2b2+cd": "4aa807d86f6434a1e3070c747967f187f981978752fd50af7a27943817cd595b",
     "crit-ab+cd-skew": "96aa90cc71840049f45f03c3c0eb3afc0bc9428973bbebd31df73864208e730f",
-    "hyp-ab-1": "60eef9370c7fc9cde16f659cd410403e189cdba7bc27eed79c6ba0784604a53c",
+    "hyp-ab-1": "ead25bfae87064c58182ec6c3af5d7bea4e2c8288cb70fbbe71442b34680956b",
 }
 
 

@@ -30,7 +30,7 @@ FAILING = ("crit-abcd", "hyp-ab+cd-1", "hyp-ab+cd")
 
 @functools.cache
 def workload(name):
-    return {label: parse_scene(data).cdga for label, data in bench_workload(name).items()}
+    return {label: parse_scene(data) for label, data in bench_workload(name).items()}
 
 
 def check_tree(node):

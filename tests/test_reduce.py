@@ -53,7 +53,6 @@ def test_hyperbolic_plane_tree():
     assert len(leaves) == 2
     for chart, node in tree.children:
         assert node.stabilizer.max_dim == 0
-        assert node.leaf_report.dm
         assert node.leaf_report.dagger
         assert node.leaf_report.quasi_smooth
         assert node.leaf_report.vdim == 1
@@ -72,7 +71,7 @@ def test_darboux_tree():
         assert report.vdim == 0
         assert report.e_ranks == (1, 1)
         assert not report.quasi_smooth
-        assert report.dm
+        assert node.stabilizer.max_dim == 0
 
 
 def test_xy_scene_tree():
@@ -115,7 +114,7 @@ def test_rank_zero_torus_is_a_single_leaf():
     tree = stabilizer_reduce(x)
     assert tree.children == ()
     assert tree.leaf_report is not None
-    assert tree.leaf_report.dm
+    assert tree.stabilizer.max_dim == 0
 
 
 @pytest.mark.parametrize(

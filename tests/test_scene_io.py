@@ -8,12 +8,10 @@ from stabred import (
     SchemaError,
     load_scene,
     parse_scene,
-    read_scene,
     serialize_scene,
 )
 from stabred.parsing import MAX_TORUS_RANK
-from stabred.scene import SceneOptions, parse_scene_text
-from stabred.poly import GREVLEX, LEX, ORDERS
+from stabred.scene import parse_scene_bytes, parse_scene_text, read_scene_bytes
 
 from helpers import build_corpus, ideal_of
 
@@ -38,36 +36,26 @@ def test_load_named_scenes():
         ("scenes/a2-positive.json", 1),
         ("scenes/xy.json", 1),
     ):
-        scene, raw = read_scene(path)
-        assert scene.cdga.torus_rank == rank
-        assert load_scene(path) == scene.cdga
+        raw = read_scene_bytes(path)
+        cdga = parse_scene_bytes(raw, path)
+        assert cdga.torus_rank == rank
+        assert load_scene(path) == cdga
         with open(path, "rb") as handle:
             assert raw == handle.read()
 
 
 def test_parse_minimal_scene():
-    scene = parse_scene(minimal_scene())
-    assert scene.cdga.var_names == ("x", "y")
-    assert scene.options == SceneOptions()
-    assert ORDERS[scene.options.order] == GREVLEX
-
-
-def test_options_parsed_and_defaulted():
-    data = minimal_scene()
-    data["options"] = {"order": "lex"}
-    scene = parse_scene(data)
-    assert ORDERS[scene.options.order] == LEX
-    assert parse_scene(minimal_scene()).options.order == GREVLEX.kind
+    assert parse_scene(minimal_scene()).var_names == ("x", "y")
 
 
 @pytest.mark.parametrize("name", ["seed", "degree_cap", "depth_fuse"])
 def test_retired_options_are_refused(name):
-    # the reduction takes no seed, degree bound or depth bound, so the scene
-    # options that once set them are unknown fields, whatever their value
+    # the reduction takes no seed, degree bound or depth bound, so a scene
+    # that still sets one is refused, whatever the value
     data = minimal_scene()
     for value in (-1, 0, 8, "99"):
-        data["options"] = {"order": "lex", name: value}
-        with pytest.raises(SchemaError, match=f"^options has an unknown field '{name}'$"):
+        data["options"] = {name: value}
+        with pytest.raises(SchemaError, match="^scene has an unknown field 'options'$"):
             parse_scene(data)
 
 
@@ -84,8 +72,8 @@ def test_gens2_targets_normalized_to_declaration_order():
             "differential": {"w2": "-x", "w1": "x"},
         }
     ]
-    scene = parse_scene(data)
-    assert [t for t, _ in scene.cdga.gens2[0].differential] == ["w1", "w2"]
+    cdga = parse_scene(data)
+    assert [t for t, _ in cdga.gens2[0].differential] == ["w1", "w2"]
 
 
 @pytest.mark.parametrize(
@@ -99,13 +87,6 @@ def test_gens2_targets_normalized_to_declaration_order():
         (lambda d: d["variables"][0].update(name=""), "name"),
         (lambda d: d["gens1"][0].update(differential=7), "differential"),
         (lambda d: d.update(torus_rank="one"), "torus_rank"),
-        (lambda d: d.update(options={"order": "degrevlex"}), "order"),
-        (lambda d: d.update(options={"degree_cap": "big"}), "degree_cap"),
-        pytest.param(
-            lambda d: d.update(options={"depth_fuse": 1.5}), "depth_fuse",
-            id="<lambda>-options.depth_fuse",
-        ),
-        (lambda d: d.update(options={"mystery": 1}), "mystery"),
         # a degree-1 differential's type is checked before the name
         pytest.param(
             lambda d: d["gens1"][0].update(name="", differential=7),
@@ -125,29 +106,10 @@ def test_the_torus_rank_is_bounded():
     # the stratification builds r-by-r kernels even with no variable, so a
     # rank past the bound is refused before anything is built
     empty = {"variables": [], "gens1": [], "gens2": []}
-    assert parse_scene({"torus_rank": MAX_TORUS_RANK, **empty}).cdga.torus_rank == MAX_TORUS_RANK
+    assert parse_scene({"torus_rank": MAX_TORUS_RANK, **empty}).torus_rank == MAX_TORUS_RANK
     for rank in (MAX_TORUS_RANK + 1, 2000, 100000):
         with pytest.raises(SchemaError, match=f"^torus_rank must be at most {MAX_TORUS_RANK}$"):
             parse_scene({"torus_rank": rank, **empty})
-
-
-def test_option_ranges_include_their_bounds():
-    # every value in an option's range is accepted, its first and last
-    # included; the one option is the printing order
-    data = minimal_scene()
-    for order in ORDERS:
-        data["options"] = {"order": order}
-        assert parse_scene(data).options == SceneOptions(order=order)
-
-
-def test_every_way_of_building_options_checks_the_order():
-    assert SceneOptions()._replace(order="lex") == SceneOptions(order="lex")
-    with pytest.raises(SchemaError, match="options.order must be"):
-        SceneOptions(order="plex")
-    with pytest.raises(SchemaError, match="options.order must be"):
-        SceneOptions()._replace(order="plex")
-    with pytest.raises(SchemaError, match="options.order must be"):
-        SceneOptions._make(("plex",))
 
 
 @pytest.mark.parametrize("name", ["x-1", "x y", "1x", "\u00e9", "x\u0663", "x\n"])
@@ -190,16 +152,13 @@ def test_serialize_round_trip_on_named_scenes():
         "scenes/darboux-x2y2.json",
         "scenes/a2-positive.json",
     ):
-        scene, _ = read_scene(path)
-        data = serialize_scene(scene.cdga, scene.options)
-        again = parse_scene(data)
-        assert again.cdga == scene.cdga
-        assert again.options == scene.options
+        cdga = load_scene(path)
+        assert parse_scene(serialize_scene(cdga)) == cdga
 
 
 def test_serialize_round_trip_on_corpus_sample():
     for cdga in build_corpus(size=25, seed=4):
-        assert parse_scene(serialize_scene(cdga)).cdga == cdga
+        assert parse_scene(serialize_scene(cdga)) == cdga
 
 
 def test_serialize_rejects_excluded_points():
