@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .blowup import Chart, kirwan_charts
 from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import InternalError, StrictDecreaseViolation
+from .errors import InternalError, NoCenter, StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
 from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
@@ -117,7 +117,17 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
-        for chart in kirwan_charts(x, h):
+        try:
+            charts = kirwan_charts(x, h)
+        except NoCenter as err:
+            # a flat is every variable its kernel fixes, so this witness's
+            # flat holds every ring variable
+            raise NoCenter(
+                f"the generic stabilizer at {node_id!r} is positive-dimensional: witness "
+                f"subtorus {[list(v) for v in h.vectors]} fixes its maximal flat "
+                f"{list(report.maximal_support[i])}, every ring variable"
+            ) from err
+        for chart in charts:
             if x.torus_dagger and not chart.cdga.torus_dagger:
                 raise InternalError(
                     f"blow-up chart of {node_id!r} lost the degree-2 vanishing property "

@@ -131,10 +131,6 @@ def stabilizer_document(report: StabilizerReport) -> dict:
     return {
         "max_dim": report.max_dim,
         "maximal_support": [list(s) for s in report.maximal_support],
-        "strata": [
-            {"support": list(s.support), "stabilizer_dim": s.stabilizer_dim, "nonempty": s.nonempty}
-            for s in report.strata
-        ],
     }
 
 

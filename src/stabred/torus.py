@@ -19,18 +19,11 @@ from .ideal import Ideal, _monomial_ideal, saturate
 from .intlinalg import integer_kernel
 
 
-class Stratum(NamedTuple):
-    support: tuple[str, ...]
-    stabilizer_dim: int
-    nonempty: bool
-
-
 class StabilizerReport(NamedTuple):
-    """The flats tested, the maximal stabilizer dimension, and the maximal
-    flats with their kernels: ``witnesses[i]`` is the subtorus fixing
-    ``maximal_support[i]`` pointwise."""
+    """The maximal stabilizer dimension and the maximal flats with their
+    kernels: ``witnesses[i]`` is the subtorus fixing ``maximal_support[i]``
+    pointwise."""
 
-    strata: tuple[Stratum, ...]
     max_dim: int
     maximal_support: tuple[tuple[str, ...], ...]
     witnesses: tuple[SubtorusBasis, ...]
@@ -101,21 +94,19 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     A point lies on the locus of a rank-k flat exactly when its stabilizer
     contains the flat's kernel, so the first rank with a nonempty flat gives
     the maximal stabilizer dimension, and its nonempty flats are the
-    maximal strata.  The strata list every flat tested, from the flat of no
-    variable up by covers to the flat of every variable, which has none.
+    maximal strata.  The flats tested are every flat of lower rank and every
+    flat of that rank, or every flat when none is nonempty, so the weights
+    and the maximal flats fix them.
     """
     truncation = classical_truncation(x)
-    strata: list[Stratum] = []
     level = [_closure(x, ())]
     while level:
-        tested = [(Stratum(f, len(k), _support_nonempty(x, truncation, f)), k) for f, _, k in level]
-        strata.extend(s for s, _ in tested)
-        maximal = [(s.support, SubtorusBasis(x.torus_rank, k)) for s, k in tested if s.nonempty]
+        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, truncation, f)]
         if maximal:
             supports, kernels = zip(*maximal)
-            return StabilizerReport(tuple(strata), kernels[0].rank, supports, kernels)
+            return StabilizerReport(kernels[0].rank, supports, kernels)
         level = _covers(x, level)
-    return StabilizerReport(tuple(strata), 0, (), ())
+    return StabilizerReport(0, (), ())
 
 
 def witness_subtori(report: StabilizerReport) -> tuple[SubtorusBasis, ...]:

@@ -73,6 +73,8 @@ def is_canonical(c):
 
 
 SHIPPED_SCENES = ("a2-hyperbolic", "a2-positive", "darboux-x2y2", "xy", "xy2-x2y")
+# every scene file under scenes/: the shipped scenes and corpus-r1's r1-014
+SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
 
 # -- random corpus ----------------------------------------------------------

@@ -13,6 +13,7 @@ from stabred import (
     Ideal,
     InvalidPresentation,
     NoCenter,
+    StrictDecreaseViolation,
     SubtorusBasis,
     blowup_charts,
     classical_truncation,
@@ -30,24 +31,30 @@ from stabred import (
     validate_presentation,
     witness_subtori,
 )
-from stabred.cdga import homogeneous_weight
+from stabred.cdga import homogeneous_weight, is_fixed_weight
 from stabred.cli import main
 from stabred.poly import GREVLEX, LEX, Polynomial
+from stabred.scene import parse_scene
 
 from helpers import (
     FULL1,
     RANK2_TREES,
+    SCENE_DIR,
     SHIPPED_SCENES,
+    bench_workload,
+    chart_images,
     chart_truncation_via_lambda,
     ideal_of,
     lambda_matrix,
     poly,
+    pull_back,
     rank2_tree_scene_file,
     rees_relations_by_division,
     scene_file,
     strings,
     substitute,
 )
+from test_torus import _reduction_nodes
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -538,3 +545,119 @@ def test_lambda_route_is_representation_independent():
     for chart in blowup_charts(parent, FULL1):
         via_lambda = chart_truncation_via_lambda(lam, ("x", "y"), chart)
         assert ideal_equal(via_lambda, classical_truncation(chart.cdga))
+
+
+# -- charts against each other and against the Rees presentation ------------------
+
+
+# f = 0 removed: the witness (1, 0) fixes f and moves a, b and c, so every
+# chart carries the removed locus, which the unstable locus does not hold
+CARRIED = GradedCdga(
+    2,
+    tuple(GradedVariable(n, w) for n, w in (("a", (1, 0)), ("b", (1, 0)), ("c", (-1, 0)), ("f", (0, 1)))),
+    excluded=ideal_of(("a", "b", "c", "f"), "f"),
+)
+
+
+def _witness_blowups(corpus):
+    """(node id, presentation, witness, Kirwan charts) at every witness of
+    every node of the reductions of the scene files, the rank-2 trees,
+    ``CARRIED`` and the test corpus; a rank-2 tree that fails to reduce
+    gives its root."""
+    scenes = [load_scene(str(path)) for path in sorted(SCENE_DIR.glob("*.json"))]
+    scenes += [parse_scene(data) for data in bench_workload("rank2-trees").values()]
+    scenes.append(CARRIED)
+    for x in scenes + list(corpus):
+        try:
+            nodes = [(n.id, n.cdga, n.stabilizer) for n in _reduction_nodes(stabilizer_reduce(x))]
+        except StrictDecreaseViolation:
+            nodes = [("root", x, stabilizer_stratification(x))]
+        for node_id, y, report in nodes:
+            if report.max_dim > 0:
+                for h in report.witnesses:
+                    yield node_id, y, h, kirwan_charts(y, h)
+
+
+def _transition(chart_c, chart_m):
+    """The map from chart m's ring into chart c's over u_m != 0, denominators
+    cleared: xi' = xi*u_m, u'_c = 1/u_m, u'_k = u_k/u_m, each fixed variable
+    itself; a polynomial of degree n in the slopes is multiplied by u_m^n."""
+    ring = chart_c.cdga.var_names
+    slope_c, slope_m = dict(chart_c.slopes), dict(chart_m.slopes)
+    u_m = ring.index(slope_c[chart_m.center_var])
+    images = []
+    for v in chart_m.cdga.var_names:
+        e = [0] * len(ring)
+        if v == chart_m.exceptional.name:
+            e[0] = e[u_m] = 1
+        elif v in slope_m.values():
+            source = next(k for k, u in slope_m.items() if u == v)
+            e[u_m] = -1
+            if source != chart_c.center_var:
+                e[ring.index(slope_c[source])] = 1
+        else:
+            e[ring.index(v)] = 1
+        images.append(tuple(e))
+    slopes = [i for i, v in enumerate(chart_m.cdga.var_names) if v in slope_m.values()]
+
+    def transform(ideal):
+        out = []
+        for p in ideal.generators:
+            n = max((sum(exps[i] for i in slopes) for exps in p.terms), default=0)
+            out.append(pull_back(p, ring, images, tuple(n * (i == u_m) for i in range(len(ring)))))
+        return Ideal(ring, tuple(out))
+
+    return transform, Polynomial.variable(ring, ring[u_m])
+
+
+def test_the_charts_of_a_blow_up_glue(corpus):
+    # over u_m != 0 the chart at c and the chart at m are one open set, so
+    # the transition identifies their truncations and their removed loci
+    pairs = 0
+    for node_id, _, h, charts in _witness_blowups(corpus):
+        for chart_c in charts:
+            for chart_m in charts:
+                if chart_m is chart_c:
+                    continue
+                transform, u_m = _transition(chart_c, chart_m)
+                for ideal_of_chart in (classical_truncation, lambda y: y.excluded):
+                    ours = saturate(ideal_of_chart(chart_c.cdga), u_m)
+                    theirs = saturate(transform(ideal_of_chart(chart_m.cdga)), u_m)
+                    assert ideal_equal(ours, theirs), (node_id, h, chart_c.name, chart_m.name)
+                pairs += 1
+    assert pairs == 454
+
+
+def test_each_chart_is_the_rees_presentation_at_its_center(corpus):
+    # the chart at c inverts the coordinate v_c, so it maps t_inv -> xi,
+    # v_c -> 1, v_m -> u_m, x_c -> xi, x_m -> xi*u_m, each fixed variable to
+    # itself and a moving degree-1 generator g -> xi*g; that carries the
+    # Rees relations to the chart's moving differentials and coefficients
+    charts_met = 0
+    for node_id, x, h, charts in _witness_blowups(corpus):
+        rp = rees_presentation(x, h)
+        moving1 = [not is_fixed_weight(g.weight, h) for g in x.gens1]
+        moving2 = [not is_fixed_weight(g.weight, h) for g in x.gens2]
+        relations = [r.element for r in rp.relations if r.homogeneous_degree == 1]
+        for chart in charts:
+            ring = chart.cdga.var_names + tuple(g.name for g in x.gens1)
+            # rp.ring is the parent's variables, t_inv, the coordinates
+            # v_m = x_m / t_inv and the degree-1 generators
+            pad = (0,) * len(x.gens1)
+            image = {v: e + pad for v, e in zip(x.var_names, chart_images(chart, x.var_names))}
+            xi = image[chart.center_var]
+            images = [image[v] for v in x.var_names] + [xi]
+            images += [tuple(a - b for a, b in zip(image[v.source], xi)) for v in rp.homog_vars[1:]]
+            for i, moves in enumerate(moving1):
+                e = [0] * len(ring)
+                e[0], e[len(chart.cdga.var_names) + i] = int(moves), 1
+                images.append(tuple(e))
+            expected = [g.differential.extend(ring) for g, m in zip(chart.cdga.gens1, moving1) if m]
+            expected += [
+                sum((c.extend(ring) * Polynomial.variable(ring, t) for t, c in g.differential), Polynomial.zero(ring))
+                for g, m in zip(chart.cdga.gens2, moving2)
+                if m
+            ]
+            assert [pull_back(r, ring, images) for r in relations] == expected, (node_id, h, chart.name)
+            charts_met += 1
+    assert charts_met == 390

@@ -368,6 +368,41 @@ def test_an_empty_subtorus_is_a_domain_failure(command, capsys):
     assert err == "error: bad subtorus component ''\n"
 
 
+# the scene's rank and variables, then the node, witness subtorus and flat
+# the error names, and a subtorus that fixes every variable of the scene
+POSITIVE_GENERIC_STABILIZER = (
+    # every weight lies on the first axis, so each chart of the root fails
+    (2, [("x", [1, 0]), ("y", [1, 0]), ("z", [-1, 0])], "'root/x'", "[[0, 1]]", "['xi', 'u_y', 'u_z']", "0,1"),
+    (1, [], "'root'", "[[1]]", "[]", "1"),
+    (1, [("x", [0])], "'root'", "[[1]]", "['x']", "1"),
+)
+
+
+@pytest.mark.parametrize(
+    "rank, variables, node, subtorus, flat, fixing", POSITIVE_GENERIC_STABILIZER,
+    ids=["rank2", "empty", "zero-weight"],
+)
+def test_a_positive_dimensional_generic_stabilizer_names_the_node(
+    rank, variables, node, subtorus, flat, fixing, tmp_path, capsys
+):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "torus_rank": rank,
+        "variables": [{"name": n, "weight": w} for n, w in variables],
+        "gens1": [],
+        "gens2": [],
+    }))
+    message = (
+        f"the generic stabilizer at {node} is positive-dimensional: "
+        f"witness subtorus {subtorus} fixes its maximal flat {flat}, every ring variable"
+    )
+    assert_refused(capsys, "reduce", scene, message, timeout=20)
+    # a subtorus given on the command line has no node to name
+    for command in ("blowup", "kirwan"):
+        code, out, err = run(capsys, command, "--scene", str(scene), "--subtorus", fixing)
+        assert (code, out, err) == (1, "", "error: the subtorus moves no ring variable\n")
+
+
 def test_reduce_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert code == 0

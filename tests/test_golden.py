@@ -21,19 +21,19 @@ from stabred.cli import main
 from helpers import rank2_tree_scene_file, scene_file
 
 GOLDEN = {
-    ("reduce", "a2-hyperbolic"): "c2d9c4f31dee3b4c5e83621c8b7f04fc00516b36cc40835c268d13717b472046",
+    ("reduce", "a2-hyperbolic"): "be134b40bfb0f343b6e6f7e6c57cb4304f0ce96be0e1f464a62e6938bd6de8ba",
     ("kirwan", "a2-hyperbolic"): "13baf25a78a438e1597e0072520317190cb1858e340f006cf204699a591cd1bf",
     ("fixed-locus", "a2-hyperbolic"): "ee29c24290afa381a5015cebe92ce79f16e0e3ec810ab8ad13076248d994872a",
-    ("reduce", "a2-positive"): "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
+    ("reduce", "a2-positive"): "951dec73c281a9729c49305d00eaab51de69c81fe5b92bdc14309e5e829468b3",
     ("kirwan", "a2-positive"): "4347c98c536d3a072b0fe7abe3f02057741592f1637aacaf12c56b1cd8660c8b",
     ("fixed-locus", "a2-positive"): "ed3126ee6eacc2e2fe6ca14f27d7a7f1f247a3f0af1646aefd24b3c7de0faccd",
-    ("reduce", "darboux-x2y2"): "6d5e1c30ab47595902f1a74eca28c0440230b9e915637f54072e03b522462d72",
+    ("reduce", "darboux-x2y2"): "f1075daf345386cb2eca2a0c3febc57f0edb35c3f8cecec8f2e09955993819ba",
     ("kirwan", "darboux-x2y2"): "2e43636375506267c266852804047b314fb1002192d475c03aa4e729d94881a0",
     ("fixed-locus", "darboux-x2y2"): "37152026f7f7fd04d643477954f90364012d9605298df2e993c8a7c6571b6dfa",
-    ("reduce", "xy"): "2f6b68df85b383a5c1323e7d6ff69e9b70b350cb81c4528b5ce19eca535eb003",
+    ("reduce", "xy"): "8cf3102d4ee4d10fd15e0c1f32b94be7622f5806c05c0df3af5d747ab0fe546a",
     ("kirwan", "xy"): "9771acd699c3ee2eb61ec582be1bb1fa7cc88b24e0dd403bc79881f551fe1d06",
     ("fixed-locus", "xy"): "ab7431dd98fed6b8f87fe9a3717be0ca0ecaaec65dafc2f33c85dd754562c463",
-    ("reduce", "xy2-x2y"): "4b23a29ebd67651b4ffdd43f7e2866ea13d1b5b455d45aa3b2cca82932b345d1",
+    ("reduce", "xy2-x2y"): "9e90a5f687192d40e04e56c95a0094e6c56b372253f1fee5463fa6de64b3c722",
     ("kirwan", "xy2-x2y"): "c928f402bde753cccba9239b83f3c1747e126053ec132568de774861341de28d",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
     ("validate", "a2-hyperbolic"): "c10937a51fc800185701d628470c3238503de2dc73ff77476a7a227a40442b0f",
@@ -64,7 +64,7 @@ GOLDEN = {
     # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
     # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
     # a coefficient that is not an integer
-    ("reduce", "r1-014"): "28196dd9c5091d3cd5ed7726c6567b793cc0c1ba188a38bd391d798a03176b34",
+    ("reduce", "r1-014"): "01921a7589c0d6a7b6cd0560d428e5ac13958ae2fc429269532a2b7ada471b74",
 }
 
 
@@ -77,11 +77,11 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
 
 
 RANK2_GOLDEN = {
-    "crit-abcd+ab": "3d2c8d30f4e65699d82ee203a59f2f99c1a7cd488a878968c0e3d86011c11959",
-    "crit-ab+cd-1": "16877c084a964b53f90d1f641c1bfacffb16792e66a74dceba8278250465ea33",
-    "crit-a2b2+cd": "24099532dd7b1a0600c57a35270bb4a70c949808152c8804ab2149bd5d6f50b8",
-    "crit-ab+cd-skew": "3f2c8c4f173b3ee68e1f593027dcc6d67df98b1cfb5c57b969bdfb8b0d74d934",
-    "hyp-ab-1": "ead25bfae87064c58182ec6c3af5d7bea4e2c8288cb70fbbe71442b34680956b",
+    "crit-abcd+ab": "70d5aa80bfebfad22415774b9f34d24e0dd8e544f79be5957fd0c9471e680c43",
+    "crit-ab+cd-1": "15d0cbdd7a360b91b5e04295ecb45cfcd1aeea020cb02467b6f2e57dc85710c9",
+    "crit-a2b2+cd": "6bcfd799cd4be3405c992277d76965f25fdbb123b16af963f1235aead7d8cf05",
+    "crit-ab+cd-skew": "151d54f3b9688883a55550e85b61a4a3983ec1c4d09586301b0e14a173ad2700",
+    "hyp-ab-1": "a9f8f088d695dece98563ee77b3d1425c616ecf6cdd9a3540b635682c173af63",
 }
 
 
@@ -116,16 +116,16 @@ def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
 
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
 LEX_GOLDEN = {
-    "a2-hyperbolic": "c2d9c4f31dee3b4c5e83621c8b7f04fc00516b36cc40835c268d13717b472046",
-    "a2-positive": "13ab18f2200c4799ea01439be79771ecafa51e99f873c77e56b93cc9a5134675",
-    "darboux-x2y2": "6d5e1c30ab47595902f1a74eca28c0440230b9e915637f54072e03b522462d72",
-    "xy": "2f6b68df85b383a5c1323e7d6ff69e9b70b350cb81c4528b5ce19eca535eb003",
-    "xy2-x2y": "4b23a29ebd67651b4ffdd43f7e2866ea13d1b5b455d45aa3b2cca82932b345d1",
-    "crit-abcd+ab": "dfb4263d19cef5a80444613d398ca1cb7fa53881e6c07e771ab1266f23ecf88f",
-    "crit-ab+cd-1": "dec94d63ba532cbcdcb895f18dd517f64b750625ae93c319d97b59c2d7be9f2b",
-    "crit-a2b2+cd": "4aa807d86f6434a1e3070c747967f187f981978752fd50af7a27943817cd595b",
-    "crit-ab+cd-skew": "96aa90cc71840049f45f03c3c0eb3afc0bc9428973bbebd31df73864208e730f",
-    "hyp-ab-1": "ead25bfae87064c58182ec6c3af5d7bea4e2c8288cb70fbbe71442b34680956b",
+    "a2-hyperbolic": "be134b40bfb0f343b6e6f7e6c57cb4304f0ce96be0e1f464a62e6938bd6de8ba",
+    "a2-positive": "951dec73c281a9729c49305d00eaab51de69c81fe5b92bdc14309e5e829468b3",
+    "darboux-x2y2": "f1075daf345386cb2eca2a0c3febc57f0edb35c3f8cecec8f2e09955993819ba",
+    "xy": "8cf3102d4ee4d10fd15e0c1f32b94be7622f5806c05c0df3af5d747ab0fe546a",
+    "xy2-x2y": "9e90a5f687192d40e04e56c95a0094e6c56b372253f1fee5463fa6de64b3c722",
+    "crit-abcd+ab": "3ada08f5985ca67407f42604d04d0c941fba074944699b1ddbf519ecebf192c6",
+    "crit-ab+cd-1": "d36c219e9b3ff1c781b8aab47e2641da0e4cc9c276032a8c48820cd0c79969a9",
+    "crit-a2b2+cd": "f9c4d241d37464ccf06e708ef558bc81424a4091670c5e2fa3af0ffcc2cec7cd",
+    "crit-ab+cd-skew": "4fba660cf2e61f74f873bf3ecea5c5bf0fc422aea8032cf842ee447b4d9fe7b0",
+    "hyp-ab-1": "a9f8f088d695dece98563ee77b3d1425c616ecf6cdd9a3540b635682c173af63",
 }
 
 

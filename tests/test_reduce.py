@@ -23,9 +23,11 @@ from stabred import cdga, classical_truncation, ideal, reduce
 from stabred.cli import main
 from stabred.poly import Polynomial
 from stabred.reduce import _delta2_generic_rank
+from stabred.scene import parse_scene
 
 from helpers import (
     RANK2_TREES,
+    SCENE_DIR,
     SHIPPED_SCENES,
     bench_workload,
     build_corpus,
@@ -411,3 +413,34 @@ def test_every_coefficient_of_a_reduction_tree_is_canonical(scene, tmp_path):
     tree = stabilizer_reduce(load_scene(scene_file(scene, tmp_path)))
     for p in _tree_polynomials(tree):
         assert all(is_canonical(c) for c in p.terms.values()), (scene, p.terms)
+
+
+# -- a trivial pair leaves the reduction alone -----------------------------------
+
+TRIVIAL_PAIR_CASES = [
+    (path.stem, (w,)) for path in sorted(SCENE_DIR.glob("*.json")) for w in (0, 1, -2)
+] + [(label, w) for label in RANK2_TREES for w in ((0, 0), (1, 0), (1, 1), (-1, 2))]
+
+
+@pytest.mark.parametrize("scene, weight", TRIVIAL_PAIR_CASES)
+def test_a_trivial_pair_leaves_the_leaves_and_shifts_e_ranks_by_one(scene, weight, tmp_path):
+    # a variable t and a degree-1 generator e with de = t cut t out again,
+    # so the quotient is the same: the same leaves with the same vdim, and
+    # one more ring variable and degree-1 generator in the two-term complex.
+    # A moving t adds one empty chart, so the node count is not compared.
+    path = rank2_tree_scene_file(scene, tmp_path) if scene in RANK2_TREES else SCENE_DIR / f"{scene}.json"
+    data = json.loads(path.read_text())
+    base = parse_scene(data)
+    data["variables"].append({"name": "t", "weight": list(weight)})
+    data["gens1"].append({"name": "e_t", "weight": list(weight), "differential": "t"})
+    padded = parse_scene(data)
+
+    def leaves(x):
+        return {leaf.id: leaf.leaf_report for leaf in iter_leaves(stabilizer_reduce(x))}
+
+    before, after = leaves(base), leaves(padded)
+    assert after.keys() == before.keys()
+    for leaf_id, report in before.items():
+        assert after[leaf_id].vdim == report.vdim, leaf_id
+        assert report.e_ranks is not None, leaf_id
+        assert after[leaf_id].e_ranks == (report.e_ranks[0] + 1, report.e_ranks[1] + 1), leaf_id

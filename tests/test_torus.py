@@ -12,7 +12,6 @@ from stabred import (
     NoPositiveDimensionalStabilizer,
     Polynomial,
     StrictDecreaseViolation,
-    Stratum,
     SubtorusBasis,
     classical_truncation,
     from_invariant_function,
@@ -70,15 +69,15 @@ def rank2_critical(text):
 def test_stratification_of_xy_scene():
     # the origin is the rank-0 flat; it lies on x*y = 0, so the walk stops
     # there without testing the line of rank 1
-    report = stabilizer_stratification(load_scene("scenes/xy.json"))
-    assert report.strata == (Stratum((), 1, True),)
+    report, _, tested = counted_stratification(load_scene("scenes/xy.json"))
+    assert tested == [((), True)]
     assert report.max_dim == 1
     assert report.maximal_support == ((),)
 
 
 def test_stratification_of_smooth_plane():
-    report = stabilizer_stratification(load_scene("scenes/a2-hyperbolic.json"))
-    assert report.strata == (Stratum((), 1, True),)
+    report, _, tested = counted_stratification(load_scene("scenes/a2-hyperbolic.json"))
+    assert tested == [((), True)]
     assert report.max_dim == 1
     assert report.maximal_support == ((),)
 
@@ -91,10 +90,10 @@ def test_stratification_respects_excluded_ideal():
         base.gens1,
         excluded=ideal_of(V, "x", "y"),
     )
-    report = stabilizer_stratification(x)
+    report, _, tested = counted_stratification(x)
     # the origin is removed, so the walk goes on to the one flat of rank 1,
     # the line, where the punctured axes have finite stabilizers
-    assert report.strata == (Stratum((), 1, False), Stratum(("x", "y"), 0, True))
+    assert tested == [((), False), (("x", "y"), True)]
     assert report.max_dim == 0
     assert report.maximal_support == (("x", "y"),)
     with pytest.raises(NoPositiveDimensionalStabilizer):
@@ -107,8 +106,8 @@ def test_flats_of_one_rank_keep_their_first_seen_order():
     # first spanning variable
     names = tuple(v.name for v in RANK2)
     x = GradedCdga(2, RANK2, excluded=ideal_of(names, "a", "b", "c", "d"))
-    report = stabilizer_stratification(x)
-    assert [s.support for s in report.strata] == [(), ("a", "b"), ("c", "d")]
+    report, _, tested = counted_stratification(x)
+    assert tested == [((), False), (("a", "b"), True), (("c", "d"), True)]
     assert report.max_dim == 1
     assert report.maximal_support == (("a", "b"), ("c", "d"))
     assert [h.vectors for h in witness_subtori(report)] == [((0, 1),), ((1, 0),)]
@@ -137,10 +136,17 @@ def test_witness_subtori_returns_the_kernels_the_stratification_built(monkeypatc
 
 def counted_stratification(x):
     """The stratification of ``x``, with how many times it took an integer
-    kernel and built a ``SubtorusBasis``."""
+    kernel and built a ``SubtorusBasis``, and each flat it tested with the
+    answer of ``_support_nonempty``, in the order of the walk."""
     import stabred.torus as torus
 
     calls = Counter()
+    tested = []
+    support_nonempty = torus._support_nonempty
+
+    def recording(x, truncation, flat):
+        tested.append((flat, support_nonempty(x, truncation, flat)))
+        return tested[-1][1]
 
     def counting(name, f):
         def wrapper(*args):
@@ -150,9 +156,10 @@ def counted_stratification(x):
         return wrapper
 
     with mock.patch.object(torus, "integer_kernel", counting("kernel", integer_kernel)), \
-            mock.patch.object(torus, "SubtorusBasis", counting("subtorus", SubtorusBasis)):
+            mock.patch.object(torus, "SubtorusBasis", counting("subtorus", SubtorusBasis)), \
+            mock.patch.object(torus, "_support_nonempty", recording):
         report = torus.stabilizer_stratification(x)
-    return report, calls
+    return report, calls, tested
 
 
 def test_the_walk_takes_one_kernel_per_flat_and_builds_only_the_witnesses():
@@ -160,9 +167,8 @@ def test_the_walk_takes_one_kernel_per_flat_and_builds_only_the_witnesses():
     # tests the origin, both lines and the plane; a scan over the pairs of
     # variables would also take the kernel of the dependent pair (a, b)
     names = tuple(v.name for v in RANK2)
-    report, calls = counted_stratification(GradedCdga(2, RANK2, excluded=ideal_of(names, "a*b*c*d")))
-    assert [s.support for s in report.strata] == [(), ("a", "b"), ("c", "d"), names]
-    assert [s.nonempty for s in report.strata] == [False, False, False, True]
+    report, calls, tested = counted_stratification(GradedCdga(2, RANK2, excluded=ideal_of(names, "a*b*c*d")))
+    assert tested == [((), False), (("a", "b"), False), (("c", "d"), False), (names, True)]
     assert report.max_dim == 0
     assert calls == {"kernel": 4, "subtorus": 1}
 
@@ -171,22 +177,25 @@ def test_unit_excluded_kills_every_stratum():
     base = load_scene("scenes/a2-hyperbolic.json")
     # removed = V(excluded), so the zero ideal removes every point
     x = GradedCdga(base.torus_rank, base.ring_vars, excluded=Ideal.zero(V))
-    report = stabilizer_stratification(x)
-    assert not any(s.nonempty for s in report.strata)
+    report, _, tested = counted_stratification(x)
+    assert not any(nonempty for _, nonempty in tested)
     assert report.max_dim == 0
 
 
 def test_many_variables_of_one_weight_have_one_flat_to_test():
     many = tuple(GradedVariable(f"v{i}", (1,)) for i in range(17))
-    report = stabilizer_stratification(GradedCdga(1, many))
-    assert report.strata == (Stratum((), 1, True),)
+    report, _, tested = counted_stratification(GradedCdga(1, many))
+    assert tested == [((), True)]
     assert report.max_dim == 1
 
 
 def test_five_hyperbolic_pairs_test_one_root_flat():
     pairs = tuple(GradedVariable(f"{v}{i}", (s,)) for i in range(1, 6) for v, s in (("x", 1), ("y", -1)))
-    tree = stabilizer_reduce(critical(pairs, "+".join(f"x{i}*y{i}" for i in range(1, 6))))
-    assert len(tree.stabilizer.strata) == 1
+    x = critical(pairs, "+".join(f"x{i}*y{i}" for i in range(1, 6)))
+    root, _, tested = counted_stratification(x)
+    assert len(tested) == 1
+    tree = stabilizer_reduce(x)
+    assert tree.stabilizer == root
     # the critical locus is the origin, so the blow-up of it has no point:
     # ten charts, each an empty node
     assert [node.children for _, node in tree.children] == [()] * 10
@@ -320,10 +329,11 @@ def _closure_flats(x, rank):
     return flats
 
 
-def _check_flats_against_closure(y, report):
+def _check_flats_against_closure(y, report, tested):
     """The flats read off kernels are the closure's at every rank, in the
-    same order, and the walk tests exactly the closure's flats up to the
-    rank it stops at, or up to the rank of all the weights."""
+    same order, and the walk, whose tested flats are ``tested``, tests
+    exactly the closure's flats up to the rank it stops at, or up to the
+    rank of all the weights."""
     top = rational_rank([v.weight for v in y.ring_vars])
     closure = [_closure_flats(y, rank) for rank in range(top + 1)]
     levels = [[_closure(y, ())]]
@@ -338,7 +348,7 @@ def _check_flats_against_closure(y, report):
     for support, witness in zip(report.maximal_support, report.witnesses):
         assert witness.vectors == integer_kernel([weights[n] for n in support], y.torus_rank), support
     stop = y.torus_rank - report.max_dim if report.maximal_support else top
-    assert [s.support for s in report.strata] == [f for level in closure[: stop + 1] for f in level]
+    assert [flat for flat, _ in tested] == [f for level in closure[: stop + 1] for f in level]
 
 
 def _full_ring_nonempty(x, truncation, support):
@@ -359,10 +369,11 @@ def _reduction_nodes(node):
         yield from _reduction_nodes(child)
 
 
-def _check_against_support_walk(y, report):
+def _check_against_support_walk(y, report, tested):
     """Compare a stratification with the walk over every variable support:
     the same maximal dimension, the same witnesses in the same order, and
-    each flat tested is nonempty exactly when some support inside it is.
+    each flat tested, as ``tested`` records it, is nonempty exactly when
+    some support inside it is.
     The reference witnesses are the distinct kernels of the maximal
     supports, in the order the supports are first met."""
     truncation = classical_truncation(y)
@@ -375,10 +386,10 @@ def _check_against_support_walk(y, report):
     dims = {s: y.torus_rank - rational_rank([weights[n] for n in s]) for s in alive}
     max_dim = max((dims[s] for s in alive if alive[s]), default=0)
     assert report.max_dim == max_dim
-    assert len({s.support for s in report.strata}) == len(report.strata)
-    for stratum in report.strata:
-        inside = [s for s in alive if set(s) <= set(stratum.support)]
-        assert stratum.nonempty == any(alive[s] for s in inside), stratum
+    assert len({flat for flat, _ in tested}) == len(tested)
+    for flat, nonempty in tested:
+        inside = [s for s in alive if set(s) <= set(flat)]
+        assert nonempty == any(alive[s] for s in inside), flat
     if max_dim > 0:
         kernels = []
         for s in alive:
@@ -390,8 +401,10 @@ def _check_against_support_walk(y, report):
 
 
 def _check_against_oracles(y, report):
-    _check_flats_against_closure(y, report)
-    _check_against_support_walk(y, report)
+    again, _, tested = counted_stratification(y)
+    assert again == report
+    _check_flats_against_closure(y, report, tested)
+    _check_against_support_walk(y, report, tested)
 
 
 def _check_tree_against_oracles(tree):
