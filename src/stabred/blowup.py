@@ -145,8 +145,10 @@ def rees_presentation(x: GradedCdga, subtorus: SubtorusBasis) -> ReesPresentatio
 
 class Chart(NamedTuple):
     """One affine piece of the blow-up, where a chosen moving variable's
-    homogeneous coordinate is inverted.  Its name and exceptional coordinate
-    are read off these fields; the reduction tree records its parent."""
+    homogeneous coordinate is inverted.  The chart ring starts with the
+    exceptional coordinate xi, weighted like the center; the name is read
+    off ``center_var``, and the reduction tree records which node lists
+    the chart."""
 
     cdga: GradedCdga
     center_var: str
@@ -157,11 +159,6 @@ class Chart(NamedTuple):
     @property
     def name(self) -> str:
         return f"chart_{self.center_var}"
-
-    @property
-    def exceptional(self) -> GradedVariable:
-        """xi, the first variable of the chart ring, weighted like the center."""
-        return self.cdga.ring_vars[0]
 
 
 def _chart_map(source, ring, center, slopes):

@@ -426,17 +426,3 @@ def from_invariant_function(variables: tuple[GradedVariable, ...], torus_rank: i
                 diff.append((g.name, Polynomial.variable(names, v.name) * v.weight[a]))
         gens2.append(Generator2(ename, (0,) * torus_rank, tuple(diff)))
     return GradedCdga(torus_rank, tuple(variables), tuple(gens1), tuple(gens2))
-
-
-class TangentRanks(NamedTuple):
-    torus_rank: int
-    ring_rank: int
-    gens1_rank: int
-    gens2_rank: int
-    vdim: int
-
-
-def tangent_complex_ranks(x: GradedCdga) -> TangentRanks:
-    """Rank bookkeeping of the four-term tangent complex at the presentation."""
-    vdim = len(x.ring_vars) - len(x.gens1) + len(x.gens2) - x.torus_rank
-    return TangentRanks(x.torus_rank, len(x.ring_vars), len(x.gens1), len(x.gens2), vdim)

@@ -187,7 +187,7 @@ def run_command(args) -> int:
         for record in data["nodes"]:
             if record["leaf_report"] is None:
                 continue
-            removed = ", ".join(record["excluded"]) or "-"
+            removed = ", ".join(record["cdga"]["excluded"]) or "-"
             lines.append(f"  {record['id']}: excluded ({removed})")
         _emit(args, "reduce", digest, data, lines)
         return 0 if ok else 3
@@ -199,7 +199,7 @@ def run_command(args) -> int:
             ranks = "-" if leaf["e_ranks"] is None else f"({leaf['e_ranks'][0]},{leaf['e_ranks'][1]})"
             lines.append(
                 f"{leaf['id']}: vdim {leaf['vdim']}, e_ranks {ranks}, "
-                f"quasi_smooth {leaf['quasi_smooth']}, dagger {leaf['dagger']}"
+                f"quasi_smooth {leaf['quasi_smooth']}"
             )
         _emit(args, "report", digest, data, lines)
         return 0

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .blowup import Chart, kirwan_charts
-from .cdga import GradedCdga, SubtorusBasis, require_valid, tangent_complex_ranks
-from .errors import InternalError, NoCenter, StrictDecreaseViolation
+from .cdga import GradedCdga, SubtorusBasis, require_valid
+from .errors import DaggerViolation, InternalError, NoCenter, StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
 from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
@@ -28,7 +28,6 @@ class ObstructionReport(NamedTuple):
     vdim: int
     e_ranks: tuple[int, int] | None
     quasi_smooth: bool
-    dagger: bool
 
 
 def _delta2_generic_rank(x: GradedCdga) -> int:
@@ -66,23 +65,21 @@ def _delta2_generic_rank(x: GradedCdga) -> int:
 def obstruction_report(x: GradedCdga) -> ObstructionReport:
     """Obstruction-theory summary of a finite-stabilizer presentation.
 
-    The two ranks describe the dual two-term complex: ambient tangent
-    directions minus the torus, and degree-1 generators minus the generic
-    rank of the degree-2 coefficient matrix.  They are only meaningful
-    when the degree-2 data vanishes on fixed loci, so they are omitted
-    otherwise.  The reduction reports only its leaves with a point, whose
-    stabilizers are finite.
+    ``vdim`` counts ring variables minus degree-1 plus degree-2 generators
+    minus the torus rank.  The two ranks describe the dual two-term
+    complex: ambient tangent directions minus the torus, and degree-1
+    generators minus the generic rank of the degree-2 coefficient matrix.
+    They are only meaningful when the degree-2 data vanishes on fixed loci
+    (``torus_dagger``), so ``e_ranks`` is None otherwise.  The reduction
+    reports only its leaves with a point, whose stabilizers are finite.
     """
-    dagger = x.torus_dagger
-    ranks = tangent_complex_ranks(x)
     e_ranks = None
-    if dagger:
-        e_ranks = (ranks.ring_rank - x.torus_rank, ranks.gens1_rank - _delta2_generic_rank(x))
+    if x.torus_dagger:
+        e_ranks = (len(x.ring_vars) - x.torus_rank, len(x.gens1) - _delta2_generic_rank(x))
     return ObstructionReport(
-        vdim=ranks.vdim,
+        vdim=len(x.ring_vars) - len(x.gens1) + len(x.gens2) - x.torus_rank,
         e_ranks=e_ranks,
         quasi_smooth=not x.gens2,
-        dagger=dagger,
     )
 
 
@@ -117,15 +114,21 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     multi = len(subtori) > 1
     children = []
     for i, h in enumerate(subtori):
+        witness = f"witness subtorus {[list(v) for v in h.vectors]}"
+        flat = list(report.maximal_support[i])
         try:
             charts = kirwan_charts(x, h)
+        except DaggerViolation as err:
+            raise DaggerViolation(
+                f"a moving degree-2 differential does not vanish on the center of "
+                f"{witness} at {node_id!r}, whose maximal flat is {flat}"
+            ) from err
         except NoCenter as err:
             # a flat is every variable its kernel fixes, so this witness's
             # flat holds every ring variable
             raise NoCenter(
-                f"the generic stabilizer at {node_id!r} is positive-dimensional: witness "
-                f"subtorus {[list(v) for v in h.vectors]} fixes its maximal flat "
-                f"{list(report.maximal_support[i])}, every ring variable"
+                f"the generic stabilizer at {node_id!r} is positive-dimensional: "
+                f"{witness} fixes its maximal flat {flat}, every ring variable"
             ) from err
         for chart in charts:
             if x.torus_dagger and not chart.cdga.torus_dagger:

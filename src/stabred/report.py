@@ -155,23 +155,25 @@ def rees_document(rp: ReesPresentation, order: MonomialOrder = GREVLEX) -> dict:
     }
 
 
-def chart_document(chart: Chart, parent: str, order: MonomialOrder = GREVLEX) -> dict:
-    """A chart of the node ``parent``, the id of the node that lists it."""
+def chart_document(chart: Chart, order: MonomialOrder = GREVLEX) -> dict:
+    """The chart map alone; the chart's presentation is the ``cdga`` of the
+    node it leads to, or of the chart itself in ``charts_document``."""
     return {
         "name": chart.name,
         "center": chart.center_var,
-        "parent": parent,
-        "exceptional": variable_document(chart.exceptional),
         "slopes": {m: u for m, u in chart.slopes},
         "phi": {v: p.to_string(order) for v, p in chart.phi},
         "subtorus": subtorus_document(chart.subtorus),
-        "cdga": cdga_document(chart.cdga, order),
     }
 
 
 def charts_document(charts, order: MonomialOrder = GREVLEX) -> dict:
-    """Charts of a blow-up of the scene itself, the root of any reduction."""
-    return {"charts": [chart_document(c, "root", order) for c in charts]}
+    """Charts of a blow-up of the scene itself, each map with its presentation."""
+    return {
+        "charts": [
+            {**chart_document(c, order), "cdga": cdga_document(c.cdga, order)} for c in charts
+        ]
+    }
 
 
 def obstruction_document(report: ObstructionReport) -> dict:
@@ -179,12 +181,15 @@ def obstruction_document(report: ObstructionReport) -> dict:
         "vdim": report.vdim,
         "e_ranks": list(report.e_ranks) if report.e_ranks is not None else None,
         "quasi_smooth": report.quasi_smooth,
-        "dagger": report.dagger,
     }
 
 
 def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> dict:
     """Flat node records in preorder plus tree-wide invariant results.
+
+    Each record holds its node's presentation once, as ``cdga``; a child
+    entry holds the chart map that leads to the child, whose own record
+    holds the chart's presentation.
 
     The invariant checks take the validation report of each node's own
     presentation, recompute the classical cross-check along every edge,
@@ -198,14 +203,13 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
         checks["validation"] &= validate_presentation(node.cdga).ok
         record = {
             "id": node.id,
-            "ring": [variable_document(v) for v in node.cdga.ring_vars],
+            "cdga": cdga_document(node.cdga, order),
             "truncation": [
                 g.to_string(order) for g in classical_truncation(node.cdga).groebner(order)
             ],
-            "excluded": excluded_document(node.cdga.excluded, order),
             "stabilizer": stabilizer_document(node.stabilizer),
             "children": [
-                {"node": child.id, "chart": chart_document(chart, node.id, order)}
+                {"node": child.id, "chart": chart_document(chart, order)}
                 for chart, child in node.children
             ],
             "leaf_report": obstruction_document(node.leaf_report) if node.leaf_report else None,

@@ -378,7 +378,7 @@ def kirwan_exclusion_by_saturation(parent, chart):
     transformed the same way, the exclusion the blow-up carries."""
     ring = chart.cdga.var_names
     images = dict(chart.phi)
-    xi = Polynomial.variable(ring, chart.exceptional.name)
+    xi = Polynomial.variable(ring, chart.cdga.ring_vars[0].name)
 
     def strict_transform(ideal):
         return saturate(Ideal(ring, tuple(substitute(p, images, ring) for p in ideal.generators)), xi)

@@ -128,7 +128,7 @@ def test_criterion_5_darboux_leaf_reports():
     assert leaves
     for leaf in leaves:
         assert leaf.stabilizer.max_dim == 0
-        assert leaf.leaf_report.dagger
+        assert leaf.cdga.torus_dagger
         assert leaf.leaf_report.vdim == 0
         assert leaf.leaf_report.e_ranks == (1, 1)
     assert elapsed < 2.0

@@ -34,6 +34,7 @@ from stabred import (
 from stabred.cdga import homogeneous_weight, is_fixed_weight
 from stabred.cli import main
 from stabred.poly import GREVLEX, LEX, Polynomial
+from stabred.report import excluded_document
 from stabred.scene import parse_scene
 
 from helpers import (
@@ -277,28 +278,53 @@ def test_charts_are_sorted_by_center():
     assert [c.center_var for c in charts] == ["x", "y"]
 
 
+CHART_MAP_KEYS = {"name", "center", "slopes", "phi", "subtorus"}
+
+
 @pytest.mark.parametrize("scene", SHIPPED_SCENES + tuple(RANK2_TREES))
-def test_each_chart_document_names_the_node_that_lists_it_as_parent(scene, tmp_path):
-    # the tree owns parentage: in a reduction each chart's parent is the node
-    # whose children list it; blowup and kirwan act on the scene itself, the root
+def test_each_node_record_holds_its_presentation_and_each_chart_entry_its_map(scene, tmp_path):
+    # each fact once: a reduce chart entry is the chart map, and the chart's
+    # presentation is the cdga of the record it leads to; blowup and kirwan
+    # have no tree, so each chart carries its cdga beside the map
     path = str(scene_file(scene, tmp_path))
     documents = {}
     for command in ("reduce", "blowup", "kirwan"):
         target = tmp_path / f"{command}.json"
         assert main([command, "--scene", path, "--json", str(target)]) == 0
         documents[command] = json.loads(target.read_text())["data"]
-    nodes = documents["reduce"]["nodes"]
-    listed = [(node["id"], child["chart"]["parent"]) for node in nodes for child in node["children"]]
-    assert listed and all(parent == node for node, parent in listed)
     for command in ("blowup", "kirwan"):
         charts = documents[command]["charts"]
-        assert charts and all(chart["parent"] == "root" for chart in charts)
+        assert charts and all(set(chart) == CHART_MAP_KEYS | {"cdga"} for chart in charts)
+
+    records = documents["reduce"]["nodes"]
+    by_id = {record["id"]: record for record in records}
+    edges = 0
+    for record in records:
+        parent_weights = {v["name"]: v["weight"] for v in record["cdga"]["variables"]}
+        for child in record["children"]:
+            chart = child["chart"]
+            assert set(chart) == CHART_MAP_KEYS
+            # xi leads the child's ring, is the image of the center and is
+            # weighted like it
+            xi = by_id[child["node"]]["cdga"]["variables"][0]
+            assert xi["name"] == chart["phi"][chart["center"]]
+            assert xi["weight"] == parent_weights[chart["center"]]
+            edges += 1
+    assert edges
+
+    nodes = list(_reduction_nodes(stabilizer_reduce(load_scene(path))))
+    assert [node.id for node in nodes] == [record["id"] for record in records]
+    for node, record in zip(nodes, records):
+        presentation = dict(record["cdga"])
+        assert presentation.pop("excluded") == excluded_document(node.cdga.excluded)
+        unit = Ideal.unit(node.cdga.var_names)
+        assert parse_scene(presentation) == node.cdga._replace(excluded=unit)
 
 
 def test_chart_geometry():
     chart = blowup_charts(load_scene("scenes/xy2-x2y.json"), FULL1)[0]
-    assert chart.exceptional.name == "xi"
-    assert chart.exceptional.weight == (1,)
+    assert chart.cdga.ring_vars[0].name == "xi"
+    assert chart.cdga.ring_vars[0].weight == (1,)
     assert [(v.name, v.weight) for v in chart.cdga.ring_vars] == [("xi", (1,)), ("u_y", (-2,))]
     assert {k: v.to_string() for k, v in dict(chart.phi).items()} == {
         "x": "xi",
@@ -368,7 +394,7 @@ def test_chart_excluded_is_the_strict_transform():
     for chart in charts:
         ring = chart.cdga.var_names
         total = Ideal(ring, tuple(substitute(g, dict(chart.phi), ring) for g in x.excluded.generators))
-        xi = Polynomial.variable(ring, chart.exceptional.name)
+        xi = Polynomial.variable(ring, chart.cdga.ring_vars[0].name)
         assert chart.cdga.excluded.generators == saturate(total, xi).groebner()
 
 
@@ -472,7 +498,7 @@ def test_crosscheck_fails_on_a_moving_differential_left_undivided():
     # w1 = x^2*y moves, so in chart_x it must lose one factor of xi
     parent = load_scene("scenes/xy2-x2y.json")
     chart = blowup_charts(parent, FULL1)[0]
-    xi = Polynomial.variable(chart.cdga.var_names, chart.exceptional.name)
+    xi = Polynomial.variable(chart.cdga.var_names, chart.cdga.ring_vars[0].name)
     w1, w2 = chart.cdga.gens1
     undivided = chart.cdga._replace(gens1=(w1._replace(differential=w1.differential * xi), w2))
     assert crosscheck_truncation(chart, parent)
@@ -513,7 +539,7 @@ def test_chart_truncation_localizes_correctly_outside_the_exceptional():
         parent_truncation = classical_truncation(parent)
         for chart in blowup_charts(parent, FULL1):
             ring = chart.cdga.var_names
-            xi = Polynomial.variable(ring, chart.exceptional.name)
+            xi = Polynomial.variable(ring, chart.cdga.ring_vars[0].name)
             unit_slice = Ideal(ring, (xi - Polynomial.constant(ring, Fraction(1)),))
             images = dict(chart.phi)
             pulled = Ideal(
@@ -588,7 +614,7 @@ def _transition(chart_c, chart_m):
     images = []
     for v in chart_m.cdga.var_names:
         e = [0] * len(ring)
-        if v == chart_m.exceptional.name:
+        if v == chart_m.cdga.ring_vars[0].name:
             e[0] = e[u_m] = 1
         elif v in slope_m.values():
             source = next(k for k, u in slope_m.items() if u == v)

@@ -16,9 +16,9 @@ from stabred import (
     fixed_locus,
     from_invariant_function,
     load_scene,
+    obstruction_report,
     saturation_ideal,
     stabilizer_stratification,
-    tangent_complex_ranks,
     validate_presentation,
     weight_split,
 )
@@ -374,10 +374,12 @@ def test_from_invariant_function_refuses_weights_of_the_wrong_length(weight):
 
 
 def test_tangent_complex_ranks():
-    ranks = tangent_complex_ranks(darboux())
-    assert (ranks.ring_rank, ranks.gens1_rank, ranks.gens2_rank) == (2, 2, 1)
-    assert ranks.vdim == 0
-    assert tangent_complex_ranks(load_scene("scenes/a2-hyperbolic.json")).vdim == 1
+    # darboux has 2 ring variables, 2 degree-1 and 1 degree-2 generators over
+    # a rank-1 torus, and its degree-2 coefficients have generic rank 1
+    report = obstruction_report(darboux())
+    assert report.vdim == 2 - 2 + 1 - 1
+    assert report.e_ranks == (2 - 1, 2 - 1)
+    assert obstruction_report(load_scene("scenes/a2-hyperbolic.json")).vdim == 1
 
 
 def test_generator2_coefficient_lookup():

@@ -12,6 +12,7 @@ import pytest
 
 from stabred import blowup, cdga, cli, errors, torus
 from stabred.cli import build_parser, main
+from stabred.reduce import stabilizer_reduce
 from stabred.scene import parse_scene
 
 SCENES = "scenes"
@@ -403,6 +404,51 @@ def test_a_positive_dimensional_generic_stabilizer_names_the_node(
         assert (code, out, err) == (1, "", "error: the subtorus moves no ring variable\n")
 
 
+def test_a_dagger_violation_names_the_node(tmp_path, capsys):
+    # x is fixed, and f of weight 1 has the constant coefficient 1 on e:
+    # the moving degree-2 data does not vanish on the center of the root
+    data = {
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [0]}],
+        "gens1": [{"name": "e", "weight": [1], "differential": "0"}],
+        "gens2": [{"name": "f", "weight": [1], "differential": {"e": "1"}}],
+    }
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data))
+    message = "a moving degree-2 differential does not vanish on the center"
+    with pytest.raises(errors.DaggerViolation):
+        stabilizer_reduce(parse_scene(data))
+    code, out, err = run(capsys, "reduce", "--scene", str(scene))
+    assert (code, out, err) == (
+        1, "", f"error: {message} of witness subtorus [[1]] at 'root', whose maximal flat is ['x']\n"
+    )
+    # a blow-up of the scene itself has no node to name
+    for command in ("blowup", "kirwan", "rees"):
+        code, out, err = run(capsys, command, "--scene", str(scene))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_leaf_without_the_dagger_condition_has_no_e_ranks(tmp_path, capsys):
+    # x*y = 1 leaves finite stabilizers, but f of weight 1 has the constant
+    # coefficient 1 on g, so the degree-2 data does not vanish on fixed loci
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [
+            {"name": "e", "weight": [0], "differential": "x*y - 1"},
+            {"name": "g", "weight": [1], "differential": "0"},
+        ],
+        "gens2": [{"name": "f", "weight": [1], "differential": {"g": "1"}}],
+    }))
+    code, out, err = run(capsys, "report", "--scene", str(scene))
+    assert (code, out, err) == (0, "root: vdim 0, e_ranks -, quasi_smooth False\n", "")
+    target = tmp_path / "reduce.json"
+    assert run(capsys, "reduce", "--scene", str(scene), "--json", str(target))[0] == 0
+    (record,) = json.loads(target.read_text())["data"]["nodes"]
+    assert record["leaf_report"] == {"vdim": 0, "e_ranks": None, "quasi_smooth": False}
+
+
 def test_reduce_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert code == 0
@@ -415,10 +461,10 @@ def test_reduce_summary(capsys):
 def test_report_lists_leaf_data(capsys):
     code, out, _ = run(capsys, "report", "--scene", f"{SCENES}/darboux-x2y2.json")
     assert code == 0
-    for line in out.splitlines():
-        assert "vdim 0" in line
-        assert "e_ranks (1,1)" in line
-        assert "dagger True" in line
+    assert out.splitlines() == [
+        "root/x: vdim 0, e_ranks (1,1), quasi_smooth False",
+        "root/y: vdim 0, e_ranks (1,1), quasi_smooth False",
+    ]
 
 
 @pytest.mark.parametrize("name", ["seed", "degree-cap", "depth-fuse"])

@@ -21,20 +21,20 @@ from stabred.cli import main
 from helpers import rank2_tree_scene_file, scene_file
 
 GOLDEN = {
-    ("reduce", "a2-hyperbolic"): "be134b40bfb0f343b6e6f7e6c57cb4304f0ce96be0e1f464a62e6938bd6de8ba",
-    ("kirwan", "a2-hyperbolic"): "13baf25a78a438e1597e0072520317190cb1858e340f006cf204699a591cd1bf",
+    ("reduce", "a2-hyperbolic"): "9c09a5e0ac6d5df5cf91f9090c8dc576e064efce10cb8de4611b7398b20e3ded",
+    ("kirwan", "a2-hyperbolic"): "5992f7355e1e6e8ea2ec904d17d75523b76d540840ea79ff8cfeeb204ec7da32",
     ("fixed-locus", "a2-hyperbolic"): "ee29c24290afa381a5015cebe92ce79f16e0e3ec810ab8ad13076248d994872a",
-    ("reduce", "a2-positive"): "951dec73c281a9729c49305d00eaab51de69c81fe5b92bdc14309e5e829468b3",
-    ("kirwan", "a2-positive"): "4347c98c536d3a072b0fe7abe3f02057741592f1637aacaf12c56b1cd8660c8b",
+    ("reduce", "a2-positive"): "79753bb995685cd2ea28278bb3b0967c4cb9cf0b2157c9043a17a0549c088bd5",
+    ("kirwan", "a2-positive"): "3d1152d728d900720eb22d0c171f65defa8ec8eca94ad59d585607aa6317fab1",
     ("fixed-locus", "a2-positive"): "ed3126ee6eacc2e2fe6ca14f27d7a7f1f247a3f0af1646aefd24b3c7de0faccd",
-    ("reduce", "darboux-x2y2"): "f1075daf345386cb2eca2a0c3febc57f0edb35c3f8cecec8f2e09955993819ba",
-    ("kirwan", "darboux-x2y2"): "2e43636375506267c266852804047b314fb1002192d475c03aa4e729d94881a0",
+    ("reduce", "darboux-x2y2"): "21ff7d0eaba6a4794b686f9f72f073e67839381aa8ce3a0196b4aef67255445e",
+    ("kirwan", "darboux-x2y2"): "b56503abee0857fd092b7df8a5ba7b77478dbab9577057e276e5a8a2037f5333",
     ("fixed-locus", "darboux-x2y2"): "37152026f7f7fd04d643477954f90364012d9605298df2e993c8a7c6571b6dfa",
-    ("reduce", "xy"): "8cf3102d4ee4d10fd15e0c1f32b94be7622f5806c05c0df3af5d747ab0fe546a",
-    ("kirwan", "xy"): "9771acd699c3ee2eb61ec582be1bb1fa7cc88b24e0dd403bc79881f551fe1d06",
+    ("reduce", "xy"): "6dd556e19947c301f8fbae8307e2138baf738c7d97ce5e8334d5270d0d6f5633",
+    ("kirwan", "xy"): "b8560d50ba19321820b0ff3879db572fec20ff4f7c543bebdc13dd1655f284fd",
     ("fixed-locus", "xy"): "ab7431dd98fed6b8f87fe9a3717be0ca0ecaaec65dafc2f33c85dd754562c463",
-    ("reduce", "xy2-x2y"): "9e90a5f687192d40e04e56c95a0094e6c56b372253f1fee5463fa6de64b3c722",
-    ("kirwan", "xy2-x2y"): "c928f402bde753cccba9239b83f3c1747e126053ec132568de774861341de28d",
+    ("reduce", "xy2-x2y"): "681ccfbf534bfbfb8938e647e9d7709c023c9c6276178596cb3b9329e90e5083",
+    ("kirwan", "xy2-x2y"): "68e040f0d613e3c2168683b53d78a43cc137567d6d4260f1714b670300d26f20",
     ("fixed-locus", "xy2-x2y"): "16872550b6f6351403744dbce391ddc560e0f91e9f74152ffd91e373a5188c1e",
     ("validate", "a2-hyperbolic"): "c10937a51fc800185701d628470c3238503de2dc73ff77476a7a227a40442b0f",
     ("validate", "a2-positive"): "0e965dd7a3ce72412e63a4ab983ff1fad54f99aab78400cc6cfeea41dd3d3c4b",
@@ -51,20 +51,20 @@ GOLDEN = {
     ("rees", "darboux-x2y2"): "7ccada079d04027fb6ea993ffda770380dee5edd1dd402a56bf7839016abf898",
     ("rees", "xy"): "bb81dae140b9d5070a0bf9e4e2b6fae721137964f800c789fa0260ad23f393cf",
     ("rees", "xy2-x2y"): "dbd0cfb9bb1241e1966d56e7ca23d3e7efc41eee23d01f4697898ea8217d3c5f",
-    ("blowup", "a2-hyperbolic"): "0b444cbdb1d13baa639ed4ae73bfd9f3b22c64a716df134882d0813d6e3e1d44",
-    ("blowup", "a2-positive"): "dd50abd3e8a7e662a53d9fdbd50a0f69eb794a622d3b46f5ffdb7d81849212d6",
-    ("blowup", "darboux-x2y2"): "9998eb005729fab180d3abf93a9f8d30063a921a10e1c7687741de41c9318190",
-    ("blowup", "xy"): "7a43ce5962f4baa98c325e095b74a55206e4366cd8e743cc9a7af4d7b6e8f42c",
-    ("blowup", "xy2-x2y"): "6b3158e5443b22f45e77e7729f2ba8d28ecf23e458e24db8098cf82786eed18a",
-    ("report", "a2-hyperbolic"): "9424b247fd611f14acfd317fc349496315c941c04e8bde4000cdbd89504c271d",
+    ("blowup", "a2-hyperbolic"): "151a8bf7e9bae2c781363d08f7ed81eb30063038be108472d54a3cd8ba781d4e",
+    ("blowup", "a2-positive"): "2c6699d302a982fca977d19b4a417788d03fe6d9c6bcf8bed6830525ed3417a9",
+    ("blowup", "darboux-x2y2"): "cc672982272ed40eefd2ed0da3f4dbeaeb4c35f691a83ed40238c288387b964a",
+    ("blowup", "xy"): "f4936ae982abd0478f970c17e8c4bda091eb5831bb463d5fb1ff856132aadcf3",
+    ("blowup", "xy2-x2y"): "3455136437c74dc1e6e84740fc30ea9c1951738be3148bdd099909e8348cc3f1",
+    ("report", "a2-hyperbolic"): "bbf8ed16826fab860815c8635057ca3d197989b5db80cb0b17cad0e899b66b63",
     ("report", "a2-positive"): "cb08df0ddd8eed5bfb5d99cb1f68cded19836221c801f801e8a55e27b3fb9bec",
-    ("report", "darboux-x2y2"): "ddd169c0bc1feeb6c1930750b44040bf6676f7795176d2d4698fc5056d4ad82b",
-    ("report", "xy"): "806955cfc318c478c448deafbc6c3ed582398a85531013385b925602f01b6a7f",
-    ("report", "xy2-x2y"): "4a5b215dc30ffb111339b0fa14cbde161217133f30d9c76e927b80bd762e1ccf",
+    ("report", "darboux-x2y2"): "d17ea9466bf694433e3518605426a71ee6a97dbe32bb612cb9a93693b081e03e",
+    ("report", "xy"): "dbdd5420ab9557d481ed5ab25f3d64e022c539430d909f0e8c4cbd8e1ebd7fc2",
+    ("report", "xy2-x2y"): "69a167628ddcb8ee91e40a0a343cfc53a97235b6cb539babb4913865805fc9cb",
     # the seeded corpus-r1 scene r1-014 of bench/scenes.py (seed 20260815),
     # whose truncation basis holds y^2 + 1/3*y*z: the one digest that prints
     # a coefficient that is not an integer
-    ("reduce", "r1-014"): "01921a7589c0d6a7b6cd0560d428e5ac13958ae2fc429269532a2b7ada471b74",
+    ("reduce", "r1-014"): "80146b1a916ed9c40089dee354d56d714ff08c9075663baebc5f48df19ad0f9a",
 }
 
 
@@ -77,11 +77,11 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
 
 
 RANK2_GOLDEN = {
-    "crit-abcd+ab": "70d5aa80bfebfad22415774b9f34d24e0dd8e544f79be5957fd0c9471e680c43",
-    "crit-ab+cd-1": "15d0cbdd7a360b91b5e04295ecb45cfcd1aeea020cb02467b6f2e57dc85710c9",
-    "crit-a2b2+cd": "6bcfd799cd4be3405c992277d76965f25fdbb123b16af963f1235aead7d8cf05",
-    "crit-ab+cd-skew": "151d54f3b9688883a55550e85b61a4a3983ec1c4d09586301b0e14a173ad2700",
-    "hyp-ab-1": "a9f8f088d695dece98563ee77b3d1425c616ecf6cdd9a3540b635682c173af63",
+    "crit-abcd+ab": "55bd19d12f6d070f982037d08a4d1c564c511a5e8a3967007d062b80853b9899",
+    "crit-ab+cd-1": "85554f895dc58cc5e4bfbdd2a7b254f83ae6f208b11b66052e6a554fb21c21aa",
+    "crit-a2b2+cd": "8c606f427d4dfbff9e020c34df8a2fa8e4b8182d9df94d37f7e4fa660b2b6ce9",
+    "crit-ab+cd-skew": "513e8cae5cac8992c505d37776690d4a864eaaac0a2cb9ca6f862724dabed503",
+    "hyp-ab-1": "ea905cc68b0cde0568fe8a948df503c655210e9bedb4aa90e484b4799631f08d",
 }
 
 
@@ -97,11 +97,11 @@ def test_rank2_tree_reduce_digest(scene, tmp_path, capsys):
 # ``kirwan`` of the rank-2 trees: the rank-2 saturation ideals of the root
 # witnesses, printed under ``saturation``
 KIRWAN_RANK2_GOLDEN = {
-    "crit-abcd+ab": "ccc7004b20d50796e8740450f7c402e9324db0f4ce70e8fda2b1c16e22456a89",
-    "crit-ab+cd-1": "5c96a07ebc08d7ff2e87cd551c5d68878afd4d704515e9ff8869a07980e2673d",
-    "crit-a2b2+cd": "46f0aae075756c15a873186c461e8d21f07770b393243f9ce6ec67f1fef5a947",
-    "crit-ab+cd-skew": "e335c22fe8f19ca3492c14c408ddf21e152a2390b14d992096369b529db54832",
-    "hyp-ab-1": "8268fd032e250472b34333cf01e0c7455995774ac5b1172300bd326b7c21ee58",
+    "crit-abcd+ab": "6513b53b4db5ae9b5f69a2319f835e503775c4136f1717ac11dd752213fa3d81",
+    "crit-ab+cd-1": "98a58e9aa0b1f424efd11d0492a40811751e819e526161382d76f7123183f86d",
+    "crit-a2b2+cd": "9574789fb5f85b52bc5e3f6908e17609b2ab096136c11695e5d2e601926362b0",
+    "crit-ab+cd-skew": "58ca7e1d132a040a34ed765a7f705c65f66c52c765fb9470087d1d113e477b45",
+    "hyp-ab-1": "5c78af94b3daea33131255f014732222c8c16346e6d8fed2242358eb5d82bb36",
 }
 
 
@@ -116,16 +116,16 @@ def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
 
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
 LEX_GOLDEN = {
-    "a2-hyperbolic": "be134b40bfb0f343b6e6f7e6c57cb4304f0ce96be0e1f464a62e6938bd6de8ba",
-    "a2-positive": "951dec73c281a9729c49305d00eaab51de69c81fe5b92bdc14309e5e829468b3",
-    "darboux-x2y2": "f1075daf345386cb2eca2a0c3febc57f0edb35c3f8cecec8f2e09955993819ba",
-    "xy": "8cf3102d4ee4d10fd15e0c1f32b94be7622f5806c05c0df3af5d747ab0fe546a",
-    "xy2-x2y": "9e90a5f687192d40e04e56c95a0094e6c56b372253f1fee5463fa6de64b3c722",
-    "crit-abcd+ab": "3ada08f5985ca67407f42604d04d0c941fba074944699b1ddbf519ecebf192c6",
-    "crit-ab+cd-1": "d36c219e9b3ff1c781b8aab47e2641da0e4cc9c276032a8c48820cd0c79969a9",
-    "crit-a2b2+cd": "f9c4d241d37464ccf06e708ef558bc81424a4091670c5e2fa3af0ffcc2cec7cd",
-    "crit-ab+cd-skew": "4fba660cf2e61f74f873bf3ecea5c5bf0fc422aea8032cf842ee447b4d9fe7b0",
-    "hyp-ab-1": "a9f8f088d695dece98563ee77b3d1425c616ecf6cdd9a3540b635682c173af63",
+    "a2-hyperbolic": "9c09a5e0ac6d5df5cf91f9090c8dc576e064efce10cb8de4611b7398b20e3ded",
+    "a2-positive": "79753bb995685cd2ea28278bb3b0967c4cb9cf0b2157c9043a17a0549c088bd5",
+    "darboux-x2y2": "21ff7d0eaba6a4794b686f9f72f073e67839381aa8ce3a0196b4aef67255445e",
+    "xy": "6dd556e19947c301f8fbae8307e2138baf738c7d97ce5e8334d5270d0d6f5633",
+    "xy2-x2y": "681ccfbf534bfbfb8938e647e9d7709c023c9c6276178596cb3b9329e90e5083",
+    "crit-abcd+ab": "e75d69836ba0530419c241423d48578ccebed8158c783b6b33eda1420be1f268",
+    "crit-ab+cd-1": "731b6efa92f6941fce080abcfdbb2935ec89824b1feb4e9c7d5f6fbcc5829b04",
+    "crit-a2b2+cd": "41bbd643cb6d274a70a880a8123956451ab7e30cd799a670301ad1be11a0433d",
+    "crit-ab+cd-skew": "8161a4c28a80bd39ba6ae012bfd6bdde11e535df8fdfa0b8c513434bd3bbe7da",
+    "hyp-ab-1": "ea905cc68b0cde0568fe8a948df503c655210e9bedb4aa90e484b4799631f08d",
 }
 
 

@@ -128,7 +128,7 @@ def test_strict_pull_back_is_the_saturation_of_the_total_pull_back(case):
     # the total pull-back along the chart map built by name, not along phi
     images = chart_images(chart, x.var_names)
     total = Ideal(ring, tuple(pull_back(g, ring, images) for g in x.excluded.generators))
-    xi = Polynomial.variable(ring, chart.exceptional.name)
+    xi = Polynomial.variable(ring, chart.cdga.ring_vars[0].name)
     expected = saturate(total, xi).groebner()
     _, strict = _chart_map(x.var_names, ring, chart.center_var, chart.slopes)
     assert monomial_ideal(ring, strict(x.excluded)).generators == expected

@@ -55,7 +55,7 @@ def test_hyperbolic_plane_tree():
     assert len(leaves) == 2
     for chart, node in tree.children:
         assert node.stabilizer.max_dim == 0
-        assert node.leaf_report.dagger
+        assert node.cdga.torus_dagger
         assert node.leaf_report.quasi_smooth
         assert node.leaf_report.vdim == 1
         assert node.leaf_report.e_ranks == (1, 0)
@@ -69,7 +69,7 @@ def test_darboux_tree():
     assert len(leaves) == 2 and tree_depth(tree) == 1
     for node in leaves:
         report = node.leaf_report
-        assert report.dagger
+        assert node.cdga.torus_dagger
         assert report.vdim == 0
         assert report.e_ranks == (1, 1)
         assert not report.quasi_smooth
@@ -106,7 +106,7 @@ def test_synthetic_pair_tree_keeps_derived_structure():
     assert len(leaves) == 2
     for node in leaves:
         assert len(node.cdga.gens2) == 1
-        assert node.leaf_report.dagger
+        assert node.cdga.torus_dagger
         assert node.leaf_report.vdim == 0
         assert node.leaf_report.e_ranks == (1, 1)
 
@@ -236,7 +236,7 @@ def test_obstruction_report_on_darboux():
     report = obstruction_report(load_scene("scenes/darboux-x2y2.json"))
     assert report.vdim == 0
     assert report.e_ranks == (1, 1)
-    assert report.dagger and not report.quasi_smooth
+    assert not report.quasi_smooth
 
 
 def test_obstruction_report_without_dagger_omits_ranks():
@@ -248,7 +248,7 @@ def test_obstruction_report_without_dagger_omits_ranks():
     hyperbolic = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
     x = GradedCdga(1, hyperbolic, gens1, gens2)
     report = obstruction_report(x)
-    assert not report.dagger
+    assert not x.torus_dagger
     assert report.e_ranks is None
     assert report.vdim == 0
 
@@ -279,9 +279,8 @@ def test_generic_rank_is_exact_where_every_small_integer_point_is_special():
         (Generator1("w1", (1,), poly("x", ring)), Generator1("w2", (1,), poly("x", ring))),
         (Generator2("e", (2,), (("w1", coeff), ("w2", -coeff))),),
     )
-    report = obstruction_report(x)
-    assert report.dagger
-    assert report.e_ranks == (1, 1)
+    assert x.torus_dagger
+    assert obstruction_report(x).e_ranks == (1, 1)
 
 
 def _coefficient_scene(rows, ring):
