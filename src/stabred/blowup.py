@@ -48,7 +48,8 @@ def _center_split(x: GradedCdga, subtorus: SubtorusBasis) -> WeightSplit:
     require_valid(x)
     if not dagger_check(x, subtorus):
         raise DaggerViolation(
-            "a moving degree-2 differential does not vanish on the center"
+            "a moving degree-2 differential does not vanish on the center of "
+            f"subtorus {[list(v) for v in subtorus.vectors]}"
         )
     return weight_split(x, subtorus)
 
@@ -217,7 +218,7 @@ def _charts(x: GradedCdga, subtorus: SubtorusBasis, unstable: Ideal) -> tuple[Ch
     """
     split = _center_split(x, subtorus)
     if not split.moving:
-        raise NoCenter("the subtorus moves no ring variable")
+        raise NoCenter(f"subtorus {[list(v) for v in subtorus.vectors]} moves no ring variable")
 
     # whether the subtorus moves each generator is decided once, for every chart
     moves1 = [not is_fixed_weight(g.weight, subtorus) for g in x.gens1]

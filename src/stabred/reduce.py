@@ -6,10 +6,9 @@ and recurses into the charts.  The maximal stabilizer dimension strictly
 decreases along every edge: each chart is stratified before the recursion
 descends into it, and an edge that fails to lower it is refused.  So no
 path is longer than the root's ``max_dim``, which is at most the torus
-rank, and the recursion ends by construction.  A node with finite
-stabilizers and a point outside its removed locus is a leaf and gets an
-obstruction-theory report; a node with no such point adds nothing to the
-quotient, and has neither children nor a report.
+rank, and the recursion ends by construction.  A chart with no point
+outside its removed locus adds nothing to the quotient and is dropped; a
+node with finite stabilizers and a point gets an obstruction report.
 """
 
 from __future__ import annotations
@@ -103,9 +102,9 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
 
     Each chart is stratified here, before the recursion into it, so an edge
     that fails to lower ``max_dim`` is refused before anything below it is
-    built, and each node is stratified exactly once.  A node with no
-    nonempty flat has no point outside its removed locus, since the walk
-    ends at the flat of every variable: it is empty, with no report."""
+    built, and each node is stratified exactly once.  A chart with no
+    nonempty flat has no point outside its removed locus (the walk ends at
+    the flat of every variable), so it is checked and then dropped."""
     if report.max_dim == 0:
         leaf = obstruction_report(x) if report.maximal_support else None
         return ReductionNode(node_id, x, report, (), leaf)
@@ -145,7 +144,8 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
                     f"at {node_id!r} to {child_report.max_dim} at {child_id!r} "
                     f"({_where(h, report, chart)})"
                 )
-            children.append((chart, _reduce(chart.cdga, child_id, depth + 1, child_report)))
+            if child_report.maximal_support:
+                children.append((chart, _reduce(chart.cdga, child_id, depth + 1, child_report)))
     return ReductionNode(node_id, x, report, tuple(children), None)
 
 
@@ -158,8 +158,7 @@ def _where(h: SubtorusBasis, report: StabilizerReport, chart: Chart) -> str:
 
 
 def iter_leaves(node: ReductionNode):
-    """The reported leaves, the nodes with a point and finite stabilizers,
-    in preorder; an empty node is not one."""
+    """The reported leaves: nodes with a point and finite stabilizers, in preorder."""
     if node.leaf_report is not None:
         yield node
     for _, child in node.children:

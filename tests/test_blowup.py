@@ -55,7 +55,7 @@ from helpers import (
     strings,
     substitute,
 )
-from test_torus import _reduction_nodes
+from test_torus import _every_chart, _reduction_nodes
 
 V = ("x", "y")
 HYPERBOLIC = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
@@ -310,7 +310,9 @@ def test_each_node_record_holds_its_presentation_and_each_chart_entry_its_map(sc
             assert xi["name"] == chart["phi"][chart["center"]]
             assert xi["weight"] == parent_weights[chart["center"]]
             edges += 1
-    assert edges
+    # every record but the root is listed by one chart entry; a root whose
+    # charts all lack a point lists none
+    assert edges == len(records) - 1
 
     nodes = list(_reduction_nodes(stabilizer_reduce(load_scene(path))))
     assert [node.id for node in nodes] == [record["id"] for record in records]
@@ -508,21 +510,17 @@ def test_crosscheck_fails_on_a_moving_differential_left_undivided():
 @pytest.mark.parametrize("label", tuple(RANK2_TREES))
 def test_crosscheck_takes_no_normal_form(label, tmp_path, monkeypatch):
     # both sides are compared by their reduced grevlex bases, which are
-    # unique to each ideal, so no membership test runs
-    tree = stabilizer_reduce(load_scene(rank2_tree_scene_file(label, tmp_path)))
+    # unique to each ideal, so no membership test runs; every chart of every
+    # node is compared, those left out of the tree for having no point too
+    charts = list(_every_chart(stabilizer_reduce(load_scene(rank2_tree_scene_file(label, tmp_path)))))
 
     def refused(*args):
         raise AssertionError("normal_form called")
 
     monkeypatch.setattr(stabred.ideal, "normal_form", refused)
-    edges, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        for chart, child in node.children:
-            assert crosscheck_truncation(chart, node.cdga), child.id
-            edges += 1
-            stack.append(child)
-    assert edges
+    for node, chart in charts:
+        assert crosscheck_truncation(chart, node.cdga), (node.id, chart.name)
+    assert charts
 
 
 def test_chart_truncation_ignores_gens2():

@@ -398,10 +398,11 @@ def test_a_positive_dimensional_generic_stabilizer_names_the_node(
         f"witness subtorus {subtorus} fixes its maximal flat {flat}, every ring variable"
     )
     assert_refused(capsys, "reduce", scene, message, timeout=20)
-    # a subtorus given on the command line has no node to name
+    # a subtorus given on the command line has no node to name, only itself
+    named = [[int(c) for c in fixing.split(",")]]
     for command in ("blowup", "kirwan"):
         code, out, err = run(capsys, command, "--scene", str(scene), "--subtorus", fixing)
-        assert (code, out, err) == (1, "", "error: the subtorus moves no ring variable\n")
+        assert (code, out, err) == (1, "", f"error: subtorus {named} moves no ring variable\n")
 
 
 def test_a_dagger_violation_names_the_node(tmp_path, capsys):
@@ -422,10 +423,10 @@ def test_a_dagger_violation_names_the_node(tmp_path, capsys):
     assert (code, out, err) == (
         1, "", f"error: {message} of witness subtorus [[1]] at 'root', whose maximal flat is ['x']\n"
     )
-    # a blow-up of the scene itself has no node to name
+    # a blow-up of the scene itself has no node to name, only the witness it chose
     for command in ("blowup", "kirwan", "rees"):
         code, out, err = run(capsys, command, "--scene", str(scene))
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", f"error: {message} of subtorus [[1]]\n")
 
 
 def test_a_leaf_without_the_dagger_condition_has_no_e_ranks(tmp_path, capsys):

@@ -24,7 +24,7 @@ GOLDEN = {
     ("reduce", "a2-hyperbolic"): "9c09a5e0ac6d5df5cf91f9090c8dc576e064efce10cb8de4611b7398b20e3ded",
     ("kirwan", "a2-hyperbolic"): "5992f7355e1e6e8ea2ec904d17d75523b76d540840ea79ff8cfeeb204ec7da32",
     ("fixed-locus", "a2-hyperbolic"): "ee29c24290afa381a5015cebe92ce79f16e0e3ec810ab8ad13076248d994872a",
-    ("reduce", "a2-positive"): "79753bb995685cd2ea28278bb3b0967c4cb9cf0b2157c9043a17a0549c088bd5",
+    ("reduce", "a2-positive"): "d1a3414144f76a1b2c68665219d847181fba4b7cb147490c2a1e2773b33bd7be",
     ("kirwan", "a2-positive"): "3d1152d728d900720eb22d0c171f65defa8ec8eca94ad59d585607aa6317fab1",
     ("fixed-locus", "a2-positive"): "ed3126ee6eacc2e2fe6ca14f27d7a7f1f247a3f0af1646aefd24b3c7de0faccd",
     ("reduce", "darboux-x2y2"): "21ff7d0eaba6a4794b686f9f72f073e67839381aa8ce3a0196b4aef67255445e",
@@ -78,9 +78,9 @@ def test_json_document_digest(command, scene, tmp_path, capsys):
 
 RANK2_GOLDEN = {
     "crit-abcd+ab": "55bd19d12f6d070f982037d08a4d1c564c511a5e8a3967007d062b80853b9899",
-    "crit-ab+cd-1": "85554f895dc58cc5e4bfbdd2a7b254f83ae6f208b11b66052e6a554fb21c21aa",
-    "crit-a2b2+cd": "8c606f427d4dfbff9e020c34df8a2fa8e4b8182d9df94d37f7e4fa660b2b6ce9",
-    "crit-ab+cd-skew": "513e8cae5cac8992c505d37776690d4a864eaaac0a2cb9ca6f862724dabed503",
+    "crit-ab+cd-1": "e0207abed3e7bbd32bf60ba17619199a0b66f48cc28f6263bdd779a4b1b9d33e",
+    "crit-a2b2+cd": "df7e8b42623acedc674390643c1c3cad6caf5f6db06312613603f4e2bf929ab1",
+    "crit-ab+cd-skew": "8b6bba343c1eba1fb40008fbbbddf9028d7652c4bf6722d9db113a476292914a",
     "hyp-ab-1": "ea905cc68b0cde0568fe8a948df503c655210e9bedb4aa90e484b4799631f08d",
 }
 
@@ -117,14 +117,14 @@ def test_rank2_tree_kirwan_digest(scene, tmp_path, capsys):
 # ``reduce --order lex`` of the shipped scenes and of the rank-2 trees
 LEX_GOLDEN = {
     "a2-hyperbolic": "9c09a5e0ac6d5df5cf91f9090c8dc576e064efce10cb8de4611b7398b20e3ded",
-    "a2-positive": "79753bb995685cd2ea28278bb3b0967c4cb9cf0b2157c9043a17a0549c088bd5",
+    "a2-positive": "d1a3414144f76a1b2c68665219d847181fba4b7cb147490c2a1e2773b33bd7be",
     "darboux-x2y2": "21ff7d0eaba6a4794b686f9f72f073e67839381aa8ce3a0196b4aef67255445e",
     "xy": "6dd556e19947c301f8fbae8307e2138baf738c7d97ce5e8334d5270d0d6f5633",
     "xy2-x2y": "681ccfbf534bfbfb8938e647e9d7709c023c9c6276178596cb3b9329e90e5083",
     "crit-abcd+ab": "e75d69836ba0530419c241423d48578ccebed8158c783b6b33eda1420be1f268",
-    "crit-ab+cd-1": "731b6efa92f6941fce080abcfdbb2935ec89824b1feb4e9c7d5f6fbcc5829b04",
-    "crit-a2b2+cd": "41bbd643cb6d274a70a880a8123956451ab7e30cd799a670301ad1be11a0433d",
-    "crit-ab+cd-skew": "8161a4c28a80bd39ba6ae012bfd6bdde11e535df8fdfa0b8c513434bd3bbe7da",
+    "crit-ab+cd-1": "e0207abed3e7bbd32bf60ba17619199a0b66f48cc28f6263bdd779a4b1b9d33e",
+    "crit-a2b2+cd": "363cb40b845cb3b57ad9801ac1ba42252ce1b2cdf8f585dd611e2b0c29dd1032",
+    "crit-ab+cd-skew": "8b6bba343c1eba1fb40008fbbbddf9028d7652c4bf6722d9db113a476292914a",
     "hyp-ab-1": "ea905cc68b0cde0568fe8a948df503c655210e9bedb4aa90e484b4799631f08d",
 }
 

@@ -14,10 +14,13 @@ from stabred import (
     InvalidPresentation,
     StrictDecreaseViolation,
     iter_leaves,
+    kirwan_charts,
     load_scene,
     obstruction_report,
     stabilizer_reduce,
+    stabilizer_stratification,
     tree_depth,
+    witness_subtori,
 )
 from stabred import cdga, classical_truncation, ideal, reduce
 from stabred.cli import main
@@ -86,18 +89,21 @@ def test_xy_scene_tree():
         assert node.leaf_report.quasi_smooth
 
 
-def test_charts_that_remove_every_point_are_empty_nodes():
-    # every point of a2-positive is unstable: both charts stay in the tree,
-    # with no point, so with neither children nor a report
-    tree = stabilizer_reduce(load_scene("scenes/a2-positive.json"))
-    assert [node.id for _, node in tree.children] == ["root/x", "root/y"]
+def test_charts_that_remove_every_point_leave_the_tree():
+    # every point of a2-positive is unstable: both charts have no point, so
+    # they add nothing to the quotient and the root keeps neither of them
+    x = load_scene("scenes/a2-positive.json")
+    tree = stabilizer_reduce(x)
+    assert tree.stabilizer.max_dim == 1
+    assert tree.children == ()
+    assert tree.leaf_report is None
     assert list(iter_leaves(tree)) == []
-    for _, node in tree.children:
-        assert node.cdga.excluded.is_zero()  # every point removed
-        assert node.stabilizer.max_dim == 0
-        assert node.stabilizer.maximal_support == ()
-        assert node.children == ()
-        assert node.leaf_report is None
+    (h,) = witness_subtori(tree.stabilizer)
+    charts = kirwan_charts(x, h)
+    assert [chart.name for chart in charts] == ["chart_x", "chart_y"]
+    for chart in charts:
+        assert chart.cdga.excluded.is_zero()  # every point removed
+        assert stabilizer_stratification(chart.cdga).maximal_support == ()
 
 
 def test_synthetic_pair_tree_keeps_derived_structure():
@@ -154,10 +160,14 @@ def test_a_node_is_reported_exactly_when_it_is_a_leaf_with_a_point(tmp_path):
     scenes = [load_scene(scene_file(s, tmp_path)) for s in SHIPPED_SCENES + tuple(RANK2_TREES)]
     nodes = [node for x in scenes + list(build_corpus()) for node in _reduction_nodes(stabilizer_reduce(x))]
     for node in nodes:
-        leaf = not node.children and bool(node.stabilizer.maximal_support)
+        leaf = node.stabilizer.max_dim == 0 and bool(node.stabilizer.maximal_support)
         assert (node.leaf_report is not None) == leaf, node.id
-    # both kinds of childless node occur: reported leaves and empty nodes
-    assert {bool(node.stabilizer.maximal_support) for node in nodes if not node.children} == {True, False}
+        assert not node.children or node.stabilizer.max_dim > 0, node.id
+        # a chart with no point leaves the tree, so only a root can lack one
+        assert node.id == "root" or node.stabilizer.maximal_support, node.id
+    # both kinds of childless node occur: reported leaves, and nodes whose
+    # charts all lack a point
+    assert {node.stabilizer.max_dim > 0 for node in nodes if not node.children} == {True, False}
 
 
 def test_strict_decrease_along_edges():
@@ -426,7 +436,8 @@ def test_a_trivial_pair_leaves_the_leaves_and_shifts_e_ranks_by_one(scene, weigh
     # a variable t and a degree-1 generator e with de = t cut t out again,
     # so the quotient is the same: the same leaves with the same vdim, and
     # one more ring variable and degree-1 generator in the two-term complex.
-    # A moving t adds one empty chart, so the node count is not compared.
+    # A moving t adds a chart at t, where e_t = 1 leaves no point, so the
+    # chart leaves the tree and the node ids stay the same.
     path = rank2_tree_scene_file(scene, tmp_path) if scene in RANK2_TREES else SCENE_DIR / f"{scene}.json"
     data = json.loads(path.read_text())
     base = parse_scene(data)
@@ -434,10 +445,13 @@ def test_a_trivial_pair_leaves_the_leaves_and_shifts_e_ranks_by_one(scene, weigh
     data["gens1"].append({"name": "e_t", "weight": list(weight), "differential": "t"})
     padded = parse_scene(data)
 
-    def leaves(x):
-        return {leaf.id: leaf.leaf_report for leaf in iter_leaves(stabilizer_reduce(x))}
+    def reduced(x):
+        tree = stabilizer_reduce(x)
+        leaves = {leaf.id: leaf.leaf_report for leaf in iter_leaves(tree)}
+        return [node.id for node in _reduction_nodes(tree)], leaves
 
-    before, after = leaves(base), leaves(padded)
+    (ids, before), (padded_ids, after) = reduced(base), reduced(padded)
+    assert padded_ids == ids
     assert after.keys() == before.keys()
     for leaf_id, report in before.items():
         assert after[leaf_id].vdim == report.vdim, leaf_id

@@ -17,6 +17,7 @@ from stabred import (
     from_invariant_function,
     ideal_equal,
     iter_leaves,
+    kirwan_charts,
     load_scene,
     saturate,
     saturation_ideal,
@@ -197,8 +198,11 @@ def test_five_hyperbolic_pairs_test_one_root_flat():
     tree = stabilizer_reduce(x)
     assert tree.stabilizer == root
     # the critical locus is the origin, so the blow-up of it has no point:
-    # ten charts, each an empty node
-    assert [node.children for _, node in tree.children] == [()] * 10
+    # ten charts, none with a nonempty flat, so none in the tree
+    charts = [chart for _, chart in _every_chart(tree)]
+    assert len(charts) == 10
+    assert all(stabilizer_stratification(chart.cdga).maximal_support == () for chart in charts)
+    assert tree.children == ()
     assert list(iter_leaves(tree)) == []
 
 
@@ -275,9 +279,9 @@ def test_saturation_ideal_has_no_degree_cap():
     J = saturation_ideal(x, SubtorusBasis.full(2))
     assert ideal_equal(J, ideal_of(x.var_names, "x*y", "z*w"))
     # the critical locus is the y axis, where x*y and z*w vanish, so every
-    # point of it is unstable: none of the six childless nodes has a point
+    # point of it is unstable: six charts have no point and leave the tree
     tree = stabilizer_reduce(x)
-    assert sum(not node.children for node in _reduction_nodes(tree)) == 6
+    assert sum(not stabilizer_stratification(c.cdga).maximal_support for _, c in _every_chart(tree)) == 6
     assert list(iter_leaves(tree)) == []
 
 
@@ -369,6 +373,17 @@ def _reduction_nodes(node):
         yield from _reduction_nodes(child)
 
 
+def _every_chart(tree):
+    """(node, chart) for each Kirwan chart at each witness of each node of
+    ``tree`` with ``max_dim`` > 0: the tree's edges and the charts it left
+    out for having no point."""
+    for node in _reduction_nodes(tree):
+        if node.stabilizer.max_dim > 0:
+            for h in witness_subtori(node.stabilizer):
+                for chart in kirwan_charts(node.cdga, h):
+                    yield node, chart
+
+
 def _check_against_support_walk(y, report, tested):
     """Compare a stratification with the walk over every variable support:
     the same maximal dimension, the same witnesses in the same order, and
@@ -408,8 +423,18 @@ def _check_against_oracles(y, report):
 
 
 def _check_tree_against_oracles(tree):
+    """Check every node and every chart left out of ``tree``; returns how
+    many presentations were checked."""
+    met = 0
     for node in _reduction_nodes(tree):
         _check_against_oracles(node.cdga, node.stabilizer)
+        met += 1
+    for _, chart in _every_chart(tree):
+        report = stabilizer_stratification(chart.cdga)
+        if not report.maximal_support:
+            _check_against_oracles(chart.cdga, report)
+            met += 1
+    return met
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_the_corpus():
@@ -425,9 +450,11 @@ def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_steep():
+    # the six depth-2 charts have no point, so they leave the tree, but the
+    # oracles still meet them beside its three nodes
     tree = stabilizer_reduce(critical(STEEP, "x^12*y + z*w"))
-    assert tree_depth(tree) == 2
-    _check_tree_against_oracles(tree)
+    assert tree_depth(tree) == 1
+    assert _check_tree_against_oracles(tree) == 3 + 6
 
 
 def test_stratum_tests_match_the_full_ring_oracle_on_octagon():
@@ -468,7 +495,7 @@ def _check_saturation_against_enumeration(tree, cap):
     minimal invariant monomials generate the saturation ideal."""
     met = 0
     for node in _reduction_nodes(tree):
-        if not node.children:
+        if node.stabilizer.max_dim == 0:
             continue
         y = node.cdga
         for h in witness_subtori(node.stabilizer):
