@@ -103,8 +103,10 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     Each chart is stratified here, before the recursion into it, so an edge
     that fails to lower ``max_dim`` is refused before anything below it is
     built, and each node is stratified exactly once.  A chart with no
-    nonempty flat has no point outside its removed locus (the walk ends at
-    the flat of every variable), so it is checked and then dropped."""
+    nonempty flat has no point outside its removed locus (unless a lower
+    flat is nonempty, the walk goes up to the flat of every variable, and a
+    truncation that is the unit ideal tests none), so it is checked and
+    then dropped."""
     if report.max_dim == 0:
         leaf = obstruction_report(x) if report.maximal_support else None
         return ReductionNode(node_id, x, report, (), leaf)

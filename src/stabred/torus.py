@@ -38,7 +38,9 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     excluded generator keeps the points where that generator is nonzero.
     A generator each of whose terms uses a variable off the flat restricts
     to zero and keeps no point, so it is skipped on its exponents, and the
-    truncation is restricted only once some candidate survives.
+    truncation is restricted only once some candidate survives.  The walk
+    tests only flats that hold some generator's variables, so at least that
+    one survives.
 
     The truncation enters as its reduced grevlex basis, the one the node
     record and the chart cross-check read, not as its raw differentials.
@@ -70,13 +72,11 @@ def _closure(x: GradedCdga, basis: tuple[str, ...]):
 
 
 def _covers(x: GradedCdga, level):
-    """The flats one rank above ``level``, in the order of their least bases.
+    """The flats one rank above the flats of ``level``, each once.
 
     The covers of a flat F partition the variables off F (Oxley, *Matroid
     Theory*, section 1.7), so each variable off F and off every cover of F
-    found so far spans a new one with F's least basis.  A flat's least basis
-    extends that of the earliest flat one rank lower inside it, so the walk
-    meets each flat first at its least basis.
+    found so far spans a new one with F's basis.
     """
     covers = []
     for flat, basis, _ in level:
@@ -94,25 +94,44 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     A point lies on the locus of a rank-k flat exactly when its stabilizer
     contains the flat's kernel, so the first rank with a nonempty flat gives
     the maximal stabilizer dimension, and its nonempty flats are the
-    maximal strata.  The flats tested are every flat of lower rank and every
-    flat of that rank, or every flat when none is nonempty, so the weights
-    and the maximal flats fix them.
+    maximal strata.  A point outside the removed locus is nonzero on every
+    variable of some excluded generator, all monomials, so only the flats
+    holding the flat of some generator's variables can be nonempty: the
+    walk starts at those flats and goes up through their covers.  Within a
+    rank the flats are tested in the order of their variables in the ring.
+    A presentation whose truncation is the unit ideal has no point, and one
+    whose excluded ideal is zero has every point removed: neither tests a
+    flat.
     """
     truncation = classical_truncation(x)
-    level = [_closure(x, ())]
-    while level:
+    if x.excluded.generators and truncation.is_unit():
+        return StabilizerReport(0, (), ())
+    position = {v: i for i, v in enumerate(x.var_names)}
+    starts = {}
+    for g in x.excluded.generators:
+        (exps,) = g.terms
+        start = _closure(x, tuple(v for v, e in zip(x.var_names, exps) if e))
+        starts.setdefault(start[0], start)
+    level = []
+    for dim in range(x.torus_rank, -1, -1):
+        candidates = {flat: t for flat, t in starts.items() if len(t[2]) == dim}
+        for t in _covers(x, level):
+            candidates.setdefault(t[0], t)
+        level = sorted(candidates.values(), key=lambda t: [position[v] for v in t[0]])
         maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, truncation, f)]
         if maximal:
             supports, kernels = zip(*maximal)
             return StabilizerReport(kernels[0].rank, supports, kernels)
-        level = _covers(x, level)
     return StabilizerReport(0, (), ())
 
 
 def witness_subtori(report: StabilizerReport) -> tuple[SubtorusBasis, ...]:
     """The subtori stabilizing the maximal strata pointwise: the kernels of
     the maximal flats as the stratification built them, one per flat, since
-    a flat is every variable its kernel fixes."""
+    a flat is every variable its kernel fixes.  A presentation with no point
+    outside its removed locus has no stratum, so no subtorus either."""
+    if not report.maximal_support:
+        raise NoPositiveDimensionalStabilizer("the presentation has no point outside its removed locus")
     if report.max_dim <= 0:
         raise NoPositiveDimensionalStabilizer("every surviving stratum has a finite stabilizer")
     return report.witnesses

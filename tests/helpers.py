@@ -16,7 +16,9 @@ from stabred import (
     Generator2,
     Ideal,
     NotDivisible,
+    StabilizerReport,
     SubtorusBasis,
+    classical_truncation,
     dagger_check,
     from_invariant_function,
     intersect,
@@ -32,6 +34,7 @@ from stabred.cdga import is_fixed_weight, pairing, weight_split
 from stabred.groebner import divide
 from stabred.intlinalg import integer_kernel
 from stabred.poly import GREVLEX, ElimOrder, Polynomial
+from stabred.torus import _closure, _covers, _support_nonempty
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200
@@ -366,6 +369,25 @@ def positive_circuits_by_subsets(x, subtorus):
             if len(kernel) == 1 and all(c > 0 for c in kernel[0]):
                 exponents.append(tuple(int(n in circuit) for n in names))
     return monomial_ideal(names, exponents)
+
+
+# -- the stratification by the walk over every flat --------------------------
+
+
+def bottom_up_stratification(x):
+    """The stratification by the walk that ``stabilizer_stratification``
+    replaced: from the flat of no variable up through the covers of each
+    rank, testing every flat of a rank in the order the covers meet it and
+    stopping at the first rank with a nonempty flat."""
+    truncation = classical_truncation(x)
+    level = [_closure(x, ())]
+    while level:
+        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, truncation, f)]
+        if maximal:
+            supports, kernels = zip(*maximal)
+            return StabilizerReport(kernels[0].rank, supports, kernels)
+        level = _covers(x, level)
+    return StabilizerReport(0, (), ())
 
 
 # -- Kirwan chart exclusion by saturation ------------------------------------

@@ -450,6 +450,25 @@ def test_a_leaf_without_the_dagger_condition_has_no_e_ranks(tmp_path, capsys):
     assert record["leaf_report"] == {"vdim": 0, "e_ranks": None, "quasi_smooth": False}
 
 
+def test_a_scene_with_no_point_says_so_when_a_command_needs_a_witness(tmp_path, capsys):
+    # x*y = 1 and x*y = 0 meet nowhere, so no stratum survives, finite or not
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "torus_rank": 1,
+        "variables": [{"name": "x", "weight": [1]}, {"name": "y", "weight": [-1]}],
+        "gens1": [
+            {"name": "u", "weight": [0], "differential": "x*y - 1"},
+            {"name": "w", "weight": [0], "differential": "x*y"},
+        ],
+        "gens2": [],
+    }))
+    for command in ("fixed-locus", "rees", "blowup", "kirwan"):
+        assert run(capsys, command, "--scene", str(scene)) == (
+            1, "", "error: the presentation has no point outside its removed locus\n"
+        ), command
+    assert run(capsys, "reduce", "--scene", str(scene)) == (0, "root max_dim 0, 0 leaves\nchecks: ok\n", "")
+
+
 def test_reduce_summary(capsys):
     code, out, _ = run(capsys, "reduce", "--scene", f"{SCENES}/a2-hyperbolic.json")
     assert code == 0

@@ -1,6 +1,6 @@
-"""The walk over the flat lattice against the rank-closure oracle on random
-presentations of torus rank 1 to 4, with repeated and zero weights and
-monomial exclusions."""
+"""The walk over the flat lattice against the rank-closure oracle and the
+walk over every flat on random presentations of torus rank 1 to 4, with
+repeated and zero weights, monomial exclusions and unit relations."""
 
 import pytest
 
@@ -8,8 +8,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabred import GradedCdga, GradedVariable, Generator1, Polynomial, monomial_ideal
+from stabred import GradedCdga, GradedVariable, Generator1, Polynomial, monomial_ideal, stabilizer_stratification
 
+from helpers import bottom_up_stratification
 from test_torus import _check_flats_against_closure, counted_stratification
 
 
@@ -36,10 +37,31 @@ def presentations(draw):
     return GradedCdga(rank, ring, gens1, excluded=excluded)
 
 
+@st.composite
+def unit_presentations(draw):
+    """A draw of ``presentations`` with the relation 1 added, which leaves
+    no point."""
+    x = draw(presentations())
+    unit = Generator1("u", (0,) * x.torus_rank, Polynomial.constant(x.var_names, 1))
+    return x._replace(gens1=x.gens1 + (unit,))
+
+
+mixed_presentations = st.one_of(presentations(), unit_presentations())
+
+
 @settings(max_examples=200, deadline=None)
-@given(presentations())
+@given(mixed_presentations)
 def test_the_walk_tests_each_flat_once_in_the_closure_order(x):
     report, calls, tested = counted_stratification(x)
     _check_flats_against_closure(x, report, tested)
-    assert calls["kernel"] == len(tested)
+    # one kernel per flat tested, and one per removed generator to find the
+    # flat the walk starts from, which may repeat another's or lie above
+    # the rank the walk stops at
+    assert len(tested) <= calls["kernel"] <= len(tested) + len(x.excluded.generators)
     assert calls["subtorus"] == len(report.witnesses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_presentations)
+def test_the_walk_from_the_removed_generators_equals_the_walk_over_every_flat(x):
+    assert stabilizer_stratification(x) == bottom_up_stratification(x)

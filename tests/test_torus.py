@@ -92,23 +92,24 @@ def test_stratification_respects_excluded_ideal():
         excluded=ideal_of(V, "x", "y"),
     )
     report, _, tested = counted_stratification(x)
-    # the origin is removed, so the walk goes on to the one flat of rank 1,
-    # the line, where the punctured axes have finite stabilizers
-    assert tested == [((), False), (("x", "y"), True)]
+    # the origin is removed, so a point is nonzero on x or on y, and the
+    # walk starts at the one flat either spans, the line, where the
+    # punctured axes have finite stabilizers
+    assert tested == [(("x", "y"), True)]
     assert report.max_dim == 0
     assert report.maximal_support == (("x", "y"),)
     with pytest.raises(NoPositiveDimensionalStabilizer):
         witness_subtori(report)
 
 
-def test_flats_of_one_rank_keep_their_first_seen_order():
-    # with the origin of 4-space removed, the rank-1 flats {a, b} and
-    # {c, d} are both nonempty, so both are maximal, in the order of their
-    # first spanning variable
+def test_flats_of_one_rank_come_in_the_order_of_their_variables():
+    # with the origin of 4-space removed, the walk starts at the rank-1
+    # flats {a, b} and {c, d} of the removed generators; both are nonempty,
+    # so both are maximal, in the order of their variables in the ring
     names = tuple(v.name for v in RANK2)
-    x = GradedCdga(2, RANK2, excluded=ideal_of(names, "a", "b", "c", "d"))
+    x = GradedCdga(2, RANK2, excluded=ideal_of(names, "d", "c", "b", "a"))
     report, _, tested = counted_stratification(x)
-    assert tested == [((), False), (("a", "b"), True), (("c", "d"), True)]
+    assert tested == [(("a", "b"), True), (("c", "d"), True)]
     assert report.max_dim == 1
     assert report.maximal_support == (("a", "b"), ("c", "d"))
     assert [h.vectors for h in witness_subtori(report)] == [((0, 1),), ((1, 0),)]
@@ -165,13 +166,41 @@ def counted_stratification(x):
 
 def test_the_walk_takes_one_kernel_per_flat_and_builds_only_the_witnesses():
     # only the points off every coordinate hyperplane survive, so the walk
-    # tests the origin, both lines and the plane; a scan over the pairs of
-    # variables would also take the kernel of the dependent pair (a, b)
+    # starts at the flat of a*b*c*d, the plane, and tests nothing below it
     names = tuple(v.name for v in RANK2)
     report, calls, tested = counted_stratification(GradedCdga(2, RANK2, excluded=ideal_of(names, "a*b*c*d")))
-    assert tested == [((), False), (("a", "b"), False), (("c", "d"), False), (names, True)]
+    assert tested == [(names, True)]
     assert report.max_dim == 0
-    assert calls == {"kernel": 4, "subtorus": 1}
+    assert calls == {"kernel": 1, "subtorus": 1}
+
+
+@pytest.mark.parametrize("rank, flats", [(2, 4), (3, 6), (4, 8)])
+def test_the_charts_of_the_product_of_pairs_test_one_flat_each(rank, flats):
+    # each of the 2r charts of the blow-up of the origin of
+    # p_0*q_0*...*p_{r-1}*q_{r-1} removes the zeros of one variable, whose
+    # flat is nonempty, so the walk stops at its first flat
+    ring = tuple(
+        GradedVariable(f"{name}{i}", tuple(sign * (a == i) for a in range(rank)))
+        for i in range(rank)
+        for name, sign in (("p", 1), ("q", -1))
+    )
+    x = critical(ring, "*".join(v.name for v in ring))
+    (h,) = witness_subtori(stabilizer_stratification(x))
+    charts = kirwan_charts(x, h)
+    tested = [counted_stratification(chart.cdga)[2] for chart in charts]
+    assert [len(t) for t in tested] == [1] * len(charts)
+    assert sum(map(len, tested)) == flats
+
+
+def test_a_truncation_that_is_the_unit_ideal_tests_no_flat():
+    # x*y = 1 and x*y = 0 meet nowhere, whatever the removed locus
+    ring = (GradedVariable("x", (1,)), GradedVariable("y", (-1,)))
+    gens1 = (Generator1("u", (0,), poly("x*y - 1", V)), Generator1("w", (0,), poly("x*y", V)))
+    for excluded in (None, ideal_of(V, "x"), ideal_of(V, "x*y")):
+        report, calls, tested = counted_stratification(GradedCdga(1, ring, gens1, excluded=excluded))
+        assert (report, calls, tested) == ((0, (), ()), {}, [])
+        with pytest.raises(NoPositiveDimensionalStabilizer, match="no point outside its removed locus"):
+            witness_subtori(report)
 
 
 def test_unit_excluded_kills_every_stratum():
@@ -179,8 +208,8 @@ def test_unit_excluded_kills_every_stratum():
     # removed = V(excluded), so the zero ideal removes every point
     x = GradedCdga(base.torus_rank, base.ring_vars, excluded=Ideal.zero(V))
     report, _, tested = counted_stratification(x)
-    assert not any(nonempty for _, nonempty in tested)
-    assert report.max_dim == 0
+    assert tested == []
+    assert report == (0, (), ())
 
 
 def test_many_variables_of_one_weight_have_one_flat_to_test():
@@ -337,7 +366,8 @@ def _check_flats_against_closure(y, report, tested):
     """The flats read off kernels are the closure's at every rank, in the
     same order, and the walk, whose tested flats are ``tested``, tests
     exactly the closure's flats up to the rank it stops at, or up to the
-    rank of all the weights."""
+    rank of all the weights, that hold the closure of some removed
+    generator's variables; none when the truncation is the unit ideal."""
     top = rational_rank([v.weight for v in y.ring_vars])
     closure = [_closure_flats(y, rank) for rank in range(top + 1)]
     levels = [[_closure(y, ())]]
@@ -352,7 +382,15 @@ def _check_flats_against_closure(y, report, tested):
     for support, witness in zip(report.maximal_support, report.witnesses):
         assert witness.vectors == integer_kernel([weights[n] for n in support], y.torus_rank), support
     stop = y.torus_rank - report.max_dim if report.maximal_support else top
-    assert [flat for flat, _ in tested] == [f for level in closure[: stop + 1] for f in level]
+    starts = []
+    for g in y.excluded.generators:
+        (exps,) = g.terms
+        rows = [weights[n] for n, e in zip(y.var_names, exps) if e]
+        starts.append({n for n in y.var_names if rational_rank(rows + [weights[n]]) == rational_rank(rows)})
+    expected = [f for level in closure[: stop + 1] for f in level if any(s <= set(f) for s in starts)]
+    if classical_truncation(y).is_unit():
+        expected = []
+    assert [flat for flat, _ in tested] == expected
 
 
 def _full_ring_nonempty(x, truncation, support):
