@@ -7,6 +7,20 @@ the order key of their lcm, ties broken by index, so each pair's lcm and
 key are computed once.  Output bases are reduced and monic, so for a
 fixed order they are canonical for the ideal.
 
+Three rules skip arithmetic that cannot change the basis (Cox-Little-
+O'Shea, *Ideals, Varieties, and Algorithms*, 2.7-2.9).  Each leaves the
+ideal, and so its unique reduced basis, as it is:
+
+1. A monic input equal to a monomial times another monic input is dropped
+   before any pair is formed, and of two equal inputs only the first is
+   kept: it lies in the ideal of the one kept.  The test compares term
+   maps and divides nothing.
+2. An S-polynomial that cancels to zero is not divided: its normal form
+   is zero.
+3. The final interreduction divides an element only when one of its terms
+   is divisible by another element's leading monomial: otherwise no
+   division step applies and the element is its own normal form.
+
 Order bookkeeping is done once per fact.  A polynomial's terms never
 change after construction, so ``Polynomial.leading`` keeps its answer on
 the polynomial and division and S-polynomials read their leads from it
@@ -123,14 +137,53 @@ def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
     return Polynomial._from_clean(f.variables, canonical_terms(out))
 
 
+def _monomial_multiple(f: Polynomial, fe, g: Polynomial, ge) -> bool:
+    """Whether monic ``f`` equals a monomial times monic ``g`` with as many
+    terms, given their leading monomials ``fe`` and ``ge``: each term of
+    ``g`` shifted by ``fe - ge`` is a term of ``f`` with its coefficient."""
+    if not monomial_divides(ge, fe):
+        return False
+    shift = tuple(map(sub, fe, ge))
+    terms = f.terms
+    return all(terms.get(tuple(map(add, e, shift))) == c for e, c in g.terms.items())
+
+
 def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
-    """Reduced monic Groebner basis of the ideal spanned by ``generators``."""
-    basis = [g.monic(order) for g in generators if not g.is_zero()]
-    if not basis:
+    """Reduced monic Groebner basis of the ideal spanned by ``generators``.
+
+    Three exact rules skip work: an input that is a monomial multiple of
+    another input, or a repeat of an earlier one, is dropped, since the one
+    kept generates it; an S-polynomial that cancels to zero is not divided,
+    since its normal form is zero; and the interreduction divides only an
+    element with a term that another element's leading monomial divides,
+    since any other element is its own normal form.
+    """
+    monic = [g.monic(order) for g in generators if not g.is_zero()]
+    if not monic:
         return ()
-    variables = basis[0].variables
+    variables = monic[0].variables
+    for g in monic:
+        if g.variables != variables:
+            raise ValueError(f"variable mismatch: {variables} vs {g.variables}")
     keyf = order.key(variables)
-    lead = [g.leading(order)[0] for g in basis]
+    leads = [g.leading(order)[0] for g in monic]
+    # a multiple is dropped whatever its position, an equal copy unless it
+    # comes first; every dropped input is a multiple of one that is kept
+    basis = []
+    lead = []
+    for j, g in enumerate(monic):
+        size = len(g.terms)
+        for i, h in enumerate(monic):
+            if (
+                i != j
+                and len(h.terms) == size
+                and (i < j or leads[i] != leads[j])
+                and _monomial_multiple(g, leads[j], h, leads[i])
+            ):
+                break
+        else:
+            basis.append(g)
+            lead.append(leads[j])
 
     # leading monomials never change, so the key computed when a pair is
     # formed stays valid; ``pairs`` holds the pairs still in the heap
@@ -165,7 +218,10 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
                 break
         if redundant:
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        spoly = s_polynomial(basis[i], basis[j], order)
+        if spoly.is_zero():
+            continue
+        remainder = normal_form(spoly, basis, order)
         if remainder.is_zero():
             continue
         remainder = remainder.monic(order)
@@ -188,12 +244,15 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
         if not dominated:
             keep.append(g)
 
-    # interreduce to the unique reduced basis
+    # interreduce to the unique reduced basis; no kept lead divides another,
+    # and no lead divides a lower term of its own element, so only a term
+    # that some kept lead divides is one that division would reduce
+    kept_leads = [g.leading(order)[0] for g in keep]
     reduced = []
     for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
+        li = kept_leads[i]
+        if any(exps != li and any(monomial_divides(l, exps) for l in kept_leads) for exps in g.terms):
+            g = normal_form(g, keep[:i] + keep[i + 1 :], order).monic(order)
+        reduced.append(g)
     reduced.sort(key=lambda g: keyf(g.leading(order)[0]), reverse=True)
     return tuple(reduced)

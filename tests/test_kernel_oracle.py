@@ -228,6 +228,29 @@ def test_buchberger_against_sympy():
             assert mine == sympy_reduced_basis(sympy, gens, variables, order)
 
 
+def test_buchberger_with_multiples_against_sympy():
+    # inputs that repeat a generator or multiply one by a monomial, which
+    # ``buchberger`` drops before forming pairs, in any position
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(71)
+    for _ in range(25):
+        variables = ("x", "y", "z")[: rng.randint(2, 3)]
+        size = rng.randint(1, 3)
+        gens = []
+        while len(gens) < size:
+            g = random_poly(rng, variables, max_degree=2, max_terms=3)
+            if not g.is_zero():
+                gens.append(g)
+        padded = list(gens)
+        for _ in range(rng.randint(1, 3)):
+            shift = tuple(rng.randint(0, 1) for _ in variables)
+            multiple = rng.choice(gens) * Polynomial.monomial(variables, shift, rng.choice((1, -2, 3)))
+            padded.insert(rng.randint(0, len(padded)), multiple)
+        for order in (GREVLEX, LEX):
+            mine = basis_terms(buchberger(tuple(padded), order))
+            assert mine == sympy_reduced_basis(sympy, padded, variables, order), (padded, order)
+
+
 def test_eliminate_against_sympy():
     sympy = pytest.importorskip("sympy")
     variables = ("x", "y", "z")
