@@ -8,7 +8,9 @@ descends into it, and an edge that fails to lower it is refused.  So no
 path is longer than the root's ``max_dim``, which is at most the torus
 rank, and the recursion ends by construction.  A chart with no point
 outside its removed locus adds nothing to the quotient and is dropped; a
-node with finite stabilizers and a point gets an obstruction report.
+node with finite stabilizers and a point is a reported leaf.  Every chart
+is birational onto its parent, so every reported leaf has the root's
+obstruction report, and the documents compute it once per tree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .cdga import GradedCdga, SubtorusBasis, require_valid
 from .errors import DaggerViolation, InternalError, NoCenter, StrictDecreaseViolation
 from .groebner import exact_divide
 from .poly import Polynomial
-from .torus import StabilizerReport, stabilizer_stratification, witness_subtori
+from .torus import StabilizerReport, stabilizer_stratification
 
 
 class ObstructionReport(NamedTuple):
@@ -71,6 +73,25 @@ def obstruction_report(x: GradedCdga) -> ObstructionReport:
     They are only meaningful when the degree-2 data vanishes on fixed loci
     (``torus_dagger``), so ``e_ranks`` is None otherwise.  The reduction
     reports only its leaves with a point, whose stabilizers are finite.
+
+    A Kirwan chart has the report of its parent, so every reported leaf
+    has the root's, and the documents ask for it once, at the root:
+
+    - Same counts.  A chart keeps n ring variables (xi, the u_m, the fixed
+      variables), the same generators in each degree and the same torus
+      rank, so ``vdim`` and ``quasi_smooth`` are the same.
+    - Same rank of delta2.  The chart's delta2 is phi*(delta2) with its rows
+      and columns scaled by powers of xi.  phi* is injective, since it is
+      injective on monomials, so every minor stays zero or nonzero and the
+      generic rank is the same.
+    - The dagger is kept both ways.  True to True is the ``InternalError``
+      check of ``_reduce``.  For False to False, take a degree-2 generator
+      g that breaks it: its weight is nonzero, and one of its coefficients
+      has a monomial mu in weight-0 variables.  ``dagger_check(x, h)`` for
+      the witness h forces g to be h-fixed, and so is that coefficient's
+      target, whose weight is g's.  So the coefficient's xi shift is 0 and
+      mu pulls back to itself in the chart, where g keeps its nonzero
+      weight: the chart breaks the dagger too.
     """
     e_ranks = None
     if x.torus_dagger:
@@ -87,7 +108,6 @@ class ReductionNode(NamedTuple):
     cdga: GradedCdga
     stabilizer: StabilizerReport
     children: tuple[tuple[Chart, "ReductionNode"], ...]
-    leaf_report: ObstructionReport | None
 
 
 def stabilizer_reduce(x: GradedCdga) -> ReductionNode:
@@ -108,13 +128,11 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
     truncation that is the unit ideal tests none), so it is checked and
     then dropped."""
     if report.max_dim == 0:
-        leaf = obstruction_report(x) if report.maximal_support else None
-        return ReductionNode(node_id, x, report, (), leaf)
+        return ReductionNode(node_id, x, report, ())
 
-    subtori = witness_subtori(report)
-    multi = len(subtori) > 1
+    multi = len(report.witnesses) > 1
     children = []
-    for i, h in enumerate(subtori):
+    for i, h in enumerate(report.witnesses):
         witness = f"witness subtorus {[list(v) for v in h.vectors]}"
         flat = list(report.maximal_support[i])
         try:
@@ -148,7 +166,7 @@ def _reduce(x: GradedCdga, node_id: str, depth: int, report: StabilizerReport) -
                 )
             if child_report.maximal_support:
                 children.append((chart, _reduce(chart.cdga, child_id, depth + 1, child_report)))
-    return ReductionNode(node_id, x, report, tuple(children), None)
+    return ReductionNode(node_id, x, report, tuple(children))
 
 
 def _where(h: SubtorusBasis, report: StabilizerReport, chart: Chart) -> str:
@@ -161,7 +179,7 @@ def _where(h: SubtorusBasis, report: StabilizerReport, chart: Chart) -> str:
 
 def iter_leaves(node: ReductionNode):
     """The reported leaves: nodes with a point and finite stabilizers, in preorder."""
-    if node.leaf_report is not None:
+    if node.stabilizer.max_dim == 0 and node.stabilizer.maximal_support:
         yield node
     for _, child in node.children:
         yield from iter_leaves(child)

@@ -17,7 +17,7 @@ from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
 from .ideal import Ideal
 from .poly import GREVLEX, MonomialOrder
-from .reduce import ObstructionReport, ReductionNode, iter_leaves
+from .reduce import ObstructionReport, ReductionNode, iter_leaves, obstruction_report
 from .scene import presentation_document, variable_document
 from .torus import StabilizerReport
 
@@ -191,11 +191,16 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
     entry holds the chart map that leads to the child, whose own record
     holds the chart's presentation.
 
+    Every reported leaf's ``leaf_report`` is the root's obstruction report,
+    computed once (see ``obstruction_report``); other records hold null.
+
     The invariant checks take the validation report of each node's own
     presentation, recompute the classical cross-check along every edge,
     and the strict decrease of stabilizer dimension; they are emitted with
     the document so a regression is visible in the output itself.
     """
+    leaves = {node.id for node in iter_leaves(root)}
+    shared = obstruction_report(root.cdga) if leaves else None
     nodes = []
     checks = {"validation": True, "crosscheck": True, "strict_decrease": True}
 
@@ -212,7 +217,7 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
                 {"node": child.id, "chart": chart_document(chart, order)}
                 for chart, child in node.children
             ],
-            "leaf_report": obstruction_document(node.leaf_report) if node.leaf_report else None,
+            "leaf_report": obstruction_document(shared) if node.id in leaves else None,
         }
         nodes.append(record)
         for chart, child in node.children:
@@ -225,15 +230,14 @@ def reduction_document(root: ReductionNode, order: MonomialOrder = GREVLEX) -> d
         "nodes": nodes,
         "invariant_checks": checks,
         "summary": {
-            "leaf_count": sum(record["leaf_report"] is not None for record in nodes),
+            "leaf_count": len(leaves),
             "root_max_dim": root.stabilizer.max_dim,
         },
     }
 
 
 def leaves_document(root: ReductionNode) -> dict:
-    return {
-        "leaves": [
-            {"id": node.id, **obstruction_document(node.leaf_report)} for node in iter_leaves(root)
-        ]
-    }
+    """One record per reported leaf, each with the root's obstruction report."""
+    leaves = list(iter_leaves(root))
+    shared = obstruction_document(obstruction_report(root.cdga)) if leaves else None
+    return {"leaves": [{"id": node.id, **shared} for node in leaves]}

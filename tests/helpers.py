@@ -16,6 +16,7 @@ from stabred import (
     Generator2,
     Ideal,
     NotDivisible,
+    ObstructionReport,
     StabilizerReport,
     SubtorusBasis,
     classical_truncation,
@@ -34,6 +35,7 @@ from stabred.cdga import is_fixed_weight, pairing, weight_split
 from stabred.groebner import divide
 from stabred.intlinalg import integer_kernel
 from stabred.poly import GREVLEX, ElimOrder, Polynomial
+from stabred.report import leaves_document
 from stabred.torus import _closure, _covers, _support_nonempty
 
 CORPUS_SEED = 20260815
@@ -65,6 +67,19 @@ def refuse_buchberger(monkeypatch):
         raise AssertionError(f"buchberger called on {strings(generators)}")
 
     monkeypatch.setattr(stabred.ideal, "buchberger", refused)
+
+
+def leaf_reports(tree):
+    """The obstruction report of each reported leaf of ``tree``, by id, as
+    ``leaves_document`` gives it to the ``report`` command."""
+    return {
+        record["id"]: ObstructionReport(
+            record["vdim"],
+            None if record["e_ranks"] is None else tuple(record["e_ranks"]),
+            record["quasi_smooth"],
+        )
+        for record in leaves_document(tree)["leaves"]
+    }
 
 
 def is_canonical(c):

@@ -39,6 +39,7 @@ from helpers import (
     chart_truncation_via_lambda,
     ideal_of,
     lambda_matrix,
+    leaf_reports,
     monomials_up_to,
     oracle_member,
     poly,
@@ -126,11 +127,12 @@ def test_criterion_5_darboux_leaf_reports():
     elapsed = time.perf_counter() - start
     leaves = list(iter_leaves(tree))
     assert leaves
+    reports = leaf_reports(tree)
     for leaf in leaves:
         assert leaf.stabilizer.max_dim == 0
         assert leaf.cdga.torus_dagger
-        assert leaf.leaf_report.vdim == 0
-        assert leaf.leaf_report.e_ranks == (1, 1)
+        assert reports[leaf.id].vdim == 0
+        assert reports[leaf.id].e_ranks == (1, 1)
     assert elapsed < 2.0
 
 

@@ -12,7 +12,9 @@ from stabred import (
     Ideal,
     InternalError,
     InvalidPresentation,
+    ObstructionReport,
     StrictDecreaseViolation,
+    dagger_check,
     iter_leaves,
     kirwan_charts,
     load_scene,
@@ -36,6 +38,7 @@ from helpers import (
     build_corpus,
     evaluate,
     is_canonical,
+    leaf_reports,
     poly,
     rank2_tree_scene_file,
     rational_rank,
@@ -43,25 +46,27 @@ from helpers import (
     strings,
 )
 from test_blowup import synthetic_pair_scene
-from test_torus import RANK2, SKEW, STEEP, _reduction_nodes, critical
+from test_torus import RANK2, SKEW, STEEP, _every_chart, _reduction_nodes, critical
 
 V = ("x", "y")
 
 
 def test_hyperbolic_plane_tree():
     tree = stabilizer_reduce(load_scene("scenes/a2-hyperbolic.json"))
+    assert tree._fields == ("id", "cdga", "stabilizer", "children")  # no report: it is the scene's
     assert tree.id == "root"
     assert tree.stabilizer.max_dim == 1
     assert tree_depth(tree) == 1
     assert [node.id for _, node in tree.children] == ["root/x", "root/y"]
     leaves = list(iter_leaves(tree))
     assert len(leaves) == 2
+    reports = leaf_reports(tree)
     for chart, node in tree.children:
         assert node.stabilizer.max_dim == 0
         assert node.cdga.torus_dagger
-        assert node.leaf_report.quasi_smooth
-        assert node.leaf_report.vdim == 1
-        assert node.leaf_report.e_ranks == (1, 0)
+        assert reports[node.id].quasi_smooth
+        assert reports[node.id].vdim == 1
+        assert reports[node.id].e_ranks == (1, 0)
     assert strings(tree.children[0][1].cdga.excluded.generators) == ("u_y",)
     assert strings(tree.children[1][1].cdga.excluded.generators) == ("u_x",)
 
@@ -70,8 +75,9 @@ def test_darboux_tree():
     tree = stabilizer_reduce(load_scene("scenes/darboux-x2y2.json"))
     leaves = list(iter_leaves(tree))
     assert len(leaves) == 2 and tree_depth(tree) == 1
+    reports = leaf_reports(tree)
     for node in leaves:
-        report = node.leaf_report
+        report = reports[node.id]
         assert node.cdga.torus_dagger
         assert report.vdim == 0
         assert report.e_ranks == (1, 1)
@@ -83,10 +89,11 @@ def test_xy_scene_tree():
     tree = stabilizer_reduce(load_scene("scenes/xy.json"))
     leaves = list(iter_leaves(tree))
     assert [n.id for n in leaves] == ["root/x", "root/y"]
+    reports = leaf_reports(tree)
     for node in leaves:
-        assert node.leaf_report.vdim == 0
-        assert node.leaf_report.e_ranks == (1, 1)
-        assert node.leaf_report.quasi_smooth
+        assert reports[node.id].vdim == 0
+        assert reports[node.id].e_ranks == (1, 1)
+        assert reports[node.id].quasi_smooth
 
 
 def test_charts_that_remove_every_point_leave_the_tree():
@@ -96,7 +103,7 @@ def test_charts_that_remove_every_point_leave_the_tree():
     tree = stabilizer_reduce(x)
     assert tree.stabilizer.max_dim == 1
     assert tree.children == ()
-    assert tree.leaf_report is None
+    assert leaf_reports(tree) == {}
     assert list(iter_leaves(tree)) == []
     (h,) = witness_subtori(tree.stabilizer)
     charts = kirwan_charts(x, h)
@@ -110,18 +117,19 @@ def test_synthetic_pair_tree_keeps_derived_structure():
     tree = stabilizer_reduce(synthetic_pair_scene())
     leaves = list(iter_leaves(tree))
     assert len(leaves) == 2
+    reports = leaf_reports(tree)
     for node in leaves:
         assert len(node.cdga.gens2) == 1
         assert node.cdga.torus_dagger
-        assert node.leaf_report.vdim == 0
-        assert node.leaf_report.e_ranks == (1, 1)
+        assert reports[node.id].vdim == 0
+        assert reports[node.id].e_ranks == (1, 1)
 
 
 def test_rank_zero_torus_is_a_single_leaf():
     x = GradedCdga(0, (GradedVariable("x", ()),), (Generator1("w", (), poly("x^2", ("x",))),))
     tree = stabilizer_reduce(x)
     assert tree.children == ()
-    assert tree.leaf_report is not None
+    assert list(leaf_reports(tree)) == ["root"]
     assert tree.stabilizer.max_dim == 0
 
 
@@ -149,25 +157,29 @@ def test_critical_locus_leaves_are_minus_one_shifted_symplectic(variables, text,
     # a derived critical locus is (-1)-shifted symplectic: its two-term
     # complex is self-dual, so every reduced chart has vdim 0 and ranks (k, k);
     # only charts with a point are reported, so the count is pinned too
-    reported = list(iter_leaves(stabilizer_reduce(critical(variables, text))))
-    assert len(reported) == leaves
-    for node in reported:
-        assert node.leaf_report.vdim == 0, node.id
-        assert node.leaf_report.e_ranks == (k, k), node.id
+    reports = leaf_reports(stabilizer_reduce(critical(variables, text)))
+    assert len(reports) == leaves
+    for leaf_id, report in reports.items():
+        assert report.vdim == 0, leaf_id
+        assert report.e_ranks == (k, k), leaf_id
 
 
 def test_a_node_is_reported_exactly_when_it_is_a_leaf_with_a_point(tmp_path):
     scenes = [load_scene(scene_file(s, tmp_path)) for s in SHIPPED_SCENES + tuple(RANK2_TREES)]
-    nodes = [node for x in scenes + list(build_corpus()) for node in _reduction_nodes(stabilizer_reduce(x))]
-    for node in nodes:
+    nodes = []
+    for x in scenes + list(build_corpus()):
+        tree = stabilizer_reduce(x)
+        reported = leaf_reports(tree).keys()
+        nodes.extend((node, node.id in reported) for node in _reduction_nodes(tree))
+    for node, is_reported in nodes:
         leaf = node.stabilizer.max_dim == 0 and bool(node.stabilizer.maximal_support)
-        assert (node.leaf_report is not None) == leaf, node.id
+        assert is_reported == leaf, node.id
         assert not node.children or node.stabilizer.max_dim > 0, node.id
         # a chart with no point leaves the tree, so only a root can lack one
         assert node.id == "root" or node.stabilizer.maximal_support, node.id
     # both kinds of childless node occur: reported leaves, and nodes whose
     # charts all lack a point
-    assert {node.stabilizer.max_dim > 0 for node in nodes if not node.children} == {True, False}
+    assert {node.stabilizer.max_dim > 0 for node, _ in nodes if not node.children} == {True, False}
 
 
 def test_strict_decrease_along_edges():
@@ -185,8 +197,8 @@ def test_quasi_smooth_scenes_stay_quasi_smooth():
     for path in ("scenes/a2-hyperbolic.json", "scenes/xy.json", "scenes/a2-positive.json"):
         scene = load_scene(path)
         assert obstruction_report(scene).quasi_smooth
-        for node in iter_leaves(stabilizer_reduce(scene)):
-            assert node.leaf_report.quasi_smooth
+        for report in leaf_reports(stabilizer_reduce(scene)).values():
+            assert report.quasi_smooth
 
 
 def test_a_chart_that_keeps_max_dim_is_refused_before_descending(monkeypatch):
@@ -263,6 +275,74 @@ def test_obstruction_report_without_dagger_omits_ranks():
     assert report.vdim == 0
 
 
+# The full-torus dagger fails at the root: g, of weight (0, 1), has the
+# constant coefficient 1 on t1.  The witness (1, 0) fixes q, s, t0, t1 and g,
+# so its own dagger check passes and the root is blown up at x and at y.
+OPEN_CASE = {
+    "torus_rank": 2,
+    "variables": [
+        {"name": "x", "weight": [1, 0]},
+        {"name": "y", "weight": [-1, 0]},
+        {"name": "q", "weight": [0, 1]},
+        {"name": "s", "weight": [0, -1]},
+    ],
+    "gens1": [
+        {"name": "t0", "weight": [0, 0], "differential": "q*s - 1"},
+        {"name": "t1", "weight": [0, 1], "differential": "q^2*s - q"},
+    ],
+    "gens2": [{"name": "g", "weight": [0, 1], "differential": {"t0": "-q", "t1": "1"}}],
+}
+
+
+def test_a_chart_keeps_the_failed_dagger_of_a_root_whose_witness_passes(tmp_path, capsys):
+    # the constant coefficient of g lies in weight-0 variables and has xi
+    # shift 0, so every chart keeps it and fails the dagger too: the leaves
+    # have the root's report, with no e_ranks
+    x = parse_scene(OPEN_CASE)
+    tree = stabilizer_reduce(x)
+    (h,) = tree.stabilizer.witnesses
+    assert not x.torus_dagger
+    assert h.vectors == ((1, 0),) and dagger_check(x, h)
+    charts = [chart for _, chart in _every_chart(tree)]
+    assert [chart.name for chart in charts] == ["chart_x", "chart_y"]
+    assert not any(chart.cdga.torus_dagger for chart in charts)
+    expected = ObstructionReport(vdim=1, e_ranks=None, quasi_smooth=False)
+    assert obstruction_report(x) == expected
+    assert leaf_reports(tree) == {"root/x": expected, "root/y": expected}
+    for leaf in iter_leaves(tree):
+        assert obstruction_report(leaf.cdga) == expected
+
+    path = tmp_path / "open-case.json"
+    path.write_text(json.dumps(OPEN_CASE), encoding="utf-8")
+    assert main(["report", "--scene", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "root/x: vdim 1, e_ranks -, quasi_smooth False\n"
+        "root/y: vdim 1, e_ranks -, quasi_smooth False\n"
+    )
+
+
+def test_every_leaf_has_the_report_of_its_root(tmp_path):
+    # the per-leaf computation the documents no longer make, as an oracle:
+    # every chart is birational onto its parent, so each reported leaf's own
+    # report is the root's, and the generic rank of delta2 is kept along
+    # every edge whose parent has the dagger
+    scenes = [load_scene(scene_file(s, tmp_path)) for s in SHIPPED_SCENES + tuple(RANK2_TREES)]
+    leaves = edges = 0
+    for x in scenes + list(build_corpus()) + [parse_scene(OPEN_CASE)]:
+        tree = stabilizer_reduce(x)
+        root = obstruction_report(x)
+        for leaf in iter_leaves(tree):
+            assert obstruction_report(leaf.cdga) == root, leaf.id
+            leaves += 1
+        for node in _reduction_nodes(tree):
+            if node.cdga.torus_dagger and node.children:
+                rank = _delta2_generic_rank(node.cdga)
+                for _, child in node.children:
+                    assert _delta2_generic_rank(child.cdga) == rank, child.id
+                    edges += 1
+    assert (leaves, edges) == (114, 116)
+
+
 def test_a_root_that_removes_every_point_is_empty():
     base = load_scene("scenes/a2-hyperbolic.json")
     # the zero ideal removes every point: no flat is nonempty, so the root
@@ -271,7 +351,7 @@ def test_a_root_that_removes_every_point_is_empty():
     assert tree.stabilizer.max_dim == 0
     assert tree.stabilizer.maximal_support == ()
     assert tree.children == ()
-    assert tree.leaf_report is None
+    assert leaf_reports(tree) == {}
 
 
 def test_generic_rank_is_exact_where_every_small_integer_point_is_special():
@@ -447,8 +527,7 @@ def test_a_trivial_pair_leaves_the_leaves_and_shifts_e_ranks_by_one(scene, weigh
 
     def reduced(x):
         tree = stabilizer_reduce(x)
-        leaves = {leaf.id: leaf.leaf_report for leaf in iter_leaves(tree)}
-        return [node.id for node in _reduction_nodes(tree)], leaves
+        return [node.id for node in _reduction_nodes(tree)], leaf_reports(tree)
 
     (ids, before), (padded_ids, after) = reduced(base), reduced(padded)
     assert padded_ids == ids
