@@ -1,134 +1,44 @@
 """Symbolic stabilizer reduction for affine schemes with diagonal torus
-actions, presented as weight-graded differential algebras."""
+actions, presented as weight-graded differential algebras.
 
-from .blowup import (
-    Chart,
-    ReesPresentation,
-    ReesRelation,
-    ReesVariable,
-    blowup_charts,
-    crosscheck_truncation,
-    kirwan_charts,
-    rees_presentation,
-)
-from .cdga import (
-    GradedCdga,
-    GradedVariable,
-    Generator1,
-    Generator2,
-    SubtorusBasis,
-    ValidationReport,
-    Violation,
-    classical_truncation,
-    dagger_check,
-    fixed_locus,
-    from_invariant_function,
-    validate_presentation,
-    weight_split,
-)
-from .errors import (
-    DaggerViolation,
-    DomainError,
-    InternalError,
-    InvalidPresentation,
-    NoCenter,
-    NoPositiveDimensionalStabilizer,
-    NotDivisible,
-    ParseError,
-    SchemaError,
-    StabredError,
-    StrictDecreaseViolation,
-    UnknownVariable,
-)
-from .groebner import exact_divide
-from .ideal import (
-    Ideal,
-    eliminate,
-    ideal_equal,
-    intersect,
-    monomial_ideal,
-    monomial_intersection,
-    saturate,
-)
-from .parsing import parse_polynomial
-from .poly import GREVLEX, LEX, ORDERS, ElimOrder, MonomialOrder, Polynomial
-from .reduce import (
-    ObstructionReport,
-    ReductionNode,
-    iter_leaves,
-    obstruction_report,
-    stabilizer_reduce,
-    tree_depth,
-)
-from .report import TOOL_VERSION as __version__
-from .scene import load_scene, parse_scene, serialize_scene
-from .torus import (
-    StabilizerReport,
-    saturation_ideal,
-    stabilizer_stratification,
-    witness_subtori,
-)
+Each exported name is read from its home module, which is imported the
+first time one of its names is asked for (PEP 562), so a process that only
+builds scenes never loads the reduction pipeline.  The name is not kept
+here, so a patched home binding shows through the package too.
+"""
 
-__all__ = [
-    "Chart",
-    "DaggerViolation",
-    "DomainError",
-    "ElimOrder",
-    "GREVLEX",
-    "GradedCdga",
-    "GradedVariable",
-    "Generator1",
-    "Generator2",
-    "Ideal",
-    "InternalError",
-    "InvalidPresentation",
-    "LEX",
-    "MonomialOrder",
-    "NoCenter",
-    "NoPositiveDimensionalStabilizer",
-    "NotDivisible",
-    "ORDERS",
-    "ObstructionReport",
-    "ParseError",
-    "Polynomial",
-    "ReductionNode",
-    "ReesPresentation",
-    "ReesRelation",
-    "ReesVariable",
-    "SchemaError",
-    "StabilizerReport",
-    "StabredError",
-    "StrictDecreaseViolation",
-    "SubtorusBasis",
-    "UnknownVariable",
-    "ValidationReport",
-    "Violation",
-    "blowup_charts",
-    "classical_truncation",
-    "crosscheck_truncation",
-    "dagger_check",
-    "eliminate",
-    "exact_divide",
-    "fixed_locus",
-    "from_invariant_function",
-    "ideal_equal",
-    "intersect",
-    "iter_leaves",
-    "kirwan_charts",
-    "load_scene",
-    "monomial_ideal",
-    "monomial_intersection",
-    "obstruction_report",
-    "parse_polynomial",
-    "parse_scene",
-    "rees_presentation",
-    "saturate",
-    "saturation_ideal",
-    "serialize_scene",
-    "stabilizer_reduce",
-    "stabilizer_stratification",
-    "tree_depth",
-    "validate_presentation",
-    "weight_split",
-    "witness_subtori",
-]
+import sys
+
+__version__ = "0.1.0"
+
+_EXPORTS = {
+    "blowup": "Chart ReesPresentation ReesRelation ReesVariable blowup_charts crosscheck_truncation "
+    "kirwan_charts rees_presentation",
+    "cdga": "GradedCdga GradedVariable Generator1 Generator2 SubtorusBasis ValidationReport Violation "
+    "classical_truncation dagger_check fixed_locus from_invariant_function validate_presentation weight_split",
+    "errors": "DaggerViolation DomainError InternalError InvalidPresentation NoCenter "
+    "NoPositiveDimensionalStabilizer NotDivisible ParseError SchemaError StabredError "
+    "StrictDecreaseViolation UnknownVariable",
+    "groebner": "exact_divide",
+    "ideal": "Ideal eliminate ideal_equal intersect monomial_ideal monomial_intersection saturate",
+    "parsing": "parse_polynomial",
+    "poly": "GREVLEX LEX ORDERS ElimOrder MonomialOrder Polynomial",
+    "reduce": "ObstructionReport ReductionNode iter_leaves obstruction_report stabilizer_reduce tree_depth",
+    "scene": "load_scene parse_scene serialize_scene",
+    "torus": "StabilizerReport saturation_ideal stabilizer_stratification witness_subtori",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``__import__``, not ``importlib.import_module``, so that ``-X importtime`` lists the module
+    home = f"{__name__}.{_HOME[name]}"
+    __import__(home)
+    return getattr(sys.modules[home], name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

@@ -7,7 +7,7 @@ the order key of their lcm, ties broken by index, so each pair's lcm and
 key are computed once.  Output bases are reduced and monic, so for a
 fixed order they are canonical for the ideal.
 
-Three rules skip arithmetic that cannot change the basis (Cox-Little-
+Four rules skip arithmetic that cannot change the basis (Cox-Little-
 O'Shea, *Ideals, Varieties, and Algorithms*, 2.7-2.9).  Each leaves the
 ideal, and so its unique reduced basis, as it is:
 
@@ -20,6 +20,10 @@ ideal, and so its unique reduced basis, as it is:
 3. The final interreduction divides an element only when one of its terms
    is divisible by another element's leading monomial: otherwise no
    division step applies and the element is its own normal form.
+4. A pair of two monic monomials forms no S-polynomial: both shift to
+   their lcm with coefficient 1, so it is zero.  The pair leaves the
+   pending set as any other does, so the chain criterion sees the same
+   pairs.
 
 Order bookkeeping is done once per fact.  A polynomial's terms never
 change after construction, so ``Polynomial.leading`` keeps its answer on
@@ -151,12 +155,13 @@ def _monomial_multiple(f: Polynomial, fe, g: Polynomial, ge) -> bool:
 def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis of the ideal spanned by ``generators``.
 
-    Three exact rules skip work: an input that is a monomial multiple of
+    Four exact rules skip work: an input that is a monomial multiple of
     another input, or a repeat of an earlier one, is dropped, since the one
     kept generates it; an S-polynomial that cancels to zero is not divided,
-    since its normal form is zero; and the interreduction divides only an
+    since its normal form is zero; the interreduction divides only an
     element with a term that another element's leading monomial divides,
-    since any other element is its own normal form.
+    since any other element is its own normal form; and a pair of two
+    monomials forms no S-polynomial, since it would be zero.
     """
     monic = [g.monic(order) for g in generators if not g.is_zero()]
     if not monic:
@@ -202,8 +207,8 @@ def buchberger(generators, order=GREVLEX) -> tuple[Polynomial, ...]:
     while queue:
         _, (i, j), lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        # coprime leading terms reduce to zero
-        if tuple(map(add, lead[i], lead[j])) == lcm:
+        # coprime leading terms reduce to zero, and two monomials cancel
+        if tuple(map(add, lead[i], lead[j])) == lcm or len(basis[i].terms) == len(basis[j].terms) == 1:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # i and j were both already handled makes this pair redundant

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import __version__
 from .blowup import Chart, ReesPresentation, crosscheck_truncation
 from .cdga import GradedCdga, ValidationReport, classical_truncation, validate_presentation
 from .ideal import Ideal
@@ -20,8 +21,6 @@ from .poly import GREVLEX, MonomialOrder
 from .reduce import ObstructionReport, ReductionNode, iter_leaves, obstruction_report
 from .scene import presentation_document, variable_document
 from .torus import StabilizerReport
-
-TOOL_VERSION = "0.1.0"
 
 
 def input_digest(raw: bytes) -> str:
@@ -86,7 +85,7 @@ def _write(value, newline: str, pieces: list[str]) -> None:
 
 def document(command: str, digest: str, data: dict) -> dict:
     return {
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "input_digest": digest,
         "data": data,

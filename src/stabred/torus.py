@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .cdga import GradedCdga, SubtorusBasis, classical_truncation, pairing, weight_split
 from .errors import NoPositiveDimensionalStabilizer
 from .ideal import Ideal, _monomial_ideal, saturate
-from .intlinalg import integer_kernel
+from .intlinalg import hermite_rows, integer_kernel
 
 
 class StabilizerReport(NamedTuple):
@@ -97,7 +97,9 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     maximal strata.  A point outside the removed locus is nonzero on every
     variable of some excluded generator, all monomials, so only the flats
     holding the flat of some generator's variables can be nonempty: the
-    walk starts at those flats and goes up through their covers.  Within a
+    walk starts at those flats and goes up through their covers.  A start
+    is closed, which takes one integer kernel, only when the walk reaches
+    its stabilizer dimension, read off the rank of its weights.  Within a
     rank the flats are tested in the order of their variables in the ring.
     A presentation whose truncation is the unit ideal has no point, and one
     whose excluded ideal is zero has every point removed: neither tests a
@@ -107,14 +109,20 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     if x.excluded.generators and truncation.is_unit():
         return StabilizerReport(0, (), ())
     position = {v: i for i, v in enumerate(x.var_names)}
+    # the supports of the removed generators, each once, by the stabilizer
+    # dimension of their flats
     starts = {}
     for g in x.excluded.generators:
         (exps,) = g.terms
-        start = _closure(x, tuple(v for v, e in zip(x.var_names, exps) if e))
-        starts.setdefault(start[0], start)
+        basis = tuple(v for v, e in zip(x.var_names, exps) if e)
+        dim = x.torus_rank - len(hermite_rows([x.weight_of(n) for n in basis]))
+        starts.setdefault(dim, {})[basis] = None
     level = []
     for dim in range(x.torus_rank, -1, -1):
-        candidates = {flat: t for flat, t in starts.items() if len(t[2]) == dim}
+        candidates = {}
+        for basis in starts.get(dim, ()):
+            t = _closure(x, basis)
+            candidates.setdefault(t[0], t)
         for t in _covers(x, level):
             candidates.setdefault(t[0], t)
         level = sorted(candidates.values(), key=lambda t: [position[v] for v in t[0]])

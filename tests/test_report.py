@@ -3,11 +3,10 @@ import json
 import re
 from pathlib import Path
 
-from stabred import Ideal, ideal, load_scene, stabilizer_reduce, validate_presentation
+from stabred import Ideal, __version__, ideal, load_scene, stabilizer_reduce, validate_presentation
 from stabred.groebner import buchberger
 from stabred.poly import LEX
 from stabred.report import (
-    TOOL_VERSION,
     canonical_json,
     cdga_document,
     document,
@@ -27,7 +26,7 @@ def test_pyproject_version_is_the_tool_version():
     text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
-    assert version == TOOL_VERSION
+    assert version == __version__
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -44,7 +43,7 @@ def test_input_digest_is_sha256_of_bytes():
 
 def test_document_wrapper():
     doc = document("pi0", "f" * 64, {"generators": []})
-    assert doc["version"] == TOOL_VERSION
+    assert doc["version"] == __version__
     assert doc["command"] == "pi0"
     assert doc["input_digest"] == "f" * 64
     assert doc["data"] == {"generators": []}

@@ -178,7 +178,10 @@ def test_the_walk_takes_one_kernel_per_flat_and_builds_only_the_witnesses():
 def test_the_charts_of_the_product_of_pairs_test_one_flat_each(rank, flats):
     # each of the 2r charts of the blow-up of the origin of
     # p_0*q_0*...*p_{r-1}*q_{r-1} removes the zeros of one variable, whose
-    # flat is nonempty, so the walk stops at its first flat
+    # flat is nonempty, so the walk stops at its first flat; the chart's
+    # other removed generators have a smaller stabilizer dimension than the
+    # one the walk stops at, so they take no kernel (2, 3 and 4 per chart
+    # when every start was closed before the walk)
     ring = tuple(
         GradedVariable(f"{name}{i}", tuple(sign * (a == i) for a in range(rank)))
         for i in range(rank)
@@ -187,9 +190,11 @@ def test_the_charts_of_the_product_of_pairs_test_one_flat_each(rank, flats):
     x = critical(ring, "*".join(v.name for v in ring))
     (h,) = witness_subtori(stabilizer_stratification(x))
     charts = kirwan_charts(x, h)
-    tested = [counted_stratification(chart.cdga)[2] for chart in charts]
-    assert [len(t) for t in tested] == [1] * len(charts)
-    assert sum(map(len, tested)) == flats
+    counted = [counted_stratification(chart.cdga) for chart in charts]
+    tested = [len(t) for _, _, t in counted]
+    kernels = [calls["kernel"] for _, calls, _ in counted]
+    assert tested == kernels == [1] * len(charts)
+    assert sum(tested) == sum(kernels) == flats
 
 
 def test_a_truncation_that_is_the_unit_ideal_tests_no_flat():
