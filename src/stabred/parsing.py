@@ -29,9 +29,11 @@ _INT = "INT"
 _NAME = "NAME"
 _OP = "OP"
 _END = "END"
-_DIGITS = "0123456789"
 # the grammar's ``var`` rule; scene files hold every name to it too
 VAR = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one token of the grammar: a ``nat``, a ``var`` or an operator; or a run of
+# blanks, a line break, or any other character, which is refused
+_TOKEN = re.compile(rf"([0-9]+)|({VAR.pattern})|([-+*/^()])|([ \t\r]+)|(\n)|(.)")
 # the deepest nesting of parentheses accepted; each level takes four frames
 # of the recursive descent, so deeper text is refused with a ParseError
 # long before the interpreter's recursion limit
@@ -70,39 +72,19 @@ def _log2_power_base(p: Polynomial) -> float:
 def _tokenize(text):
     tokens = []
     line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for number, name, op, blanks, newline, other in _TOKEN.findall(text):
+        if newline:
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append((_INT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        name = VAR.match(text, i)
-        if name:
-            j = name.end()
-            tokens.append((_NAME, name.group(), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((_OP, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        if other:
+            raise ParseError(f"unexpected character {other!r}", line, col)
+        if number:
+            tokens.append((_INT, number, line, col))
+        elif name:
+            tokens.append((_NAME, name, line, col))
+        elif op:
+            tokens.append((_OP, op, line, col))
+        col += len(number or name or op or blanks)
     tokens.append((_END, "", line, col))
     return tokens
 

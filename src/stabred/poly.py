@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, neg
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainError

@@ -29,7 +29,7 @@ class StabilizerReport(NamedTuple):
     witnesses: tuple[SubtorusBasis, ...]
 
 
-def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -> bool:
+def _support_nonempty(x: GradedCdga, flat: tuple[str, ...]) -> bool:
     """Whether some point outside the removed locus vanishes on every
     variable off the flat.
 
@@ -37,10 +37,10 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     sets the other variables to zero, and saturating by a candidate
     excluded generator keeps the points where that generator is nonzero.
     A generator each of whose terms uses a variable off the flat restricts
-    to zero and keeps no point, so it is skipped on its exponents, and the
-    truncation is restricted only once some candidate survives.  The walk
-    tests only flats that hold some generator's variables, so at least that
-    one survives.
+    to zero and keeps no point, so it is skipped on its exponents.  The
+    restricted truncation is built once, before the generators are tried:
+    the walk tests only flats that hold some generator's variables, so at
+    least that one survives and saturates it.
 
     The truncation enters as its reduced grevlex basis, the one the node
     record and the chart cross-check read, not as its raw differentials.
@@ -51,12 +51,10 @@ def _support_nonempty(x: GradedCdga, truncation: Ideal, flat: tuple[str, ...]) -
     S-pairs.
     """
     off = [i for i, name in enumerate(x.excluded.variables) if name not in flat]
-    base = None
+    base = Ideal(flat, tuple(t.restrict(flat) for t in classical_truncation(x).groebner()))
     for g in x.excluded.generators:
         if all(any(exps[i] for i in off) for exps in g.terms):
             continue
-        if base is None:
-            base = Ideal(flat, tuple(t.restrict(flat) for t in truncation.groebner()))
         if not saturate(base, g.restrict(flat)).is_unit():
             return True
     return False
@@ -105,8 +103,7 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
     whose excluded ideal is zero has every point removed: neither tests a
     flat.
     """
-    truncation = classical_truncation(x)
-    if x.excluded.generators and truncation.is_unit():
+    if x.excluded.generators and classical_truncation(x).is_unit():
         return StabilizerReport(0, (), ())
     position = {v: i for i, v in enumerate(x.var_names)}
     # the supports of the removed generators, each once, by the stabilizer
@@ -126,10 +123,10 @@ def stabilizer_stratification(x: GradedCdga) -> StabilizerReport:
         for t in _covers(x, level):
             candidates.setdefault(t[0], t)
         level = sorted(candidates.values(), key=lambda t: [position[v] for v in t[0]])
-        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, truncation, f)]
+        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, f)]
         if maximal:
             supports, kernels = zip(*maximal)
-            return StabilizerReport(kernels[0].rank, supports, kernels)
+            return StabilizerReport(dim, supports, kernels)
     return StabilizerReport(0, (), ())
 
 

@@ -19,7 +19,6 @@ from stabred import (
     ObstructionReport,
     StabilizerReport,
     SubtorusBasis,
-    classical_truncation,
     dagger_check,
     from_invariant_function,
     intersect,
@@ -394,10 +393,9 @@ def bottom_up_stratification(x):
     replaced: from the flat of no variable up through the covers of each
     rank, testing every flat of a rank in the order the covers meet it and
     stopping at the first rank with a nonempty flat."""
-    truncation = classical_truncation(x)
     level = [_closure(x, ())]
     while level:
-        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, truncation, f)]
+        maximal = [(f, SubtorusBasis(x.torus_rank, k)) for f, _, k in level if _support_nonempty(x, f)]
         if maximal:
             supports, kernels = zip(*maximal)
             return StabilizerReport(kernels[0].rank, supports, kernels)

@@ -154,6 +154,37 @@ def test_only_ascii_digits_are_numbers(text, column):
 
 
 @pytest.mark.parametrize(
+    "text, line, column, what",
+    [
+        # CR LF is one line break, and CR alone is a blank
+        ("x\r\ny", 2, 1, "unexpected 'y'"),
+        ("x\ry", 1, 3, "unexpected 'y'"),
+        # a tab is one column
+        ("\tx y", 1, 4, "unexpected 'y'"),
+        # vertical tab and form feed are not blanks
+        ("x\vy", 1, 2, "unexpected character '\\x0b'"),
+        ("x +\n\fy", 2, 1, "unexpected character '\\x0c'"),
+        ("x +\n  y )", 2, 5, "unexpected ')'"),
+        # the end of input after a trailing line break starts the next line
+        ("x +\n", 2, 1, "unexpected end of input"),
+        ("x +\n\n \t", 3, 3, "unexpected end of input"),
+    ],
+)
+def test_positions_count_blanks_and_line_breaks(text, line, column, what):
+    with pytest.raises(ParseError) as caught:
+        parse_polynomial(text, V)
+    assert str(caught.value).split(" (expected ")[0] == f"line {line}, column {column}: {what}"
+    assert (caught.value.line, caught.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, line, column", [("x +\r\nq", 2, 1), ("\tq", 1, 2), ("x\n\t+ q", 2, 4)])
+def test_unknown_variables_are_placed_past_blanks_and_line_breaks(text, line, column):
+    with pytest.raises(UnknownVariable) as caught:
+        parse_polynomial(text, V)
+    assert (caught.value.name, caught.value.line, caught.value.column) == ("q", line, column)
+
+
+@pytest.mark.parametrize(
     "text, names, column",
     [("\u00e9*x", ("\u00e9", "x"), 1), ("x\u0663 + x", ("x\u0663", "x"), 2), ("x*\u212a", ("x", "\u212a"), 3)],
 )

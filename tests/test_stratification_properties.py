@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stabred import GradedCdga, GradedVariable, Generator1, Polynomial, monomial_ideal, stabilizer_stratification
 
 from helpers import bottom_up_stratification
-from test_torus import _check_flats_against_closure, counted_stratification
+from test_torus import _check_each_flat_holds_a_generator, _check_flats_against_closure, counted_stratification
 
 
 @st.composite
@@ -54,9 +54,9 @@ mixed_presentations = st.one_of(presentations(), unit_presentations())
 def test_the_walk_tests_each_flat_once_in_the_closure_order(x):
     report, calls, tested = counted_stratification(x)
     _check_flats_against_closure(x, report, tested)
-    # one kernel per flat tested, and one per removed generator to find the
-    # flat the walk starts from, which may repeat another's or lie above
-    # the rank the walk stops at
+    _check_each_flat_holds_a_generator(x, tested)
+    # one kernel per flat tested, and one per distinct support of a removed
+    # generator the walk reaches, whose flat may repeat another's
     assert len(tested) <= calls["kernel"] <= len(tested) + len(x.excluded.generators)
     assert calls["subtorus"] == len(report.witnesses)
 

@@ -31,7 +31,17 @@ from stabred.cdga import pairing, weight_split
 from stabred.intlinalg import integer_kernel
 from stabred.torus import _closure, _covers
 
-from helpers import FULL1, build_corpus, ideal_of, poly, rational_rank, strings
+from helpers import (
+    FULL1,
+    RANK2_TREES,
+    SHIPPED_SCENES,
+    build_corpus,
+    ideal_of,
+    poly,
+    rational_rank,
+    scene_file,
+    strings,
+)
 
 V = ("x", "y")
 RANK2 = (
@@ -146,8 +156,8 @@ def counted_stratification(x):
     tested = []
     support_nonempty = torus._support_nonempty
 
-    def recording(x, truncation, flat):
-        tested.append((flat, support_nonempty(x, truncation, flat)))
+    def recording(x, flat):
+        tested.append((flat, support_nonempty(x, flat)))
         return tested[-1][1]
 
     def counting(name, f):
@@ -458,10 +468,23 @@ def _check_against_support_walk(y, report, tested):
         assert [h.vectors for h in witness_subtori(report)] == kernels
 
 
+def _check_each_flat_holds_a_generator(y, tested):
+    """Every flat the walk tests, as ``tested`` records it, holds every
+    variable of some removed generator, so its stratum test always
+    saturates by at least one generator."""
+    supports = []
+    for g in y.excluded.generators:
+        (exps,) = g.terms
+        supports.append({n for n, e in zip(y.var_names, exps) if e})
+    for flat, _ in tested:
+        assert any(s <= set(flat) for s in supports), flat
+
+
 def _check_against_oracles(y, report):
     again, _, tested = counted_stratification(y)
     assert again == report
     _check_flats_against_closure(y, report, tested)
+    _check_each_flat_holds_a_generator(y, tested)
     _check_against_support_walk(y, report, tested)
 
 
@@ -483,6 +506,11 @@ def _check_tree_against_oracles(tree):
 def test_stratum_tests_match_the_full_ring_oracle_on_the_corpus():
     for x in build_corpus():
         _check_tree_against_oracles(stabilizer_reduce(x))
+
+
+@pytest.mark.parametrize("label", SHIPPED_SCENES + tuple(RANK2_TREES))
+def test_stratum_tests_match_the_full_ring_oracle_on_the_scenes(label, tmp_path):
+    assert _check_tree_against_oracles(stabilizer_reduce(load_scene(scene_file(label, tmp_path)))) >= 3
 
 
 def test_stratum_tests_match_the_full_ring_oracle_at_depth_two():
